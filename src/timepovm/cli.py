@@ -3,7 +3,9 @@ end-to-end certification of the positive-spectrum constants.
 
 Every command prints one record per line as key=value fields, ends with a
 summary record, and returns 0 when all checks pass, 1 when a mathematical
-check fails, and 2 on usage or input errors.  All randomness is seeded, so
+check fails, and 2 on usage or input errors.  A numerical breakdown (an
+eigensolver that does not converge) prints one ``error=numerical`` record
+instead of a summary and returns 1.  All randomness is seeded, so
 every published number is reproducible from the command line that made it.
 """
 
@@ -24,7 +26,6 @@ from .formats import (
     load_povm,
     save_povm,
     save_state_table,
-    spectrum_table,
 )
 from .model import (
     EnergyGrid,
@@ -534,6 +535,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(format_record({"error": "config", "detail": str(exc)}))
         return 2
+    except RuntimeError as exc:
+        print(format_record({"error": "numerical", "detail": str(exc)}))
+        return 1
 
 
 def entrypoint() -> None:

@@ -35,10 +35,9 @@ class Dilation:
 
     ``embedding`` is the (rank x dim) isometry from the model space into the
     quotient; its block of rows for bin k is sqrt(L_k) W_k^dagger with
-    (W_k, L_k) the retained eigenpairs of effect k.  ``shift`` implements
-    one covariance step and ``projection`` projects the quotient onto the
-    embedded copy of the model space.  ``lift_blocks[k]`` maps bin-k
-    quotient coordinates back to model vectors (W_k L_k^{-1/2}).
+    (W_k, L_k) the retained eigenpairs of effect k.  ``bin_slices[k]``
+    selects those rows, ``shift`` implements one covariance step, and
+    ``discarded_count`` counts the eigendirections dropped as exact zeros.
     """
 
     povm: CovariantPOVM
@@ -46,9 +45,6 @@ class Dilation:
     bin_slices: tuple
     embedding: np.ndarray
     shift: np.ndarray
-    projection: np.ndarray
-    lift_blocks: tuple
-    kept_eigenvalues: tuple
     discarded_count: int
 
     def sharp_indicator(self, bins) -> np.ndarray:
@@ -57,9 +53,6 @@ class Dilation:
         for k in np.atleast_1d(np.asarray(bins, dtype=int)):
             d[self.bin_slices[int(k) % self.povm.n_bins]] = 1.0
         return d
-
-    def sharp_effect(self, bins) -> np.ndarray:
-        return np.diag(self.sharp_indicator(bins)).astype(complex)
 
     def embed(self, state: StateVector) -> np.ndarray:
         return self.embedding @ state.amplitudes
@@ -92,7 +85,6 @@ def build_dilation(povm: CovariantPOVM, eps: float = 1e-12, validate_tol: float 
     n, dim = povm.n_bins, povm.dim
     blocks = []
     lifts = []
-    kept = []
     slices = []
     start = 0
     discarded = 0
@@ -112,7 +104,6 @@ def build_dilation(povm: CovariantPOVM, eps: float = 1e-12, validate_tol: float 
         root = np.sqrt(wk)
         blocks.append(root[:, None] * vk.conj().T)
         lifts.append(vk / root[None, :])
-        kept.append(wk)
         slices.append(slice(start, start + r_k))
         start += r_k
 
@@ -123,7 +114,6 @@ def build_dilation(povm: CovariantPOVM, eps: float = 1e-12, validate_tol: float 
     for k in range(n):
         nxt = (k + 1) % n
         shift[slices[nxt], slices[k]] = blocks[nxt] @ (phases[:, None] * lifts[k])
-    projection = embedding @ embedding.conj().T
 
     return Dilation(
         povm=povm,
@@ -131,9 +121,6 @@ def build_dilation(povm: CovariantPOVM, eps: float = 1e-12, validate_tol: float 
         bin_slices=tuple(slices),
         embedding=embedding,
         shift=shift,
-        projection=projection,
-        lift_blocks=tuple(lifts),
-        kept_eigenvalues=tuple(kept),
         discarded_count=discarded,
     )
 

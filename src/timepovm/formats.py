@@ -1,10 +1,10 @@
-"""File interchange: observables, grid states, spectra, and report records.
+"""File interchange: observables, grid states, and report records.
 
 Observables travel as JSON documents carrying explicit effect matrices, so a
 file is a claim that can be checked rather than trusted: loading produces a
 dense observable whose positivity and covariance are verified downstream,
-not assumed.  States and spectra use plain delimited tables that any plotting
-tool can ingest.  All writes go through a sibling temp file and an atomic
+not assumed.  States use a plain delimited table that any plotting tool
+can ingest.  All writes go through a sibling temp file and an atomic
 rename, so readers never observe a half-written document.
 """
 
@@ -14,7 +14,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "load_povm",
     "save_state_table",
     "load_state_table",
-    "spectrum_table",
     "format_record",
     "bound_record",
 ]
@@ -46,13 +45,21 @@ class PovmFormatError(ValueError):
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    """Write ``text`` to ``path`` via a sibling temp file and atomic rename."""
+    """Write ``text`` to ``path`` via a sibling temp file and atomic rename.
+
+    The file gets the mode a plain ``open`` would give it (0o666 under the
+    process umask), not the owner-only mode of the temp file.
+    """
     target = Path(path)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
+    # reading the umask means setting it; put the old value straight back
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
             handle.flush()
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             os.fsync(handle.fileno())
         os.replace(tmp, target)
     except BaseException:
@@ -207,14 +214,6 @@ def load_state_table(path: str | os.PathLike) -> GridState:
         return GridState(values, float(h), float(x[-1] + h))
     except ValueError as exc:
         raise PovmFormatError(f"{where}: {exc}") from None
-
-
-def spectrum_table(eigenvalues: Sequence[float], references: Sequence[float]) -> str:
-    """Delimited table comparing computed eigenvalues against reference zeros."""
-    lines = ["# n eigenvalue airy_zero error"]
-    for i, (ev, ref) in enumerate(zip(eigenvalues, references), start=1):
-        lines.append(f"{i} {ev:.17e} {ref:.17e} {ev - ref:.6e}")
-    return "\n".join(lines) + "\n"
 
 
 def format_record(record: Mapping[str, object]) -> str:

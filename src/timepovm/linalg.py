@@ -1,12 +1,12 @@
 """Dense Hermitian and symmetric tridiagonal eigensolvers.
 
 Everything here is plain numpy.  The dense solver is a cyclic Jacobi
-iteration run on the real symmetric embedding of a Hermitian matrix;
-rotations are applied in parallel batches (round-robin pairing) so the
-inner loop stays vectorized.  The tridiagonal solver brackets eigenvalues
-with Sturm-sequence counts and refines them by multisection; eigenvectors
-come from inverse iteration.  Both paths are deterministic for identical
-input.
+iteration with complex rotations acting directly on the n x n Hermitian
+matrix; rotations are applied in parallel batches (round-robin pairing) so
+the inner loop stays vectorized.  The tridiagonal solver brackets
+eigenvalues with Sturm-sequence counts and refines them by multisection;
+eigenvectors come from inverse iteration through the cyclic-reduction
+factorization.  Both paths are deterministic for identical input.
 """
 
 from __future__ import annotations
@@ -23,10 +23,14 @@ __all__ = [
     "sturm_count",
     "tridiag_lowest_eigs",
     "tridiag_eigenvector",
-    "tridiag_solve",
 ]
 
 _PIVMIN = 1e-290
+
+
+def _clamp_pivots(d: np.ndarray) -> np.ndarray:
+    """Replace pivots smaller than _PIVMIN in magnitude by _PIVMIN."""
+    return np.where(np.abs(d) < _PIVMIN, _PIVMIN, d)
 
 
 @dataclass(frozen=True)
@@ -97,96 +101,16 @@ def _round_robin_pairs(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
-def _jacobi(a: np.ndarray, want_vectors: bool, tol: float = 1e-14, max_sweeps: int = 60):
-    """Cyclic Jacobi on a real symmetric matrix; returns (eigenvalues, vectors or None).
-
-    Rotations inside one round act on disjoint index pairs, so they commute
-    and can be applied as a single batched update.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n) if want_vectors else None
-    if n == 1:
-        return a[np.newaxis, 0, 0].ravel(), v
-    rounds = _round_robin_pairs(n)
-    fro = np.linalg.norm(a)
-    if fro == 0.0:
-        return np.zeros(n), v
-    # entries below skip_level can never push the off-diagonal norm past the
-    # convergence target, so their rotations are skipped
-    skip_level = tol * fro / (2.0 * n)
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(a - np.diag(np.diagonal(a)))
-        if off <= tol * fro:
-            break
-        for p, q in rounds:
-            apq = a[p, q]
-            active = np.abs(apq) > skip_level
-            if not np.any(active):
-                continue
-            if not np.all(active):
-                p, q, apq = p[active], q[active], apq[active]
-            theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-            t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-            t = np.where(np.sign(theta) == 0.0, 1.0 / (np.abs(theta) + np.sqrt(theta * theta + 1.0)), t)
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            rp = a[p, :].copy()
-            rq = a[q, :].copy()
-            a[p, :] = c[:, None] * rp - s[:, None] * rq
-            a[q, :] = s[:, None] * rp + c[:, None] * rq
-            cp = a[:, p].copy()
-            cq = a[:, q].copy()
-            a[:, p] = cp * c - cq * s
-            a[:, q] = cp * s + cq * c
-            if want_vectors:
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = vp * c - vq * s
-                v[:, q] = vp * s + vq * c
-        a = 0.5 * (a + a.T)
-    else:
-        raise RuntimeError("jacobi iteration did not converge within the sweep limit")
-    w = np.diagonal(a).copy()
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    if want_vectors:
-        v = v[:, order]
-    return w, v
-
-
-def _complex_from_embedded(w2: np.ndarray, v2: np.ndarray, n: int):
-    """Extract n complex eigenpairs from the 2n real pairs of the embedding.
-
-    Each complex eigenvector shows up twice in the embedded spectrum (v and
-    i*v).  Column-pivoted Gram-Schmidt over the candidate set drops the
-    copies; pivoting keeps every accepted residual at unit scale, so noise
-    from one accepted direction never gets amplified into the next.
-    """
-    z = v2[:n, :] + 1j * v2[n:, :]
-    vals = np.empty(n)
-    vecs = np.empty((n, n), dtype=complex)
-    alive = np.ones(2 * n, dtype=bool)
-    for k in range(n):
-        norms = np.linalg.norm(z, axis=0)
-        norms[~alive] = -1.0
-        j = int(np.argmax(norms))
-        if norms[j] < 0.02:
-            raise RuntimeError("failed to extract a full complex eigenbasis from the embedding")
-        u = z[:, j] / norms[j]
-        vecs[:, k] = u
-        vals[k] = w2[j]
-        alive[j] = False
-        z[:, alive] -= np.outer(u, u.conj() @ z[:, alive])
-    order = np.argsort(vals, kind="stable")
-    return vals[order], vecs[:, order]
-
-
 def hermitian_eigh(a: np.ndarray, want_vectors: bool = True) -> Spectrum:
-    """Full spectrum of a Hermitian matrix via the embedded Jacobi iteration.
+    """Full spectrum of a Hermitian matrix by cyclic complex Jacobi rotations.
 
-    Rejects non-Hermitian input; the error message carries the largest
-    asymmetry so callers can see how far off they were.
+    Each rotation is the 2x2 unitary of Forsythe and Henrici: a phase that
+    makes a_pq real and positive, followed by the usual real rotation that
+    annihilates it.  Rotations inside one round act on disjoint index
+    pairs, so they commute and are applied as a single batched update.
+    Real symmetric input takes the same path.  Rejects non-Hermitian input;
+    the error message carries the largest asymmetry so callers can see how
+    far off they were.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -196,19 +120,47 @@ def hermitian_eigh(a: np.ndarray, want_vectors: bool = True) -> Spectrum:
     asym = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
     if asym > 1e-12 * scale:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")
-    a = 0.5 * (a + a.conj().T)
-    if not np.iscomplexobj(a) or np.max(np.abs(a.imag)) == 0.0:
-        w, v = _jacobi(np.real(a), want_vectors)
-        if v is not None:
-            v = v.astype(complex)
-        return Spectrum(w, v)
-    re, im = a.real, a.imag
-    s = np.block([[re, -im], [im, re]])
-    w2, v2 = _jacobi(s, want_vectors)
-    if not want_vectors:
-        return Spectrum(w2[::2].copy(), None)
-    w, v = _complex_from_embedded(w2, v2, n)
-    return Spectrum(w, v)
+    a = (0.5 * (a + a.conj().T)).astype(complex)
+    v = np.eye(n, dtype=complex) if want_vectors else None
+    tol, max_sweeps = 1e-14, 60
+    fro = np.linalg.norm(a)
+    # entries below skip_level can never push the off-diagonal norm past the
+    # convergence target, so their rotations are skipped
+    skip_level = tol * fro / (2.0 * max(n, 1))
+    rounds = _round_robin_pairs(n)
+    for _ in range(max_sweeps):
+        off = np.linalg.norm(a - np.diag(np.diagonal(a)))
+        if off <= tol * fro:
+            break
+        for p, q in rounds:
+            apq = a[p, q]
+            r = np.abs(apq)
+            active = r > skip_level
+            if not np.any(active):
+                continue
+            if not np.all(active):
+                p, q, apq, r = p[active], q[active], apq[active], r[active]
+            # w removes the phase of a_pq; the real rotation (c, s) then zeroes it
+            w = apq.conj() / r
+            theta = (a[q, q].real - a[p, p].real) / (2.0 * r)
+            t = np.where(theta < 0.0, -1.0, 1.0) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            rp = a[p, :]
+            rq = w.conj()[:, None] * a[q, :]
+            a[p, :] = c[:, None] * rp - s[:, None] * rq
+            a[q, :] = s[:, None] * rp + c[:, None] * rq
+            for m in (a, v) if want_vectors else (a,):
+                cp = m[:, p]
+                cq = m[:, q] * w
+                m[:, p] = c * cp - s * cq
+                m[:, q] = s * cp + c * cq
+        a = 0.5 * (a + a.conj().T)
+    else:
+        raise RuntimeError("jacobi iteration did not converge within the sweep limit")
+    w = np.diagonal(a).real.copy()
+    order = np.argsort(w, kind="stable")
+    return Spectrum(w[order], v[:, order] if want_vectors else None)
 
 
 def sturm_count(t: SymTridiag, x):
@@ -288,8 +240,12 @@ class TridiagFactor:
     of that elimination is a vectorized slice operation.  Repeated solves
     against many right-hand sides therefore stay in numpy even for very
     long diagonals, where the Thomas recurrence would crawl through a
-    Python loop.  Intended for positive definite systems (preconditioners);
-    there is no pivoting.
+    Python loop.  There is no pivoting, so the matrix should be positive
+    (semi)definite: a preconditioner, or the matrix shifted by its lowest
+    eigenvalue for inverse iteration.  Pivots (and the final 2x2
+    determinant) smaller than 1e-290 in magnitude are clamped to 1e-290
+    instead of failing, which is exactly the near-singular behaviour
+    inverse iteration relies on.
     """
 
     def __init__(self, t: SymTridiag, shift: float = 0.0):
@@ -298,7 +254,7 @@ class TridiagFactor:
         self._levels = []
         while d.size > 2:
             # odd node 2k+1 couples even k via e[2k] and even k+1 via e[2k+1]
-            d_odd = d[1::2]
+            d_odd = _clamp_pivots(d[1::2])
             e_r = e[0::2]
             e_l = e[1::2]
             r_ratio = e_r / d_odd
@@ -311,6 +267,7 @@ class TridiagFactor:
             d, e = nd, ne
         self._base_d = d
         self._base_e = e
+        self._base_pivot = _clamp_pivots(d[:1] if d.size == 1 else d[:1] * d[1:] - e * e)[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve against one vector or a (n, cols) block of right-hand sides."""
@@ -326,12 +283,12 @@ class TridiagFactor:
             nb[: r_ratio.size] -= r_ratio[:, None] * b_odd
             nb[1 : 1 + l_ratio.size] -= l_ratio[:, None] * b_odd[: l_ratio.size]
             b = nb
+        pivot = self._base_pivot
         if self._base_d.size == 1:
-            x = b / self._base_d[0]
+            x = b / pivot
         else:
-            det = self._base_d[0] * self._base_d[1] - self._base_e[0] ** 2
-            x0 = (self._base_d[1] * b[0] - self._base_e[0] * b[1]) / det
-            x1 = (self._base_d[0] * b[1] - self._base_e[0] * b[0]) / det
+            x0 = (self._base_d[1] * b[0] - self._base_e[0] * b[1]) / pivot
+            x1 = (self._base_d[0] * b[1] - self._base_e[0] * b[0]) / pivot
             x = np.stack([x0, x1])
         for (d_odd, e_r, e_l, _, _), b_odd in zip(reversed(self._levels), reversed(stack)):
             odd = b_odd - e_r[:, None] * x[: e_r.size]
@@ -344,50 +301,22 @@ class TridiagFactor:
         return x[:, 0] if squeeze else x
 
 
-def tridiag_solve(t: SymTridiag, shift: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (t - shift*I) x = rhs by the Thomas recurrence (no pivoting).
+def tridiag_eigenvector(t: SymTridiag, eigenvalue: float) -> np.ndarray:
+    """Unit eigenvector for an already-bracketed eigenvalue, by inverse iteration.
 
-    Tiny pivots are clamped instead of failing; inverse iteration relies on
-    exactly that near-singular behaviour.
+    At an exactly representable eigenvalue a clamped pivot blows the iterate
+    up to ~1e290, so each iterate is scaled by its largest entry; the 2-norm
+    of the raw iterate would overflow.
     """
-    n = t.n
-    d = t.diag - shift
-    e = t.offdiag
-    c = np.empty(n - 1) if n > 1 else np.empty(0)
-    x = np.array(rhs, dtype=float)
-    piv = d[0]
-    if abs(piv) < _PIVMIN:
-        piv = _PIVMIN
-    x[0] = x[0] / piv
-    for i in range(1, n):
-        c[i - 1] = e[i - 1] / piv
-        piv = d[i] - e[i - 1] * c[i - 1]
-        if abs(piv) < _PIVMIN:
-            piv = _PIVMIN
-        x[i] = (x[i] - e[i - 1] * x[i - 1]) / piv
-    for i in range(n - 2, -1, -1):
-        x[i] -= c[i] * x[i + 1]
-    return x
-
-
-def tridiag_eigenvector(
-    t: SymTridiag,
-    eigenvalue: float,
-    orthogonal_to: np.ndarray | None = None,
-    seed: int = 0,
-) -> np.ndarray:
-    """Unit eigenvector for an already-bracketed eigenvalue, by inverse iteration."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(t.n)
-    x /= np.linalg.norm(x)
+    x = np.random.default_rng(0).standard_normal(t.n)
+    factor = TridiagFactor(t, shift=eigenvalue)
     for _ in range(3):
-        x = tridiag_solve(t, eigenvalue, x)
-        if orthogonal_to is not None and orthogonal_to.size:
-            x = x - orthogonal_to @ (orthogonal_to.T @ x)
-        nrm = np.linalg.norm(x)
-        if nrm == 0.0:
-            raise RuntimeError("inverse iteration collapsed to the zero vector")
-        x /= nrm
+        x = factor.solve(x)
+        peak = float(np.max(np.abs(x)))
+        if not 0.0 < peak < np.inf:
+            raise RuntimeError("inverse iteration collapsed to the zero vector or overflowed")
+        x /= peak
+    x /= np.linalg.norm(x)
     if x[np.argmax(np.abs(x))] < 0:
         x = -x
     return x

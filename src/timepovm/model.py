@@ -21,10 +21,8 @@ __all__ = [
     "EnergyGrid",
     "TimeLattice",
     "StateVector",
-    "UnitaryGroup",
     "CovariantPOVM",
     "PovmValidation",
-    "build_unitary_group",
     "build_sharp_time_povm",
     "build_halfline_povm",
     "vector_generated_povm",
@@ -133,28 +131,6 @@ def _normalized_state(grid: EnergyGrid, raw: np.ndarray, undersampled: bool = Fa
     if nrm == 0.0 or not np.isfinite(nrm):
         raise ValueError("state profile vanished or overflowed on this grid")
     return StateVector(grid, raw / nrm, undersampled)
-
-
-@dataclass(frozen=True)
-class UnitaryGroup:
-    """Diagonal time evolution exp(+i*E*t) over the grid energies."""
-
-    grid: EnergyGrid
-
-    def phases(self, t: float) -> np.ndarray:
-        return np.exp(1j * self.grid.energies * t)
-
-    def apply(self, state: StateVector, t: float) -> StateVector:
-        if state.grid != self.grid:
-            raise ValueError("state lives on a different grid than this group")
-        return StateVector(self.grid, self.phases(t) * state.amplitudes, state.undersampled)
-
-    def matrix(self, t: float) -> np.ndarray:
-        return np.diag(self.phases(t))
-
-
-def build_unitary_group(grid: EnergyGrid) -> UnitaryGroup:
-    return UnitaryGroup(grid)
 
 
 def fourier_map(grid: EnergyGrid) -> np.ndarray:

@@ -38,7 +38,6 @@ __all__ = [
     "product_functional",
     "combined_functional",
     "scaling_transform",
-    "resample_state",
     "minimize_product",
     "minimize_combined",
     "verify_min_identity_chain",
@@ -184,34 +183,11 @@ def scaling_transform(state: GridState, mu: float) -> GridState:
     The transformed state has values sqrt(mu) * old values on the grid with
     spacing h/mu; nothing is interpolated, so norm is preserved to machine
     precision, kinetic scales by exactly mu^2, position means by exactly
-    1/mu, and both bound functionals are exactly invariant.  Use
-    :func:`resample_state` to compare states across different grids.
+    1/mu, and both bound functionals are exactly invariant.
     """
     if not (mu > 0.0 and np.isfinite(mu)):
         raise ValueError(f"scale factor must be positive and finite, got {mu}")
     return GridState(math.sqrt(mu) * np.asarray(state.values), state.h / mu, state.L / mu)
-
-
-def resample_state(state: GridState, h_new: float) -> GridState:
-    """Linear interpolation of a state onto a new spacing over the same domain.
-
-    Refinement is always allowed; coarsening beyond four times the original
-    spacing is rejected, because linear interpolation that sparse no longer
-    represents the profile it claims to.
-    """
-    if not (h_new > 0.0 and np.isfinite(h_new)):
-        raise ValueError(f"new spacing must be positive and finite, got {h_new}")
-    if h_new > 4.0 * state.h:
-        raise ValueError(
-            f"resampling from h={state.h} to h={h_new} discards the profile; refusing"
-        )
-    m_new = int(round(state.L / h_new)) - 1
-    if m_new < 2:
-        raise ValueError("new grid has fewer than two interior nodes")
-    x_old = np.concatenate([[0.0], state.nodes, [state.L]])
-    y_old = np.concatenate([[0.0], np.asarray(state.values, dtype=float), [0.0]])
-    x_new = h_new * np.arange(1, m_new + 1)
-    return _as_state(np.interp(x_new, x_old, y_old), h_new, state.L)
 
 
 @dataclass(frozen=True)

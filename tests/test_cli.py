@@ -1,10 +1,17 @@
 """Command-line interface: reports, exit codes, and file handling."""
 
 import json
+import os
+import stat
 
+import numpy as np
 import pytest
 
 from timepovm.cli import main
+from timepovm.formats import save_povm
+from timepovm.model import CovariantPOVM, build_sharp_time_povm
+
+from conftest import selfdual_grid
 
 
 def records(capsys):
@@ -177,3 +184,46 @@ def test_report_file_matches_stdout(tmp_path, capsys):
     assert main(["bounds", "--out", str(target)]) == 0
     out = capsys.readouterr().out
     assert target.read_text() == out
+
+
+def test_dilate_indefinite_file_reports_positivity(tmp_path, capsys):
+    # a zero-diagonal perturbation transported covariantly from bin to bin
+    # sums to zero over a period, so only positivity breaks
+    povm = build_sharp_time_povm(selfdual_grid(8))
+    phases = np.exp(1j * povm.grid.energies * povm.lattice.tau)
+    bump = np.zeros((8, 8), dtype=complex)
+    bump[0, 1] = bump[1, 0] = 0.3
+    dense = np.stack(
+        [povm.effect(k) + (phases**k)[:, None] * bump * (phases**k).conj()[None, :] for k in range(8)]
+    )
+    path = tmp_path / "indefinite.json"
+    save_povm(CovariantPOVM(povm.grid, povm.lattice, dense=dense), path)
+    assert main(["dilate", str(path)]) == 1
+    _, recs = records(capsys)
+    assert find(recs, error="axiom-violated")["axiom"] == "positivity"
+
+
+def test_numerical_breakdown_is_one_record_exit_one(tmp_path, capsys, monkeypatch):
+    def breakdown(*args, **kwargs):
+        raise RuntimeError("jacobi iteration did not converge within the sweep limit")
+
+    path = tmp_path / "sharp8.json"
+    save_povm(build_sharp_time_povm(selfdual_grid(8)), path)
+    monkeypatch.setattr("timepovm.cli.dila.build_dilation", breakdown)
+    assert main(["dilate", str(path)]) == 1
+    _, recs = records(capsys)
+    assert recs[-1] == {"error": "numerical", "detail": "jacobi iteration did not converge within the sweep limit"}
+
+
+def test_written_files_honour_the_umask(tmp_path, capsys):
+    old = os.umask(0o022)
+    try:
+        fixture = tmp_path / "fixture.json"
+        save_povm(build_sharp_time_povm(selfdual_grid(8)), fixture)
+        report = tmp_path / "report.txt"
+        assert main(["dilate", str(fixture), "--out", str(report)]) == 0
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    assert stat.S_IMODE(fixture.stat().st_mode) == 0o644
+    assert stat.S_IMODE(report.stat().st_mode) == 0o644

@@ -40,13 +40,6 @@ def test_embedding_is_isometry(small_dilations):
         assert np.max(np.abs(gram - np.eye(d.povm.dim))) <= 1e-12, name
 
 
-def test_projection_is_hermitian_idempotent(small_dilations):
-    for name, d in small_dilations.items():
-        p = d.projection
-        assert np.max(np.abs(p - p.conj().T)) <= 1e-12, name
-        assert np.max(np.abs(p @ p - p)) <= 1e-12, name
-
-
 def test_sharp_measure_is_projection_valued_and_complete(small_dilations):
     for name, d in small_dilations.items():
         total = np.zeros(d.rank)

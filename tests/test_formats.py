@@ -15,7 +15,6 @@ from timepovm.formats import (
     load_state_table,
     save_povm,
     save_state_table,
-    spectrum_table,
 )
 from timepovm.model import EnergyGrid, build_sharp_time_povm, validate_povm
 from timepovm.uncertainty import BoundReport
@@ -233,17 +232,6 @@ def test_state_table_diagnostics(tmp_path):
     unnormalized.write_text("0.5 3.0\n1.0 3.0\n1.5 3.0\n")
     with pytest.raises(PovmFormatError, match="unit norm"):
         load_state_table(unnormalized)
-
-
-def test_spectrum_table_layout():
-    text = spectrum_table([2.3381, 4.0879], [2.33810741045977, 4.08794944413097])
-    lines = text.strip().split("\n")
-    assert lines[0] == "# n eigenvalue airy_zero error"
-    assert len(lines) == 3
-    first = lines[1].split()
-    assert first[0] == "1"
-    assert float(first[1]) == 2.3381
-    assert abs(float(first[3]) - (2.3381 - 2.33810741045977)) <= 1e-12
 
 
 def test_format_record_rendering():

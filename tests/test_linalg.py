@@ -10,7 +10,6 @@ from timepovm.linalg import (
     sturm_count,
     tridiag_eigenvector,
     tridiag_lowest_eigs,
-    tridiag_solve,
 )
 
 
@@ -121,13 +120,20 @@ def test_tridiag_eigenvector_residual():
     assert np.linalg.norm(resid) <= 1e-9 * scale
 
 
-def test_tridiag_solve_matches_dense_oracle():
-    rng = np.random.default_rng(14)
-    t = random_tridiag(rng, 50, definite=True)
-    b = rng.standard_normal(50)
-    x = tridiag_solve(t, 0.4, b)
-    ref = np.linalg.solve(t.dense() - 0.4 * np.eye(50), b)
-    assert np.max(np.abs(x - ref)) <= 1e-10
+def test_tridiag_eigenvector_at_exactly_representable_eigenvalue():
+    # the shifted matrix is exactly singular, the clamped pivot blows the
+    # iterate up to ~1e290, and the 2-norm must not overflow
+    t = SymTridiag([1.0, 2.0, 3.0, 4.0], np.zeros(3))
+    v = tridiag_eigenvector(t, 1.0)
+    assert np.allclose(v, [1.0, 0.0, 0.0, 0.0], rtol=0.0, atol=1e-15)
+
+
+def test_cyclic_reduction_factor_clamps_singular_pivots():
+    # zero pivots at the eliminated odd nodes are clamped to 1e-290
+    t = SymTridiag([1.0, 0.0, 1.0, 0.0, 1.0], np.zeros(4))
+    x = TridiagFactor(t).solve(np.ones(5))
+    assert np.array_equal(x[0::2], np.ones(3))
+    assert np.array_equal(x[1::2], np.full(2, 1.0 / 1e-290))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 31, 32, 33, 100, 257, 1000])

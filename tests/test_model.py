@@ -10,7 +10,6 @@ from timepovm.model import (
     TimeLattice,
     build_halfline_povm,
     build_sharp_time_povm,
-    build_unitary_group,
     default_fullline_model,
     default_halfline_model,
     fourier_map,
@@ -92,18 +91,6 @@ def test_covariance_exact_even_for_non_integer_offset():
     assert v.covariance_residual <= 1e-13
     assert v.passed
     assert g.n == 12
-
-
-def test_unitary_group_period_phase():
-    g = EnergyGrid(10, 0.5, offset=0.3 - 5 * 0.5)
-    group = build_unitary_group(g)
-    u = group.matrix(TimeLattice.from_grid(g).tau)
-    acc = np.eye(10, dtype=complex)
-    for _ in range(10):
-        acc = u @ acc
-    # after a full period only a global phase set by the offset remains
-    phase = np.exp(2j * np.pi * g.offset / g.de)
-    assert np.max(np.abs(acc - phase * np.eye(10))) <= 1e-12
 
 
 def test_halfline_povm_structure(halfline64):

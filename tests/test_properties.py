@@ -1,0 +1,70 @@
+"""Property tests of the in-repo eigensolvers against numpy's dense oracle.
+
+Examples are derandomized, so every run checks the same matrices; each
+example is drawn from a seed, a size and a decimal scale.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from timepovm.linalg import SymTridiag, hermitian_eigh, sturm_count
+
+properties = settings(derandomize=True, deadline=None, max_examples=40, database=None)
+
+seeds = st.integers(0, 2**32 - 1)
+sizes = st.integers(1, 24)
+scales = st.integers(-6, 6).map(lambda e: 10.0**e)
+
+
+def check_eigh(a: np.ndarray) -> None:
+    n = a.shape[0]
+    norm = float(np.max(np.abs(a)))
+    sp = hermitian_eigh(a)
+    assert np.max(np.abs(sp.eigenvalues - np.linalg.eigvalsh(a))) <= 1e-12 * n * norm
+    resid = a @ sp.eigenvectors - sp.eigenvectors * sp.eigenvalues
+    assert np.max(np.abs(resid)) <= 1e-12 * n * norm
+    gram = sp.eigenvectors.conj().T @ sp.eigenvectors
+    assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
+
+
+@properties
+@given(seeds, sizes, scales)
+def test_hermitian_eigh_complex_hermitian(seed, n, scale):
+    rng = np.random.default_rng(seed)
+    a = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    check_eigh((a + a.conj().T) / 2.0)
+
+
+@properties
+@given(seeds, sizes, scales)
+def test_hermitian_eigh_real_symmetric(seed, n, scale):
+    rng = np.random.default_rng(seed)
+    a = scale * rng.standard_normal((n, n))
+    check_eigh((a + a.T) / 2.0)
+
+
+@properties
+@given(seeds, sizes, scales)
+def test_hermitian_eigh_rank_one_gram(seed, n, scale):
+    # the shape of every constructor-built effect: K^dagger K with K 1 x n
+    rng = np.random.default_rng(seed)
+    k = scale * (rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n)))
+    a = k.conj().T @ k
+    check_eigh(a)
+    top = hermitian_eigh(a, want_vectors=False).eigenvalues[-1]
+    assert abs(top - float(np.sum(np.abs(k) ** 2))) <= 1e-12 * n * float(np.max(np.abs(a)))
+
+
+@properties
+@given(seeds, st.integers(1, 60))
+def test_sturm_count_matches_dense_spectrum(seed, n):
+    rng = np.random.default_rng(seed)
+    t = SymTridiag(rng.standard_normal(n), rng.standard_normal(n - 1))
+    ref = np.linalg.eigvalsh(t.dense())
+    probes = rng.uniform(ref[0] - 1.0, ref[-1] + 1.0, 32)
+    # a probe within rounding distance of an eigenvalue has no defined count
+    gap = np.min(np.abs(probes[:, None] - ref[None, :]), axis=1)
+    probes = probes[gap > 1e-9 * (1.0 + np.max(np.abs(ref)))]
+    expected = np.sum(ref[None, :] < probes[:, None], axis=1)
+    assert np.array_equal(sturm_count(t, probes), expected)

@@ -16,7 +16,6 @@ from timepovm.variational import (
     minimize_product,
     product_functional,
     required_length,
-    resample_state,
     scaling_transform,
     verify_min_identity_chain,
 )
@@ -116,17 +115,6 @@ def test_scaling_transform_identity_and_validation(reference_minimal_state):
     assert np.array_equal(same.values, reference_minimal_state.values)
     with pytest.raises(ValueError):
         scaling_transform(reference_minimal_state, 0.0)
-
-
-def test_resample_state_round_trip(reference_minimal_state):
-    st = reference_minimal_state
-    coarse = resample_state(st, 2e-3)
-    kin0, pos0, _ = product_functional(st)
-    kin1, pos1, _ = product_functional(coarse)
-    assert abs(kin1 - kin0) <= 1e-4 * kin0
-    assert abs(pos1 - pos0) <= 1e-4 * pos0
-    with pytest.raises(ValueError):
-        resample_state(coarse, 0.1)
 
 
 def test_combined_functional_on_oscillator_ground_state():
