@@ -5,8 +5,11 @@ Every command prints one record per line as key=value fields, ends with a
 summary record, and returns 0 when all checks pass, 1 when a mathematical
 check fails, and 2 on usage or input errors.  A numerical breakdown (an
 eigensolver that does not converge) prints one ``error=numerical`` record
-instead of a summary and returns 1.  All randomness is seeded, so
-every published number is reproducible from the command line that made it.
+instead of a summary and returns 1.  A request too large to allocate
+(grid rows, energy bins, fixture bins past a fixed limit) is refused with
+one ``error=config`` record and exit 2 before anything is built.  All
+randomness is seeded, so every published number is reproducible from the
+command line that made it.
 """
 
 from __future__ import annotations
@@ -57,6 +60,11 @@ _PRINTED_D = 1.376
 _PRINTED_PRODUCT = 1.8935
 _PRINTED_COMBINED = 2.25
 _PRINTED_WEAKER = 2.1434
+
+# request sizes refused with error=config before anything is allocated
+_MAX_GRID_ROWS = 200_000  # variational grids: about 1 kB of arrays per row
+_MAX_BOUNDS_BINS = 4096  # bounds: an n x n complex Fourier map, 16 n^2 bytes
+_MAX_FIXTURE_BINS = 128  # emit-fixtures: 2 n^3 JSON numbers per file, 84 MB at 128
 
 
 def _positive_float(text: str) -> float:
@@ -148,6 +156,16 @@ def _route_agreement(rep, name: str, spectral_value: float, descent_result, h: f
     rep.emit(record)
 
 
+def _refuse_oversized(what: str, size: float, limit: int) -> None:
+    if size > limit:
+        raise ValueError(f"request of {size:.0f} {what} exceeds the limit of {limit}")
+
+
+def _refuse_oversized_grid(h: float, L: float) -> None:
+    # the operator has round(L/h) - 1 rows; L/h - 1 is within half a row of it
+    _refuse_oversized("grid rows (--domain-l / --h)", L / h - 1.0, _MAX_GRID_ROWS)
+
+
 class _Report:
     """Collects records, prints them as they arrive, tracks failures."""
 
@@ -181,8 +199,9 @@ class _Report:
 
 
 def cmd_airy_certify(args: argparse.Namespace) -> int:
-    rep = _Report("airy-certify")
     h, L, scale = args.h, args.domain_l, args.tolerance_scale
+    _refuse_oversized_grid(h, L)
+    rep = _Report("airy-certify")
     # tolerances widen with h^2 so coarse grids still certify at their own
     # attainable precision; at the reference spacing 1e-3 the extra term is
     # far below the printed-precision targets
@@ -390,6 +409,8 @@ def _parse_states(spec: str, model: str):
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     scale = args.tolerance_scale
+    if args.n is not None:
+        _refuse_oversized("energy bins (--n)", args.n, _MAX_BOUNDS_BINS)
     if args.model == "fullline":
         if args.n is None and args.de is None:
             povm = default_fullline_model()
@@ -476,6 +497,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_emit_fixtures(args: argparse.Namespace) -> int:
     from pathlib import Path
 
+    _refuse_oversized("fixture bins (--n)", args.n, _MAX_FIXTURE_BINS)
+    _refuse_oversized_grid(args.h, args.domain_l)
     out_dir = Path(args.out or "fixtures")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -4,9 +4,12 @@ Everything here is plain numpy.  The dense solver is a cyclic Jacobi
 iteration with complex rotations acting directly on the n x n Hermitian
 matrix; rotations are applied in parallel batches (round-robin pairing) so
 the inner loop stays vectorized.  The tridiagonal solver brackets
-eigenvalues with Sturm-sequence counts and refines them by multisection;
-eigenvectors come from inverse iteration through the cyclic-reduction
-factorization.  Both paths are deterministic for identical input.
+eigenvalues with Sturm-sequence counts, narrows the brackets by shared
+multisection passes, and finishes each isolated one with the Rayleigh
+quotient of an inverse-iteration vector, accepted only when its residual
+ball lies inside the bracket; eigenvectors come from inverse iteration
+through the cyclic-reduction factorization.  Both paths are deterministic
+for identical input.
 """
 
 from __future__ import annotations
@@ -26,6 +29,13 @@ __all__ = [
 ]
 
 _PIVMIN = 1e-290
+# probes spread over the open targets of one Sturm pass; a pass over a long
+# diagonal costs about the same at 45 probes as at 400
+_PROBES_PER_PASS = 384
+# relative bracket width at which an isolated eigenvalue is refined
+_NARROW = 1e-4
+# residual accepted for a Rayleigh quotient, in units of eps * |T|
+_RESIDUAL_ULPS = 64
 
 
 def _clamp_pivots(d: np.ndarray) -> np.ndarray:
@@ -169,11 +179,19 @@ def sturm_count(t: SymTridiag, x):
     d = t.diag[0] - xs
     d = np.where(np.abs(d) < _PIVMIN, -_PIVMIN, d)
     count = (d < 0).astype(np.int64)
+    # the loop runs once per row, so every step works in place on
+    # preallocated buffers with plain float coefficients
     b2 = t.offdiag * t.offdiag
     diag = t.diag
+    shifted = np.empty_like(xs)
+    tiny = np.empty(xs.shape, dtype=bool)
     for i in range(1, t.n):
-        d = diag[i] - xs - b2[i - 1] / d
-        d = np.where(np.abs(d) < _PIVMIN, -_PIVMIN, d)
+        # d = (diag[i] - x) - b2[i-1] / d, tiny pivots replaced by -_PIVMIN
+        np.subtract(diag.item(i), xs, out=shifted)
+        np.divide(b2.item(i - 1), d, out=d)
+        np.subtract(shifted, d, out=d)
+        np.less(np.abs(d, out=shifted), _PIVMIN, out=tiny)
+        np.copyto(d, -_PIVMIN, where=tiny)
         count += d < 0
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return int(count[0])
@@ -181,11 +199,21 @@ def sturm_count(t: SymTridiag, x):
 
 
 def tridiag_lowest_eigs(t: SymTridiag, k: int, tol: float = 1e-12) -> np.ndarray:
-    """Lowest k eigenvalues by Sturm bisection, bracketed to absolute width tol.
+    """Lowest k eigenvalues by Sturm bracketing and residual-certified Rayleigh refinement.
 
-    A geometric ladder of probes localizes the k-th eigenvalue first, then
-    every target index is narrowed by multisection (all probes for all
-    targets are evaluated in one Sturm pass per round).
+    A geometric ladder of probes brackets every target index, then shared
+    multisection passes (all probes for all open targets in one Sturm
+    pass) narrow the brackets.  The Sturm counts at both ends travel with
+    each bracket.  Once bracket j is isolated (count j-1 at lo, j at hi)
+    and narrow, inverse iteration at its midpoint gives a vector v with
+    Rayleigh quotient theta and residual r = |(T - theta) v| / |v|.  Some
+    eigenvalue lies within r of theta, and [theta - r, theta + r] inside
+    the isolated bracket makes it eigenvalue j; theta is accepted when, in
+    addition, r is at most max(tol, 64 eps |T|).  Otherwise another pass
+    runs.  Clusters and exact repeats never isolate; they end at the
+    midpoint of a bracket of width 2*tol, or of the float spacing where
+    that is wider.  The residual is evaluated in floating point, so r
+    bounds the error up to a rounding term of order eps*|T|.
     """
     n = t.n
     if not 1 <= k <= n:
@@ -197,39 +225,71 @@ def tridiag_lowest_eigs(t: SymTridiag, k: int, tol: float = 1e-12) -> np.ndarray
     lo0 = float(np.min(t.diag - radius))
     hi0 = float(np.max(t.diag + radius))
     span = max(hi0 - lo0, 1.0)
-    # geometric ladder from lo0 finds a tight upper bound for eigenvalue k
+    accept = max(tol, _RESIDUAL_ULPS * np.finfo(float).eps * max(abs(lo0), abs(hi0)))
+    # geometric ladder from lo0 finds a tight upper bound for eigenvalue k;
+    # no eigenvalue lies strictly below the Gershgorin bound lo0
     ladder = lo0 + span * 2.0 ** np.arange(-40.0, 1.0)
-    counts = sturm_count(t, ladder)
-    idx = int(np.searchsorted(counts, k))
-    hi_k = ladder[min(idx, ladder.size - 1)]
-    lo = np.empty(k)
-    hi = np.empty(k)
-    for j in range(1, k + 1):
-        below = ladder[counts < j]
-        at_or_above = ladder[counts >= j]
-        lo[j - 1] = below[-1] if below.size else lo0
-        hi[j - 1] = at_or_above[0] if at_or_above.size else hi_k
-    probes_per_target = 15
+    targets = np.arange(1, k + 1)
+    lo, c_lo = np.full(k, lo0), np.zeros(k, dtype=np.int64)
+    hi, c_hi = np.full(k, ladder[-1]), np.full(k, -1, dtype=np.int64)
+    ladder_counts = np.broadcast_to(sturm_count(t, ladder), (k, ladder.size))
+    _tighten(np.arange(k), np.broadcast_to(ladder, ladder_counts.shape), ladder_counts, lo, hi, c_lo, c_hi)
+    values = np.full(k, np.nan)
     while True:
+        open_ = np.isnan(values)
         width = hi - lo
-        if np.all(width <= 2.0 * tol):
-            break
-        frac = np.arange(1, probes_per_target + 1) / (probes_per_target + 1.0)
-        grid = lo[:, None] + width[:, None] * frac[None, :]
-        counts = sturm_count(t, grid.ravel()).reshape(k, probes_per_target)
-        targets = np.arange(1, k + 1)[:, None]
-        below = counts < targets
-        # rightmost probe still below the target index tightens lo, first
-        # probe at or above it tightens hi
-        any_below = below.any(axis=1)
-        last_below = np.where(any_below, below.shape[1] - 1 - np.argmax(below[:, ::-1], axis=1), -1)
-        rows = np.arange(k)
-        new_lo = np.where(any_below, grid[rows, np.maximum(last_below, 0)], lo)
-        first_at = np.argmax(~below, axis=1)
-        any_at = (~below).any(axis=1)
-        new_hi = np.where(any_at, grid[rows, first_at], hi)
-        lo, hi = new_lo, new_hi
-    return 0.5 * (lo + hi)
+        # below 2*tol, or where the float grid cannot split the bracket, the
+        # midpoint is as good as it gets
+        edge = np.maximum(np.abs(lo), np.abs(hi))
+        done = open_ & (width <= np.maximum(2.0 * tol, 4.0 * np.spacing(edge)))
+        values[done] = 0.5 * (lo[done] + hi[done])
+        isolated = (c_lo == targets - 1) & (c_hi == targets)
+        for j in np.flatnonzero(open_ & ~done & isolated & (width <= _NARROW * edge)):
+            theta, r = _rayleigh_ball(t, 0.5 * (lo[j] + hi[j]))
+            if r <= accept and lo[j] <= theta - r and theta + r <= hi[j]:
+                values[j] = theta
+        rows = np.flatnonzero(np.isnan(values))
+        if rows.size == 0:
+            return values
+        probes = max(15, _PROBES_PER_PASS // rows.size)
+        frac = np.arange(1, probes + 1) / (probes + 1.0)
+        grid = lo[rows, None] + width[rows, None] * frac[None, :]
+        _tighten(rows, grid, sturm_count(t, grid.ravel()).reshape(grid.shape), lo, hi, c_lo, c_hi)
+
+
+def _tighten(rows, grid, counts, lo, hi, c_lo, c_hi) -> None:
+    """Move the brackets of eigenvalues rows + 1 in place onto their probes.
+
+    Row i of grid and counts holds the probes of target rows[i].  The
+    rightmost probe still below the target index becomes lo, the first
+    probe at or above it becomes hi; each end keeps its Sturm count.
+    """
+    below = counts < (rows + 1)[:, None]
+    i = np.arange(rows.size)
+    last_below = below.shape[1] - 1 - np.argmax(below[:, ::-1], axis=1)
+    first_at = np.argmax(~below, axis=1)
+    has_below = below.any(axis=1)
+    has_at = (~below).any(axis=1)
+    lo[rows[has_below]] = grid[i, last_below][has_below]
+    c_lo[rows[has_below]] = counts[i, last_below][has_below]
+    hi[rows[has_at]] = grid[i, first_at][has_at]
+    c_hi[rows[has_at]] = counts[i, first_at][has_at]
+
+
+def _rayleigh_ball(t: SymTridiag, shift: float) -> tuple[float, float]:
+    """Rayleigh quotient and residual norm of the inverse-iteration vector at shift.
+
+    A breakdown of inverse iteration gives an infinite residual, which no
+    acceptance test passes.
+    """
+    try:
+        v = tridiag_eigenvector(t, shift)
+    except RuntimeError:
+        return np.nan, np.inf
+    tv = t.matvec(v)
+    vv = float(v @ v)
+    theta = float(v @ tv) / vv
+    return theta, float(np.linalg.norm(tv - theta * v)) / np.sqrt(vv)
 
 
 class TridiagFactor:

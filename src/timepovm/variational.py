@@ -136,6 +136,10 @@ def airy_operator_spectrum(h: float, L: float, slope: float = 1.0, k: int = 1) -
         raise DomainTooSmallError(
             f"domain length {L} cannot hold {k} eigenfunctions; need L >= {need:.2f}", need
         )
+    if k < 3 and L >= required_length(3, slope):
+        # shared multisection passes make three targets cost no more than
+        # one, and the cached triple then serves every shorter request
+        return airy_operator_spectrum(h, L, slope, 3)[:k]
     op = dirichlet_operator(h, L, slope)
     return tuple(float(w) for w in tridiag_lowest_eigs(op, k))
 
@@ -390,11 +394,12 @@ def verify_min_identity_chain(
     if np.any(a_arr <= 0.0) or np.any(b_arr <= 0.0):
         raise ValueError("identity holds for positive pairs only")
     log_step = 6.0 / (scan_points - 1)
+    grid = np.logspace(-3.0, 3.0, scan_points)
     worst_floor = 0.0
     worst_arg = 0.0
     for a, b in zip(a_arr.ravel(), b_arr.ravel()):
         inf_val, arg = min_product_identity(a, b)
-        lam = arg * np.logspace(-3.0, 3.0, scan_points)
+        lam = arg * grid
         f = (4.0 / 27.0) * (a + lam * b) ** 3 / lam**2
         worst_floor = max(worst_floor, float(inf_val - f.min()))
         lam_star = float(lam[np.argmin(f)])

@@ -7,9 +7,11 @@ import stat
 import numpy as np
 import pytest
 
+from timepovm import cli, linalg
 from timepovm.cli import main
 from timepovm.formats import save_povm
 from timepovm.model import CovariantPOVM, build_sharp_time_povm
+from timepovm.variational import airy_operator_spectrum
 
 from conftest import selfdual_grid
 
@@ -227,3 +229,83 @@ def test_written_files_honour_the_umask(tmp_path, capsys):
     capsys.readouterr()
     assert stat.S_IMODE(fixture.stat().st_mode) == 0o644
     assert stat.S_IMODE(report.stat().st_mode) == 0o644
+
+
+def test_certify_needs_few_sturm_passes(capsys, monkeypatch):
+    # the k=3 spectrum serves the k=1 requests and Rayleigh quotients finish
+    # the brackets; bisecting every bracket to 1e-12 takes 34 passes here
+    calls = []
+    count = linalg.sturm_count
+
+    def counted(t, x):
+        calls.append(np.size(x))
+        return count(t, x)
+
+    monkeypatch.setattr(linalg, "sturm_count", counted)
+    airy_operator_spectrum.cache_clear()
+    try:
+        assert main(["airy-certify", "--h", "2e-3", "--domain-l", "17"]) == 0
+    finally:
+        airy_operator_spectrum.cache_clear()
+    _, recs = records(capsys)
+    assert recs[-1] == {"summary": "airy-certify", "checks": "9", "failures": "0"}
+    assert len(calls) <= 12
+
+
+OVERSIZED = [
+    ["bounds", "--n", str(cli._MAX_BOUNDS_BINS + 1)],
+    ["bounds", "--model", "halfline", "--n", str(cli._MAX_BOUNDS_BINS + 1)],
+    ["emit-fixtures", "--n", str(cli._MAX_FIXTURE_BINS + 1)],
+    ["emit-fixtures", "--h", "1e-5"],
+    ["airy-certify", "--h", "1e-5"],
+    ["airy-certify", "--h", "1e-300", "--domain-l", "1e300"],
+]
+
+
+class Reached(Exception):
+    pass
+
+
+def stop_builders(monkeypatch):
+    def reached(*args, **kwargs):
+        raise Reached
+
+    for name in (
+        "build_sharp_time_povm",
+        "build_halfline_povm",
+        "vector_generated_povm",
+        "minimal_state",
+        "airy_operator_spectrum",
+    ):
+        monkeypatch.setattr(cli, name, reached)
+
+
+@pytest.mark.parametrize("argv", OVERSIZED, ids=lambda a: "-".join(a))
+def test_oversized_requests_are_refused_before_building(argv, tmp_path, capsys, monkeypatch):
+    stop_builders(monkeypatch)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    _, recs = records(capsys)
+    assert len(recs) == 1
+    assert recs[0]["error"] == "config"
+    assert "exceeds the limit" in recs[0]["detail"]
+    assert not out.exists()
+
+
+def test_size_limits_admit_the_largest_allowed_requests(tmp_path, monkeypatch):
+    stop_builders(monkeypatch)
+    out = str(tmp_path / "out")
+    # at each limit the guard lets the request through to the (stopped) builder
+    with pytest.raises(Reached):
+        main(["bounds", "--n", str(cli._MAX_BOUNDS_BINS)])
+    with pytest.raises(Reached):
+        main(["emit-fixtures", "--n", str(cli._MAX_FIXTURE_BINS), "--out", out])
+    with pytest.raises(Reached):
+        main(["airy-certify", "--h", "1e-4"])
+    # the guard arithmetic: what the limits admit stays within a few hundred MB
+    assert 16 * cli._MAX_BOUNDS_BINS**2 <= 2**28
+    assert 2 * cli._MAX_FIXTURE_BINS**3 * 20 <= 100 * 2**20
+    assert round(20.0 / 1e-4) - 1 <= cli._MAX_GRID_ROWS
+    # and the defaults sit well inside them
+    assert round(20.0 / 1e-3) - 1 <= cli._MAX_GRID_ROWS // 10
+    assert 2048 <= cli._MAX_BOUNDS_BINS and 64 <= cli._MAX_FIXTURE_BINS

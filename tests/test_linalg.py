@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from timepovm.variational import dirichlet_operator
+
+from timepovm import linalg
 from timepovm.linalg import (
     SymTridiag,
     TridiagFactor,
@@ -107,6 +110,39 @@ def test_tridiag_lowest_eigs_matches_dense_oracle():
     ref = np.sort(np.linalg.eigvalsh(t.dense()))
     got = tridiag_lowest_eigs(t, 5)
     assert np.max(np.abs(got - ref[:5])) <= 1e-10
+
+
+def test_airy_eigenvalues_carry_residual_balls_inside_isolated_brackets():
+    op = dirichlet_operator(2e-3, 17.0)
+    norm = 4.0 / 2e-3**2 + 17.0
+    for j, theta in enumerate(tridiag_lowest_eigs(op, 3), start=1):
+        # some eigenvalue lies within r of theta, for any unit vector v
+        v = tridiag_eigenvector(op, theta)
+        r = np.linalg.norm(op.matvec(v) - theta * v)
+        assert r <= 64 * np.finfo(float).eps * norm
+        # exactly j - 1 eigenvalues below the ball and j below its top:
+        # the eigenvalue the residual promises is eigenvalue j
+        assert sturm_count(op, theta - r) == j - 1
+        assert sturm_count(op, theta + r) == j
+
+
+def test_repeated_eigenvalues_at_large_scale_terminate(monkeypatch):
+    # the float spacing near 1e5 is wider than 2*tol, so a cluster bracket
+    # can never shrink to 2*tol; the refinement must stop at the spacing
+    passes = []
+    count = linalg.sturm_count
+
+    def capped(t, x):
+        passes.append(1)
+        assert len(passes) <= 100, "multisection does not terminate"
+        return count(t, x)
+
+    monkeypatch.setattr(linalg, "sturm_count", capped)
+    rng = np.random.default_rng(1)
+    d, e = 1e5 * rng.standard_normal(3), 1e5 * rng.standard_normal(2)
+    t = SymTridiag(np.r_[d, d], np.r_[e, 0.0, e])
+    ref = np.linalg.eigvalsh(t.dense())
+    assert np.max(np.abs(tridiag_lowest_eigs(t, 4) - ref[:4])) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_tridiag_eigenvector_residual():

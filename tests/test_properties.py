@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timepovm.linalg import SymTridiag, hermitian_eigh, sturm_count
+from timepovm.linalg import SymTridiag, hermitian_eigh, sturm_count, tridiag_lowest_eigs
 
 properties = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 
@@ -68,3 +68,33 @@ def test_sturm_count_matches_dense_spectrum(seed, n):
     probes = probes[gap > 1e-9 * (1.0 + np.max(np.abs(ref)))]
     expected = np.sum(ref[None, :] < probes[:, None], axis=1)
     assert np.array_equal(sturm_count(t, probes), expected)
+
+
+def tridiagonal_bands(rng, kind, n):
+    """Bands of a tridiagonal: generic, exact repeats, repeated or clustered blocks."""
+    if kind == "generic":
+        return rng.standard_normal(n), rng.standard_normal(n - 1)
+    if kind == "repeats":
+        return rng.integers(-3, 4, n).astype(float), np.zeros(n - 1)
+    # copies of one block, decoupled (exact repeats) or coupled by 1e-9 (clusters)
+    m = max(1, n // 3)
+    copies = -(-n // m)
+    d_b, e_b = rng.standard_normal(m), rng.standard_normal(m - 1)
+    link = 0.0 if kind == "blocks" else 1e-9
+    d = np.tile(d_b, copies)[:n]
+    e = np.concatenate([np.append(e_b, link)] * copies)[: n - 1]
+    return d, e
+
+
+@properties
+@given(seeds, st.integers(1, 30), st.integers(-3, 3).map(lambda e: 10.0**e),
+       st.sampled_from(["generic", "repeats", "blocks", "clusters"]), st.data())
+def test_tridiag_lowest_eigs_matches_dense_spectrum(seed, n, scale, kind, data):
+    rng = np.random.default_rng(seed)
+    d, e = tridiagonal_bands(rng, kind, n)
+    t = SymTridiag(scale * d, scale * e)
+    k = data.draw(st.integers(1, n))
+    ref = np.linalg.eigvalsh(t.dense())
+    got = tridiag_lowest_eigs(t, k)
+    norm = float(np.max(np.abs(ref)))
+    assert np.max(np.abs(got - ref[:k])) <= 1e-10 * max(1.0, norm)

@@ -53,6 +53,21 @@ def test_spectrum_slope_scaling():
     assert abs(e_scaled - lam ** (2.0 / 3.0) * airy_zero(1)) <= 2e-5
 
 
+def test_ground_level_is_served_from_the_three_level_spectrum():
+    three = airy_operator_spectrum(2e-3, 17.0, 1.0, 3)
+    assert airy_operator_spectrum(2e-3, 17.0, 1.0, 1) == three[:1]
+    assert airy_operator_spectrum(2e-3, 17.0, 1.0, 2) == three[:2]
+
+
+def test_ground_level_on_a_domain_too_short_for_three_levels():
+    L = 12.0
+    assert required_length(1) <= L < required_length(3)
+    (lam,) = airy_operator_spectrum(2e-3, L, 1.0, 1)
+    assert abs(lam - airy_zero(1)) <= 2e-6
+    with pytest.raises(DomainTooSmallError):
+        airy_operator_spectrum(2e-3, L, 1.0, 3)
+
+
 def test_spectrum_rejects_short_domain():
     with pytest.raises(DomainTooSmallError) as err:
         airy_operator_spectrum(1e-3, 3.0, 1.0, 3)
