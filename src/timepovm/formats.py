@@ -34,6 +34,7 @@ __all__ = [
 
 _REQUIRED_FIELDS = ("n_bins", "dim", "tau", "energies", "effects")
 _KNOWN_FIELDS = set(_REQUIRED_FIELDS) | {"label"}
+_NUMBER_TYPES = frozenset((int, float))
 
 
 class PovmFormatError(ValueError):
@@ -107,9 +108,12 @@ def _want_real_matrix(obj: object, dim: int, where: str) -> np.ndarray:
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != dim:
             raise PovmFormatError(f"{where} row {i}: expected {dim} numbers")
-        for j, value in enumerate(row):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise PovmFormatError(f"{where} row {i} column {j}: not a number: {value!r}")
+        # one C-level scan of the exact types; the per-entry loop only runs
+        # to name the offending entry (bool is a subclass of int, not int)
+        if not _NUMBER_TYPES.issuperset(map(type, row)):
+            for j, value in enumerate(row):
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise PovmFormatError(f"{where} row {i} column {j}: not a number: {value!r}")
         out[i] = row
     if not np.all(np.isfinite(out)):
         raise PovmFormatError(f"{where}: non-finite entries")

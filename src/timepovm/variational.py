@@ -97,6 +97,8 @@ def dirichlet_operator(h: float, L: float, slope: float = 1.0) -> SymTridiag:
     """
     if not (h > 0.0 and L > 0.0 and np.isfinite(slope)):
         raise ValueError("need positive h, positive L, finite slope")
+    if not np.isfinite(L / h):
+        raise ValueError(f"domain length {L} over spacing {h} overflows; no grid of that many nodes")
     m = int(round(L / h)) - 1
     if m < 2:
         raise ValueError(f"grid of {m} interior nodes is too coarse to mean anything")
@@ -213,11 +215,11 @@ def _descent(h: float, L: float, grad_fn, value_fn, pot_fn, seed: int, restarts:
     grown gently on success.  A column stops improving when its relative
     decrease falls below 1e-12; the batch stops when every column has.
     """
-    m = int(round(L / h)) - 1
+    base = dirichlet_operator(h, L, 0.0)
+    m = base.n
     rng = np.random.default_rng(seed)
     cols = restarts
     x = h * np.arange(1, m + 1)
-    base = dirichlet_operator(h, L, 0.0)
     prec = TridiagFactor(SymTridiag(base.diag + pot_fn(x) + 1.0, base.offdiag))
 
     # smoothed noise: random but not adversarially rough, pulled toward the

@@ -7,7 +7,7 @@ import stat
 import numpy as np
 import pytest
 
-from timepovm import cli, linalg
+from timepovm import cli, dilation, linalg, model
 from timepovm.cli import main
 from timepovm.formats import save_povm
 from timepovm.model import CovariantPOVM, build_sharp_time_povm
@@ -250,6 +250,30 @@ def test_certify_needs_few_sturm_passes(capsys, monkeypatch):
     _, recs = records(capsys)
     assert recs[-1] == {"summary": "airy-certify", "checks": "9", "failures": "0"}
     assert len(calls) <= 12
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_dilate_needs_few_eigensolves(n, tmp_path, capsys, monkeypatch):
+    # one spectrum of effect 0 in each validation and one for the blocks;
+    # one per effect in each of the three stages takes 3n
+    calls = []
+    eigh = linalg.hermitian_eigh
+
+    def counted(a, want_vectors=True):
+        calls.append(a.shape)
+        return eigh(a, want_vectors)
+
+    for module in (linalg, model, dilation):
+        monkeypatch.setattr(module, "hermitian_eigh", counted)
+    out = tmp_path / "fx"
+    assert main(["emit-fixtures", "--n", str(n), "--h", "5e-3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    for name in ("sharp-povm.json", "halfline-povm.json", "vector-povm.json"):
+        calls.clear()
+        assert main(["dilate", str(out / name)]) == 0
+        _, recs = records(capsys)
+        assert recs[-1] == {"summary": "dilate", "checks": "6", "failures": "0"}
+        assert len(calls) <= 3, name
 
 
 OVERSIZED = [

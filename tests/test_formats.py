@@ -183,6 +183,18 @@ def test_load_effect_diagnostics(sharp4_file, tmp_path):
         load_povm(bad)
 
 
+def test_load_names_the_first_non_number(tmp_path):
+    path = tmp_path / "sharp8.json"
+    save_povm(build_sharp_time_povm(EnergyGrid(8, 0.7, offset=-4 * 0.7)), path)
+    base = json.loads(path.read_text())
+    for value, shown in ((True, "True"), ("0.5", "'0.5'")):
+        doc = json.loads(json.dumps(base))
+        doc["effects"][2]["im"][3][5] = value
+        with pytest.raises(PovmFormatError) as err:
+            load_povm(rewrite(tmp_path / "bad.json", doc))
+        assert str(err.value) == f"{tmp_path / 'bad.json'}: effects[2].im row 3 column 5: not a number: {shown}"
+
+
 def test_tampered_file_loads_but_fails_validation(sharp4_file, tmp_path):
     # structurally fine, physically wrong: loader accepts, validator refuses
     _, path = sharp4_file

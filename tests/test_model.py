@@ -159,6 +159,22 @@ def test_validate_povm_flags_negative_effect(sharp16):
     assert v.min_effect_eigenvalue < -1e-10
 
 
+def test_min_effect_eigenvalue_bounds_every_effect(sharp16):
+    # an indefinite bump on bin 5 alone: effect 0 stays a projector, so only
+    # the transport drift can carry the negative eigenvalue into the bound
+    dense = np.stack([sharp16.effect(k) for k in range(16)])
+    bump = np.zeros((16, 16), dtype=complex)
+    bump[2, 7] = bump[7, 2] = 0.05
+    bump[4, 4] = -0.01
+    dense[5] += bump
+    v = validate_povm(CovariantPOVM(sharp16.grid, sharp16.lattice, dense=dense))
+    lowest = min(float(np.linalg.eigvalsh(e)[0]) for e in dense)
+    assert lowest < -1e-3
+    assert v.min_effect_eigenvalue <= lowest
+    assert not v.positive
+    assert not v.passed
+
+
 def test_covariant_povm_requires_exactly_one_storage(sharp16):
     with pytest.raises(ValueError):
         CovariantPOVM(sharp16.grid, sharp16.lattice)

@@ -1,14 +1,21 @@
-"""Property tests of the in-repo eigensolvers against numpy's dense oracle.
+"""Property tests of the in-repo eigensolvers against numpy's dense oracle,
+and of the dilation identities on random vector-generated observables.
 
-Examples are derandomized, so every run checks the same matrices; each
-example is drawn from a seed, a size and a decimal scale.
+Examples are derandomized, so every run checks the same inputs; each
+example is drawn from a seed, a size and a decimal scale or grid shape.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timepovm import dilation
+from timepovm.formats import load_povm, save_povm
 from timepovm.linalg import SymTridiag, hermitian_eigh, sturm_count, tridiag_lowest_eigs
+from timepovm.model import EnergyGrid, random_smooth_state, vector_generated_povm
 
 properties = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 
@@ -98,3 +105,28 @@ def test_tridiag_lowest_eigs_matches_dense_spectrum(seed, n, scale, kind, data):
     got = tridiag_lowest_eigs(t, k)
     norm = float(np.max(np.abs(ref)))
     assert np.max(np.abs(got - ref[:k])) <= 1e-10 * max(1.0, norm)
+
+
+@properties
+@given(seeds, st.integers(4, 16), st.floats(0.2, 1.5), st.integers(-16, 4),
+       st.sampled_from([0.0, 0.25, 0.5, 0.37]))
+def test_dilation_identities_on_vector_generated_families(seed, n, de, start, fraction):
+    # the offset is an integer (fraction 0) or fractional multiple of de;
+    # a fractional one makes the period power of the shift a global phase
+    rng = np.random.default_rng(seed)
+    grid = EnergyGrid(n, de, offset=(start + fraction) * de)
+    generator = np.exp(2j * np.pi * rng.random(n)) / np.sqrt(n)
+    kernel = vector_generated_povm(grid, generator)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vector.json"
+        save_povm(kernel, path)
+        loaded = load_povm(path)
+    assert loaded.dense is not None
+    for povm in (kernel, loaded):
+        d = dilation.build_dilation(povm)
+        states = [random_smooth_state(povm.grid, seed % 1000 + i) for i in range(3)]
+        assert dilation.check_compression(d, count=20, seed=seed % 1000) <= 1e-11
+        assert dilation.check_imprimitivity(d) <= 1e-11
+        assert dilation.check_restriction(d) <= 1e-11
+        assert dilation.check_occurrence_consistency(d, states) <= 1e-11
+        assert dilation.shift_power_deviation(d) <= 1e-11

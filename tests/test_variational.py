@@ -68,6 +68,16 @@ def test_ground_level_on_a_domain_too_short_for_three_levels():
         airy_operator_spectrum(2e-3, L, 1.0, 3)
 
 
+def test_overflowing_grid_is_value_error():
+    # L/h overflows to inf; int(round(inf)) would raise OverflowError
+    with pytest.raises(ValueError, match="overflows"):
+        dirichlet_operator(1e-300, 1e300)
+    with pytest.raises(ValueError, match="overflows"):
+        airy_operator_spectrum(1e-300, 1e300)
+    with pytest.raises(ValueError, match="overflows"):
+        minimize_product(1e-300, 1e300, method="descent")
+
+
 def test_spectrum_rejects_short_domain():
     with pytest.raises(DomainTooSmallError) as err:
         airy_operator_spectrum(1e-3, 3.0, 1.0, 3)
