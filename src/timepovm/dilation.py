@@ -1,12 +1,13 @@
 """Sharp dilations of covariant bin observables.
 
 Every normalized family of effects is the compression of a projection-valued
-measure on a larger space.  The larger space used here is the quotient of
-the direct sum of one copy of the model space per bin: block k carries the
-retained eigendirections of effect k, weighted by the square roots of the
-eigenvalues.  In those coordinates the sharp measure is literally a diagonal
-0/1 indicator, the embedding of the model space is an isometry, and the
-one-step time shift becomes a cyclic block permutation.
+measure on a larger space.  The larger space used here is the direct sum of
+n blocks, one per bin: block k carries the retained eigendirections of
+effect k, weighted by the square roots of the eigenvalues.  In those
+coordinates the sharp measure of bin k is the projector onto block k, the
+embedding of the model space stacks the blocks into an isometry, and the
+one-step time shift is block-cyclic: it carries block k to block k+1 by one
+(r x r) map per bin, a system of imprimitivity.
 
 Covariance, E_k = P^k E_0 P^-k with P = diag(exp(i*E*tau)), means one
 eigensolve fixes every block: the eigenpairs (W, L) of effect 0 give
@@ -34,67 +35,58 @@ __all__ = [
     "shift_power_deviation",
 ]
 
+# eigenvalues of effect 0 below this fraction of the largest are exact zeros
+_EPS = 1e-12
+
 
 @dataclass(frozen=True)
 class Dilation:
-    """Quotient-space data of a sharp dilation.
+    """Block form of a sharp dilation: n blocks of dimension r, one per bin.
 
-    ``embedding`` is the (rank x dim) isometry from the model space into the
-    quotient; its block of rows for bin k is sqrt(L) (P^k W)^dagger with
-    (W, L) the retained eigenpairs of effect 0 and P^k the diagonal
-    covariance phases of k steps.  ``bin_slices[k]``
-    selects those rows, ``shift`` implements one covariance step, and
-    ``discarded_count`` counts the eigendirections dropped as exact zeros.
+    ``blocks[k]`` (r x dim) is sqrt(L) (P^k W)^dagger with (W, L) the
+    retained eigenpairs of effect 0 and P^k the diagonal covariance phases
+    of k steps; stacked, the blocks are the isometric embedding of the model
+    space, and the sharp measure of bin k projects onto block k.
+    ``shift[k]`` (r x r) carries block k to block k+1, so the one-step shift
+    is block-cyclic.  ``discarded_count`` counts the eigendirections dropped
+    as exact zeros.
     """
 
     povm: CovariantPOVM
-    rank: int
-    bin_slices: tuple
-    embedding: np.ndarray
+    blocks: np.ndarray
     shift: np.ndarray
     discarded_count: int
 
-    def sharp_indicator(self, bins) -> np.ndarray:
-        """Diagonal of the sharp measure for a set of bins."""
-        d = np.zeros(self.rank)
-        for k in np.atleast_1d(np.asarray(bins, dtype=int)):
-            d[self.bin_slices[int(k) % self.povm.n_bins]] = 1.0
-        return d
+    @property
+    def rank(self) -> int:
+        n, r, _ = self.blocks.shape
+        return n * r
 
     def embed(self, state: StateVector) -> np.ndarray:
-        return self.embedding @ state.amplitudes
+        """Block components of a state, shape (n, r): row k lies in block k."""
+        n, r, dim = self.blocks.shape
+        return (self.blocks.reshape(n * r, dim) @ state.amplitudes).reshape(n, r)
 
 
-def build_dilation(povm: CovariantPOVM, eps: float = 1e-12, validate_tol: float = 1e-10) -> Dilation:
-    """Construct the quotient-space dilation of a validated observable.
+def build_dilation(povm: CovariantPOVM, validate_tol: float = 1e-10) -> Dilation:
+    """Construct the block-form dilation of a validated observable.
 
     The family is checked against its axioms first; a family that is not
     complete, covariant, positive and additive at ``validate_tol`` has no
     dilation of this kind, and the error says which axiom failed.  Only
     effect 0 is diagonalized; block k holds its retained eigenvectors W
     transported to P^k W, which are eigenvectors of effect k up to the
-    covariance drift that validation measured.  Eigenvalues below ``eps``
-    times the largest are treated as exact zeros and dropped from the
-    quotient; an eigenvalue below -1e-8 times the largest means the input
-    was not an effect at all.  The shift is assembled from the blocks as
+    covariance drift that validation measured.  Eigenvalues below ``_EPS``
+    times the largest are treated as exact zeros and dropped; an eigenvalue
+    below -1e-8 times the largest means the input was not an effect at all.
+    The shift is assembled from the blocks as
     sqrt(L) (P^(k+1) W)^dagger P (P^k W) / sqrt(L), so its residuals in the
     checks measure rounding rather than reading back an identity.
     """
     report = validate_povm(povm, tol=validate_tol)
     if not report.passed:
-        failed = [
-            name
-            for name, ok in [
-                ("completeness", report.complete),
-                ("covariance", report.covariant),
-                ("positivity", report.positive),
-                ("additivity", report.additive),
-            ]
-            if not ok
-        ]
-        raise ValueError(f"observable fails validation ({', '.join(failed)}); cannot dilate")
+        raise ValueError(f"observable fails validation ({', '.join(report.failed_axioms)}); cannot dilate")
 
-    n, dim = povm.n_bins, povm.dim
     sp = hermitian_eigh(povm.effect(0))
     w, v = sp.eigenvalues, sp.eigenvectors
     wmax = float(w[-1])
@@ -102,31 +94,15 @@ def build_dilation(povm: CovariantPOVM, eps: float = 1e-12, validate_tol: float 
         raise ValueError("effect 0 vanishes; the bin carries no probability at all")
     if float(w[0]) < -1e-8 * wmax:
         raise ValueError(f"effect 0 has negative eigenvalue {w[0]:.3e}; not a positive operator")
-    keep = w > eps * wmax
+    keep = w > _EPS * wmax
     root = np.sqrt(w[keep])
-    r = int(root.size)
     # eigenvectors of E_k = P^k E_0 P^-k are the columns of P^k W
     moved = povm.transport_phases()[:, :, None] * v[:, keep]
     blocks = root[:, None] * moved.conj().transpose(0, 2, 1)
     lifts = moved / root
-    slices = tuple(slice(k * r, (k + 1) * r) for k in range(n))
-
-    rank = n * r
-    embedding = blocks.reshape(rank, dim)
     phases = np.exp(1j * povm.grid.energies * povm.lattice.tau)
-    shift = np.zeros((rank, rank), dtype=complex)
-    for k in range(n):
-        nxt = (k + 1) % n
-        shift[slices[nxt], slices[k]] = blocks[nxt] @ (phases[:, None] * lifts[k])
-
-    return Dilation(
-        povm=povm,
-        rank=rank,
-        bin_slices=slices,
-        embedding=embedding,
-        shift=shift,
-        discarded_count=n * (dim - r),
-    )
+    shift = np.roll(blocks, -1, axis=0) @ (phases[:, None] * lifts)
+    return Dilation(povm, blocks, shift, povm.n_bins * (povm.dim - root.size))
 
 
 def _random_bin_sets(n_bins: int, count: int, seed: int):
@@ -141,20 +117,21 @@ def _random_bin_sets(n_bins: int, count: int, seed: int):
 def check_compression(dilation: Dilation, bin_sets=None, count: int = 100, seed: int = 0) -> float:
     """Largest entrywise gap between compressed sharp effects and bin sums.
 
-    For every tested bin set B this compares V^dagger E(B) V against the sum
-    of the effects over B, where V is the embedding.  With no explicit
-    ``bin_sets`` a seeded collection of random subsets is used.
+    For every tested bin set B the sharp measure projects onto the blocks
+    of B, so its compression is the sum of blocks[k]^dagger blocks[k] over
+    B; that is compared against the sum of the stored effects over B.  With
+    no explicit ``bin_sets`` a seeded collection of random subsets is used.
     """
     povm = dilation.povm
     if bin_sets is None:
         bin_sets = _random_bin_sets(povm.n_bins, count, seed)
-    emb = dilation.embedding
     worst = 0.0
     for bins in bin_sets:
-        ind = dilation.sharp_indicator(bins)
-        compressed = (emb.conj().T * ind[None, :]) @ emb
+        bins = np.atleast_1d(np.asarray(bins, dtype=int)) % povm.n_bins
+        rows = dilation.blocks[bins].reshape(-1, povm.dim)
+        compressed = rows.conj().T @ rows
         direct = np.zeros((povm.dim, povm.dim), dtype=complex)
-        for k in np.atleast_1d(np.asarray(bins, dtype=int)):
+        for k in bins:
             direct += povm.effect(int(k))
         worst = max(worst, float(np.max(np.abs(compressed - direct))))
     return worst
@@ -163,39 +140,33 @@ def check_compression(dilation: Dilation, bin_sets=None, count: int = 100, seed:
 def check_imprimitivity(dilation: Dilation) -> float:
     """How far the shift fails to advance the sharp measure by one bin.
 
-    Returns the largest entrywise residual of S E({k}) S^dagger = E({k+1})
-    over all bins, together with the unitarity defect of S folded in: a
-    shift that is not unitary cannot implement a group step.
+    The shift carries block k onto block k+1, so S E({k}) S^dagger =
+    E({k+1}) and unitarity of S both reduce to unitarity of every map
+    shift[k]; returns the largest entry of S_k S_k^dagger - I and
+    S_k^dagger S_k - I over all bins.
     """
     s = dilation.shift
-    rank = dilation.rank
-    worst = float(np.max(np.abs(s.conj().T @ s - np.eye(rank))))
-    n = dilation.povm.n_bins
-    for k in range(n):
-        ind = dilation.sharp_indicator([k])
-        moved = (s * ind[None, :]) @ s.conj().T
-        target = np.diag(dilation.sharp_indicator([(k + 1) % n]))
-        worst = max(worst, float(np.max(np.abs(moved - target))))
-    return worst
+    s_dag = s.conj().transpose(0, 2, 1)
+    eye = np.eye(s.shape[1])
+    return float(max(np.max(np.abs(s @ s_dag - eye)), np.max(np.abs(s_dag @ s - eye))))
 
 
 def check_restriction(dilation: Dilation) -> float:
     """Largest entry of S V - V U(tau): the shift must extend the evolution."""
     povm = dilation.povm
     phases = np.exp(1j * povm.grid.energies * povm.lattice.tau)
-    lhs = dilation.shift @ dilation.embedding
-    rhs = dilation.embedding * phases[None, :]
+    lhs = dilation.shift @ dilation.blocks
+    rhs = np.roll(dilation.blocks, -1, axis=0) * phases
     return float(np.max(np.abs(lhs - rhs)))
 
 
 def check_occurrence_consistency(dilation: Dilation, states) -> float:
-    """Gap between model occurrence probabilities and quotient bin masses."""
+    """Gap between model occurrence probabilities and the sharp block masses."""
     povm = dilation.povm
     worst = 0.0
     for state in states:
         probs = povm.occurrence_probabilities(state)
-        q = dilation.embed(state)
-        masses = np.array([float(np.sum(np.abs(q[sl]) ** 2)) for sl in dilation.bin_slices])
+        masses = np.sum(np.abs(dilation.embed(state)) ** 2, axis=1)
         worst = max(worst, float(np.max(np.abs(masses - probs))))
     return worst
 
@@ -203,13 +174,18 @@ def check_occurrence_consistency(dilation: Dilation, states) -> float:
 def shift_power_deviation(dilation: Dilation) -> float:
     """Largest entry of S^n - phase * I after one full period.
 
-    On grids whose offset is an integer multiple of the spacing the phase
-    is exactly one and S^n is the identity; otherwise the full period
-    contributes a global phase exp(2*pi*i*offset/de), which is quotiented
-    out before measuring the deviation.
+    S^n is block-diagonal: block k is the cycle product
+    shift[k-1] ... shift[k+1] shift[k], built for every k at once.  On grids
+    whose offset is an integer multiple of the spacing the phase is exactly
+    one and S^n is the identity; otherwise the full period contributes a
+    global phase exp(2*pi*i*offset/de), which is quotiented out before
+    measuring the deviation.
     """
     povm = dilation.povm
-    n = povm.n_bins
-    power = np.linalg.matrix_power(dilation.shift, n)
+    shift = dilation.shift
+    eye = np.eye(shift.shape[1])
+    power = np.broadcast_to(eye, shift.shape)
+    for m in range(povm.n_bins):
+        power = np.roll(shift, -m, axis=0) @ power
     phase = np.exp(2j * np.pi * povm.grid.offset / povm.grid.de)
-    return float(np.max(np.abs(power - phase * np.eye(dilation.rank))))
+    return float(np.max(np.abs(power - phase * eye)))

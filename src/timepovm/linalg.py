@@ -36,6 +36,8 @@ _PROBES_PER_PASS = 384
 _NARROW = 1e-4
 # residual accepted for a Rayleigh quotient, in units of eps * |T|
 _RESIDUAL_ULPS = 64
+# absolute bracket width and residual floor of tridiag_lowest_eigs
+_BRACKET_TOL = 1e-12
 
 
 def _clamp_pivots(d: np.ndarray) -> np.ndarray:
@@ -198,7 +200,7 @@ def sturm_count(t: SymTridiag, x):
     return count
 
 
-def tridiag_lowest_eigs(t: SymTridiag, k: int, tol: float = 1e-12) -> np.ndarray:
+def tridiag_lowest_eigs(t: SymTridiag, k: int) -> np.ndarray:
     """Lowest k eigenvalues by Sturm bracketing and residual-certified Rayleigh refinement.
 
     A geometric ladder of probes brackets every target index, then shared
@@ -209,9 +211,9 @@ def tridiag_lowest_eigs(t: SymTridiag, k: int, tol: float = 1e-12) -> np.ndarray
     Rayleigh quotient theta and residual r = |(T - theta) v| / |v|.  Some
     eigenvalue lies within r of theta, and [theta - r, theta + r] inside
     the isolated bracket makes it eigenvalue j; theta is accepted when, in
-    addition, r is at most max(tol, 64 eps |T|).  Otherwise another pass
+    addition, r is at most max(1e-12, 64 eps |T|).  Otherwise another pass
     runs.  Clusters and exact repeats never isolate; they end at the
-    midpoint of a bracket of width 2*tol, or of the float spacing where
+    midpoint of a bracket of width 2e-12, or of the float spacing where
     that is wider.  The residual is evaluated in floating point, so r
     bounds the error up to a rounding term of order eps*|T|.
     """
@@ -225,7 +227,7 @@ def tridiag_lowest_eigs(t: SymTridiag, k: int, tol: float = 1e-12) -> np.ndarray
     lo0 = float(np.min(t.diag - radius))
     hi0 = float(np.max(t.diag + radius))
     span = max(hi0 - lo0, 1.0)
-    accept = max(tol, _RESIDUAL_ULPS * np.finfo(float).eps * max(abs(lo0), abs(hi0)))
+    accept = max(_BRACKET_TOL, _RESIDUAL_ULPS * np.finfo(float).eps * max(abs(lo0), abs(hi0)))
     # geometric ladder from lo0 finds a tight upper bound for eigenvalue k;
     # no eigenvalue lies strictly below the Gershgorin bound lo0
     ladder = lo0 + span * 2.0 ** np.arange(-40.0, 1.0)
@@ -238,10 +240,10 @@ def tridiag_lowest_eigs(t: SymTridiag, k: int, tol: float = 1e-12) -> np.ndarray
     while True:
         open_ = np.isnan(values)
         width = hi - lo
-        # below 2*tol, or where the float grid cannot split the bracket, the
-        # midpoint is as good as it gets
+        # below 2*_BRACKET_TOL, or where the float grid cannot split the
+        # bracket, the midpoint is as good as it gets
         edge = np.maximum(np.abs(lo), np.abs(hi))
-        done = open_ & (width <= np.maximum(2.0 * tol, 4.0 * np.spacing(edge)))
+        done = open_ & (width <= np.maximum(2.0 * _BRACKET_TOL, 4.0 * np.spacing(edge)))
         values[done] = 0.5 * (lo[done] + hi[done])
         isolated = (c_lo == targets - 1) & (c_hi == targets)
         for j in np.flatnonzero(open_ & ~done & isolated & (width <= _NARROW * edge)):

@@ -198,16 +198,19 @@ class CovariantPOVM:
         return self.dense.sum(axis=0)
 
     def occurrence_probabilities(self, state: StateVector) -> np.ndarray:
-        """Probability of each time bin for the given state; clipped at zero."""
+        """psi^dagger E_k psi for every bin k, unclipped.
+
+        Factored storage cannot go negative; a dense family that is not
+        positive can, and callers that need a distribution decide how much
+        negativity is roundoff (see ``uncertainty.occurrence_distribution``).
+        """
         if state.grid.n != self.dim:
             raise ValueError("state dimension does not match observable dimension")
         psi = state.amplitudes
         if self.kernels is not None:
             amp = self.kernels @ psi
-            p = np.sum(np.abs(amp) ** 2, axis=1)
-        else:
-            p = np.real(np.einsum("i,kij,j->k", psi.conj(), self.dense, psi))
-        return np.clip(p, 0.0, None)
+            return np.sum(np.abs(amp) ** 2, axis=1)
+        return np.real(np.einsum("i,kij,j->k", psi.conj(), self.dense, psi))
 
 
 def build_sharp_time_povm(grid: EnergyGrid) -> CovariantPOVM:
@@ -307,8 +310,19 @@ class PovmValidation:
         return self.additivity_residual <= self.tolerance
 
     @property
+    def failed_axioms(self) -> tuple[str, ...]:
+        """Names of the violated axioms, in the order they are checked."""
+        verdicts = (
+            ("completeness", self.complete),
+            ("covariance", self.covariant),
+            ("positivity", self.positive),
+            ("additivity", self.additive),
+        )
+        return tuple(name for name, ok in verdicts if not ok)
+
+    @property
     def passed(self) -> bool:
-        return self.complete and self.covariant and self.positive and self.additive
+        return not self.failed_axioms
 
 
 def validate_povm(povm: CovariantPOVM, tol: float = 1e-10, seed: int = 0) -> PovmValidation:

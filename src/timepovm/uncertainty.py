@@ -40,6 +40,9 @@ __all__ = [
 # moments grid-dependent; 1e-12 keeps them at the noise floor
 TAIL_LIMIT = 1e-12
 TAIL_WINDOW = 0.1
+# probability in the two outer time bins at each end that voids the
+# commutator stencil
+_CCR_EDGE_LIMIT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -70,10 +73,12 @@ class OccurrenceDistribution:
 def occurrence_distribution(povm: CovariantPOVM, state: StateVector) -> OccurrenceDistribution:
     """Bin probabilities of ``state`` under ``povm`` as a checked distribution.
 
-    Tiny negative entries (roundoff from the dense storage path) are
-    clipped, and drift of the total mass away from one is renormalized as
-    long as it stays below 1e-10; anything above 1e-8 means the observable
-    or the state is broken and is rejected outright.
+    The raw psi^dagger E_k psi are checked first: an entry below -1e-12
+    means an effect is not positive on this state and is rejected, while
+    smaller negative entries (roundoff from the dense storage path) are
+    clipped to zero.  Drift of the total mass away from one is then
+    renormalized as long as it stays below 1e-10; anything above 1e-8 means
+    the observable or the state is broken and is rejected outright.
     """
     p = povm.occurrence_probabilities(state)
     if float(np.min(p)) < -1e-12:
@@ -95,8 +100,8 @@ def energy_moments(state: StateVector) -> tuple[float, float]:
     return mu, float(((e - mu) ** 2) @ p)
 
 
-def energy_tail_fraction(state: StateVector, window: float = TAIL_WINDOW) -> float:
-    """Mass in the outer fraction of the energy grid.
+def energy_tail_fraction(state: StateVector) -> float:
+    """Mass in the outer ``TAIL_WINDOW`` fraction of the energy grid.
 
     On half-line grids only the top end counts: the bottom of the grid is
     the physical edge of the spectrum, not a truncation artifact, and
@@ -105,9 +110,9 @@ def energy_tail_fraction(state: StateVector, window: float = TAIL_WINDOW) -> flo
     p = state.probabilities
     n = p.size
     if state.grid.halfline:
-        edge = max(1, int(math.ceil(window * n)))
+        edge = max(1, int(math.ceil(TAIL_WINDOW * n)))
         return float(p[-edge:].sum())
-    edge = max(1, int(math.ceil(0.5 * window * n)))
+    edge = max(1, int(math.ceil(0.5 * TAIL_WINDOW * n)))
     return float(p[:edge].sum() + p[-edge:].sum())
 
 
@@ -206,7 +211,7 @@ def check_combined_bound(
     return BoundReport("combined", lhs, d * d + 0.25, tolerance, reliable, ctx)
 
 
-def ccr_residual(povm: CovariantPOVM, state: StateVector, boundary_tol: float = 1e-8) -> float:
+def ccr_residual(povm: CovariantPOVM, state: StateVector) -> float:
     """Discrete commutator defect of time and energy on one state.
 
     In time-bin amplitudes the energy acts as -i times the centered
@@ -220,7 +225,7 @@ def ccr_residual(povm: CovariantPOVM, state: StateVector, boundary_tol: float = 
         raise ValueError("commutator check needs a rank-one factored observable")
     a = (povm.kernels[:, 0, :] @ state.amplitudes).ravel()
     edge_mass = float(np.sum(np.abs(a[:2]) ** 2) + np.sum(np.abs(a[-2:]) ** 2))
-    if edge_mass > boundary_tol:
+    if edge_mass > _CCR_EDGE_LIMIT:
         raise ValueError(
             f"state has mass {edge_mass:.3e} at the lattice edges; "
             "the difference stencil is not meaningful there"

@@ -43,6 +43,9 @@ __all__ = [
     "verify_min_identity_chain",
 ]
 
+# random starts advanced together by the descent route of the minimizers
+_RESTARTS = 8
+
 
 class DomainTooSmallError(ValueError):
     """Domain cannot hold the requested eigenfunctions; carries required_length."""
@@ -205,7 +208,7 @@ class MinimizationResult:
     iterations: int
 
 
-def _descent(h: float, L: float, grad_fn, value_fn, pot_fn, seed: int, restarts: int, max_iter: int):
+def _descent(h: float, L: float, grad_fn, value_fn, pot_fn, seed: int, max_iter: int):
     """Batched projected gradient descent over unit-norm Dirichlet states.
 
     Steps are preconditioned by (T + potential + 1)^{-1}, with the potential
@@ -218,17 +221,16 @@ def _descent(h: float, L: float, grad_fn, value_fn, pot_fn, seed: int, restarts:
     base = dirichlet_operator(h, L, 0.0)
     m = base.n
     rng = np.random.default_rng(seed)
-    cols = restarts
     x = h * np.arange(1, m + 1)
     prec = TridiagFactor(SymTridiag(base.diag + pot_fn(x) + 1.0, base.offdiag))
 
     # smoothed noise: random but not adversarially rough, pulled toward the
     # origin where both minimizers concentrate
-    phi = prec.solve(rng.standard_normal((m, cols)))
+    phi = prec.solve(rng.standard_normal((m, _RESTARTS)))
     phi /= math.sqrt(h) * np.linalg.norm(phi, axis=0, keepdims=True)
     best = value_fn(phi, h)
-    step = np.full(cols, 1.0)
-    active = np.ones(cols, dtype=bool)
+    step = np.full(_RESTARTS, 1.0)
+    active = np.ones(_RESTARTS, dtype=bool)
     iters = 0
     for iters in range(1, max_iter + 1):
         g = grad_fn(phi, h)
@@ -299,7 +301,6 @@ def minimize_product(
     L: float,
     method: str = "spectral",
     seed: int = 0,
-    restarts: int = 8,
     max_iter: int = 100000,
 ) -> MinimizationResult:
     """Minimize kinetic * position^2 over unit Dirichlet states.
@@ -323,7 +324,7 @@ def minimize_product(
         raise ValueError(f"unknown method {method!r}; expected 'spectral' or 'descent'")
     value_fn, grad_fn = _make_product_fns()
     val, vec, iters, conv = _descent(
-        h, L, grad_fn, value_fn, lambda x: x, seed, restarts, max_iter
+        h, L, grad_fn, value_fn, lambda x: x, seed, max_iter
     )
     state = _as_state(vec, h, L)
     kin, pos, _ = product_functional(state)
@@ -336,7 +337,6 @@ def minimize_combined(
     L: float,
     method: str = "descent",
     seed: int = 0,
-    restarts: int = 8,
     max_iter: int = 100000,
 ) -> MinimizationResult:
     """Minimize kinetic * mean(x^2) over unit Dirichlet states.
@@ -361,7 +361,7 @@ def minimize_combined(
         raise ValueError(f"unknown method {method!r}; expected 'spectral' or 'descent'")
     value_fn, grad_fn = _make_combined_fns()
     val, vec, iters, conv = _descent(
-        h, L, grad_fn, value_fn, lambda x: x * x, seed, restarts, max_iter
+        h, L, grad_fn, value_fn, lambda x: x * x, seed, max_iter
     )
     state = _as_state(vec, h, L)
     kin, sec, _ = combined_functional(state)

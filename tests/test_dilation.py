@@ -34,20 +34,21 @@ def small_dilations():
     return {p.label: build_dilation(p) for p in (sharp, half, vector)}
 
 
+def dense_shift(d):
+    """The (rank x rank) shift the block-cyclic maps stand for: block k -> k+1."""
+    n, r, _ = d.shift.shape
+    s = np.zeros((d.rank, d.rank), dtype=complex)
+    for k in range(n):
+        nxt = (k + 1) % n
+        s[nxt * r : (nxt + 1) * r, k * r : (k + 1) * r] = d.shift[k]
+    return s
+
+
 def test_embedding_is_isometry(small_dilations):
     for name, d in small_dilations.items():
-        gram = d.embedding.conj().T @ d.embedding
+        v = d.blocks.reshape(d.rank, d.povm.dim)
+        gram = v.conj().T @ v
         assert np.max(np.abs(gram - np.eye(d.povm.dim))) <= 1e-12, name
-
-
-def test_sharp_measure_is_projection_valued_and_complete(small_dilations):
-    for name, d in small_dilations.items():
-        total = np.zeros(d.rank)
-        for k in range(d.povm.n_bins):
-            ind = d.sharp_indicator(k)
-            assert set(np.unique(ind)) <= {0.0, 1.0}, name
-            total += ind
-        assert np.array_equal(total, np.ones(d.rank)), name
 
 
 def test_compression_reproduces_effects(small_dilations):
@@ -58,9 +59,16 @@ def test_compression_reproduces_effects(small_dilations):
 
 
 def test_shift_is_unitary_and_imprimitive(small_dilations):
+    # the assembled rank x rank shift is the oracle for the per-block check
     for name, d in small_dilations.items():
-        s = d.shift
+        s = dense_shift(d)
+        n, r = d.povm.n_bins, d.shift.shape[1]
         assert np.max(np.abs(s.conj().T @ s - np.eye(d.rank))) <= 1e-12, name
+        for k in range(n):
+            sharp = np.zeros(d.rank)
+            sharp[k * r : (k + 1) * r] = 1.0
+            moved = (s * sharp) @ s.conj().T
+            assert np.max(np.abs(moved - np.diag(np.roll(sharp, r)))) <= 1e-12, name
         assert check_imprimitivity(d) <= 1e-12, name
 
 
@@ -77,7 +85,12 @@ def test_occurrence_statistics_survive_dilation(small_dilations):
 
 def test_full_period_shift_is_global_phase(small_dilations):
     for name, d in small_dilations.items():
-        assert shift_power_deviation(d) <= 1e-12, name
+        deviation = shift_power_deviation(d)
+        assert deviation <= 1e-12, name
+        g = d.povm.grid
+        phase = np.exp(2j * np.pi * g.offset / g.de)
+        dense = np.linalg.matrix_power(dense_shift(d), d.povm.n_bins)
+        assert abs(np.max(np.abs(dense - phase * np.eye(d.rank))) - deviation) <= 1e-13, name
 
 
 def test_shift_power_handles_offset_phase():
@@ -91,10 +104,10 @@ def test_shift_power_handles_offset_phase():
 def test_rank_bookkeeping(small_dilations):
     for name, d in small_dilations.items():
         n, dim = d.povm.n_bins, d.povm.dim
-        assert d.rank == sum(s.stop - s.start for s in d.bin_slices)
         assert d.rank + d.discarded_count == n * dim, name
-        assert d.embedding.shape == (d.rank, dim)
         # rank-one effect families dilate into one dimension per bin
+        assert d.blocks.shape == (n, 1, dim), name
+        assert d.shift.shape == (n, 1, 1), name
         assert d.rank == n, name
 
 
@@ -121,6 +134,7 @@ def test_embed_maps_states_isometrically(small_dilations):
     for name, d in small_dilations.items():
         state = random_smooth_state(d.povm.grid, 11)
         lifted = d.embed(state)
+        assert lifted.shape == d.blocks.shape[:2], name
         assert abs(np.linalg.norm(lifted) - 1.0) <= 1e-12, name
-        back = d.embedding.conj().T @ lifted
+        back = np.einsum("krd,kr->d", d.blocks.conj(), lifted)
         assert np.max(np.abs(back - state.amplitudes)) <= 1e-12, name

@@ -76,6 +76,7 @@ def test_sharp_povm_rejects_halfline_grid():
 def test_validate_povm_passes_for_sharp(sharp16):
     v = validate_povm(sharp16)
     assert v.passed
+    assert v.failed_axioms == ()
     assert v.completeness_residual <= 1e-13
     assert v.covariance_residual <= 1e-13
     assert v.min_effect_eigenvalue >= -1e-13
@@ -140,6 +141,7 @@ def test_validate_povm_flags_broken_completeness(sharp16):
     v = validate_povm(broken)
     assert not v.complete
     assert not v.passed
+    assert v.failed_axioms[0] == "completeness"
 
 
 def test_validate_povm_flags_broken_covariance(sharp16):
@@ -157,6 +159,7 @@ def test_validate_povm_flags_negative_effect(sharp16):
     v = validate_povm(broken)
     assert not v.positive
     assert v.min_effect_eigenvalue < -1e-10
+    assert "positivity" in v.failed_axioms
 
 
 def test_min_effect_eigenvalue_bounds_every_effect(sharp16):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from timepovm import dilation
 from timepovm.formats import load_povm, save_povm
 from timepovm.linalg import SymTridiag, hermitian_eigh, sturm_count, tridiag_lowest_eigs
-from timepovm.model import EnergyGrid, random_smooth_state, vector_generated_povm
+from timepovm.model import CovariantPOVM, EnergyGrid, random_smooth_state, vector_generated_povm
 
 properties = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 
@@ -109,14 +109,19 @@ def test_tridiag_lowest_eigs_matches_dense_spectrum(seed, n, scale, kind, data):
 
 @properties
 @given(seeds, st.integers(4, 16), st.floats(0.2, 1.5), st.integers(-16, 4),
-       st.sampled_from([0.0, 0.25, 0.5, 0.37]))
-def test_dilation_identities_on_vector_generated_families(seed, n, de, start, fraction):
+       st.sampled_from([0.0, 0.25, 0.5, 0.37]), st.sampled_from([1, 2]))
+def test_dilation_identities_on_vector_generated_families(seed, n, de, start, fraction, rank):
     # the offset is an integer (fraction 0) or fractional multiple of de;
-    # a fractional one makes the period power of the shift a global phase
+    # a fractional one makes the period power of the shift a global phase.
+    # rank 2 mixes two vector-generated families, so every effect has rank
+    # two and the shift maps (2 x 2) blocks
     rng = np.random.default_rng(seed)
     grid = EnergyGrid(n, de, offset=(start + fraction) * de)
-    generator = np.exp(2j * np.pi * rng.random(n)) / np.sqrt(n)
-    kernel = vector_generated_povm(grid, generator)
+    families = [
+        vector_generated_povm(grid, np.exp(2j * np.pi * rng.random(n)) / np.sqrt(n)) for _ in range(rank)
+    ]
+    kernels = np.concatenate([f.kernels for f in families], axis=1) / np.sqrt(rank)
+    kernel = CovariantPOVM(grid, families[0].lattice, kernels=kernels, label="mixture")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "vector.json"
         save_povm(kernel, path)
@@ -124,6 +129,7 @@ def test_dilation_identities_on_vector_generated_families(seed, n, de, start, fr
     assert loaded.dense is not None
     for povm in (kernel, loaded):
         d = dilation.build_dilation(povm)
+        assert d.blocks.shape == (n, rank, n) and d.shift.shape == (n, rank, rank)
         states = [random_smooth_state(povm.grid, seed % 1000 + i) for i in range(3)]
         assert dilation.check_compression(d, count=20, seed=seed % 1000) <= 1e-11
         assert dilation.check_imprimitivity(d) <= 1e-11

@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from timepovm.model import EnergyGrid, build_sharp_time_povm, gaussian_state, random_smooth_state, transported_minimal_state
+from timepovm.model import (
+    CovariantPOVM,
+    EnergyGrid,
+    StateVector,
+    build_sharp_time_povm,
+    fourier_map,
+    gaussian_state,
+    random_smooth_state,
+    transported_minimal_state,
+)
 from timepovm.special import universal_constant
 from timepovm.uncertainty import (
     ccr_residual,
@@ -25,6 +34,21 @@ def test_occurrence_distribution_is_normalized(fullline_model):
     assert dist.probabilities.min() >= 0.0
     assert dist.times.shape == dist.probabilities.shape
     assert abs(dist.period - fullline_model.lattice.period) <= 1e-12
+
+
+def test_negative_occurrence_probability_is_rejected(sharp16):
+    # complete but indefinite: mass moves from bin 5 to bin 6, so a state
+    # that bin 5 does not see gets probability -1e-6 there and the total
+    # stays one; clipping first would misreport it as not normalized
+    dense = np.stack([sharp16.effect(k) for k in range(16)])
+    dense[5] -= 1e-6 * np.eye(16)
+    dense[6] += 1e-6 * np.eye(16)
+    indefinite = CovariantPOVM(sharp16.grid, sharp16.lattice, dense=dense)
+    state = StateVector(sharp16.grid, fourier_map(sharp16.grid)[0].conj())
+    raw = indefinite.occurrence_probabilities(state)
+    assert abs(raw[5] + 1e-6) <= 1e-12
+    with pytest.raises(ValueError, match="negative beyond roundoff"):
+        occurrence_distribution(indefinite, state)
 
 
 def test_gaussian_time_spread_is_reciprocal(fullline_model):
