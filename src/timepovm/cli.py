@@ -63,7 +63,11 @@ _PRINTED_WEAKER = 2.1434
 
 # request sizes refused with error=config before anything is allocated
 _MAX_GRID_ROWS = 200_000  # variational grids: about 1 kB of arrays per row
-_MAX_BOUNDS_BINS = 4096  # bounds: an n x n complex Fourier map, 16 n^2 bytes
+# bounds: occurrence probabilities cost one FFT per state, O(n) memory; the
+# limit bounds the n x n complex arrays, 16 n^2 bytes, that a family of this
+# size needs when its kernel stack or effects are materialized (validation,
+# dilation, the commutator check)
+_MAX_BOUNDS_BINS = 4096
 _MAX_FIXTURE_BINS = 128  # emit-fixtures: 2 n^3 JSON numbers per file, 84 MB at 128
 
 
@@ -438,9 +442,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         }
     )
     runners = {
-        "time-energy": lambda s: unc.check_time_energy_bound(povm, s, tolerance=1e-3 * scale),
-        "positive-energy": lambda s: unc.check_positive_energy_bound(povm, s, tolerance=2e-3 * scale),
-        "combined": lambda s: unc.check_combined_bound(povm, s, tolerance=5e-3 * scale),
+        "time-energy": lambda d, s: unc.check_time_energy_bound(d, s, tolerance=1e-3 * scale),
+        "positive-energy": lambda d, s: unc.check_positive_energy_bound(d, s, tolerance=2e-3 * scale),
+        "combined": lambda d, s: unc.check_combined_bound(d, s, tolerance=5e-3 * scale),
     }
     for kind, seed in items:
         if kind == "gaussian":
@@ -456,32 +460,33 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         else:
             state = random_smooth_state(grid, seed)
             tag = {"state": "random", "seed": seed}
-        for name in checks:
-            try:
-                report = runners[name](state)
-            except ValueError as exc:
-                print(format_record({"error": "bound-not-applicable", "detail": str(exc)}))
-                return 1
-            rec = dict(tag)
-            rec.update(bound_record(report, n=povm.dim))
-            rep.emit(rec)
-            # the canonical states are expected to sit on the bound, not
-            # merely above it; certify saturation for them
-            saturating = (kind == "gaussian" and args.model == "fullline" and name == "time-energy") or (
-                kind == "minimal" and name == "positive-energy"
-            )
-            if saturating:
-                stol = (1e-4 if kind == "gaussian" else 2e-3) * scale
-                err = abs(report.lhs - report.rhs)
-                rep.emit(
-                    {
-                        "state": tag["state"],
-                        "saturation": report.name,
-                        "error": err,
-                        "tolerance": stol,
-                        "pass": err <= stol,
-                    }
+        try:
+            dist = unc.occurrence_distribution(povm, state)  # serves every check on this state
+            for name in checks:
+                report = runners[name](dist, state)
+                rec = dict(tag)
+                rec.update(bound_record(report, n=povm.dim))
+                rep.emit(rec)
+                # the canonical states are expected to sit on the bound, not
+                # merely above it; certify saturation for them
+                saturating = (kind == "gaussian" and args.model == "fullline" and name == "time-energy") or (
+                    kind == "minimal" and name == "positive-energy"
                 )
+                if saturating:
+                    stol = (1e-4 if kind == "gaussian" else 2e-3) * scale
+                    err = abs(report.lhs - report.rhs)
+                    rep.emit(
+                        {
+                            "state": tag["state"],
+                            "saturation": report.name,
+                            "error": err,
+                            "tolerance": stol,
+                            "pass": err <= stol,
+                        }
+                    )
+        except ValueError as exc:
+            print(format_record({"error": "bound-not-applicable", "detail": str(exc)}))
+            return 1
     return rep.close(args.out)
 
 

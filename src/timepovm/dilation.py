@@ -119,8 +119,10 @@ def check_compression(dilation: Dilation, bin_sets=None, count: int = 100, seed:
 
     For every tested bin set B the sharp measure projects onto the blocks
     of B, so its compression is the sum of blocks[k]^dagger blocks[k] over
-    B; that is compared against the sum of the stored effects over B.  With
-    no explicit ``bin_sets`` a seeded collection of random subsets is used.
+    B; that is compared against the sum of the model's effects over B (one
+    stacked sum of the dense effects, or K_B^dagger K_B of the kernels
+    derived from the generator), which never touches the blocks.  With no
+    explicit ``bin_sets`` a seeded collection of random subsets is used.
     """
     povm = dilation.povm
     if bin_sets is None:
@@ -130,9 +132,7 @@ def check_compression(dilation: Dilation, bin_sets=None, count: int = 100, seed:
         bins = np.atleast_1d(np.asarray(bins, dtype=int)) % povm.n_bins
         rows = dilation.blocks[bins].reshape(-1, povm.dim)
         compressed = rows.conj().T @ rows
-        direct = np.zeros((povm.dim, povm.dim), dtype=complex)
-        for k in bins:
-            direct += povm.effect(int(k))
+        direct = povm.sum_effects(bins)
         worst = max(worst, float(np.max(np.abs(compressed - direct))))
     return worst
 

@@ -2,15 +2,21 @@
 
 A model lives on n equally spaced energies.  The conjugate time lattice
 carries n bins of width tau = 2*pi/(n*de); translating any bin observable
-by tau in time moves it to the next bin, cyclically.  Effects are stored
-in factored form (effect = K^dagger K) whenever they come out of a
-constructor here, which keeps large models cheap and makes positivity a
-property of the storage rather than a numerical accident.
+by tau in time moves it to the next bin, cyclically.  Every constructor
+here returns a covariant family stored as its generating kernel K_0 alone:
+effect k is K_k^dagger K_k with K_k = K_0 conj(P^k), P = diag(exp(i*E*tau)),
+so positivity is a property of the storage rather than a numerical
+accident.  Because tau*de = 2*pi/n, the occurrence amplitudes (K_k psi)_k
+are one length-n discrete Fourier transform of K_0 * psi, up to a phase
+per bin; occurrence probabilities therefore cost one in-repo FFT
+(radix-2, or Bluestein's chirp-z for other lengths) instead of an n x dim
+matrix product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -133,43 +139,128 @@ def _normalized_state(grid: EnergyGrid, raw: np.ndarray, undersampled: bool = Fa
     return StateVector(grid, raw / nrm, undersampled)
 
 
-def fourier_map(grid: EnergyGrid) -> np.ndarray:
-    """Unitary n x n map from energy amplitudes to time-bin amplitudes.
+def fourier_map(grid: EnergyGrid, rows=None) -> np.ndarray:
+    """Rows of the unitary n x n map from energy amplitudes to time-bin amplitudes.
 
     Row k evaluates at the k-th lattice time: M[k, j] = exp(-i*E_j*t_k)/sqrt(n).
+    ``rows`` selects the rows to build (default: all, the dense reference
+    for the factored families, whose kernel stack equals them); the
+    constructors ask for row 0 only, the sharp generator.
     """
     lattice = TimeLattice.from_grid(grid)
-    return np.exp(-1j * np.outer(lattice.centers, grid.energies)) / np.sqrt(grid.n)
+    times = lattice.centers if rows is None else lattice.centers[rows]
+    return np.exp(-1j * np.outer(times, grid.energies)) / np.sqrt(grid.n)
+
+
+@lru_cache(maxsize=None)
+def _radix2_plan(m: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Bit-reversal permutation and per-stage twiddles of a length-m FFT."""
+    bits = m.bit_length() - 1
+    idx = np.arange(m)
+    rev = np.zeros(m, dtype=np.intp)
+    for b in range(bits):
+        rev |= ((idx >> b) & 1) << (bits - 1 - b)
+    roots = np.exp(-2j * np.pi * np.arange(m // 2) / m)
+    twiddles = tuple(roots[:: m // (2 << s)] for s in range(bits))
+    for a in (rev, *twiddles):
+        a.flags.writeable = False
+    return rev, twiddles
+
+
+def _fft_pow2(x: np.ndarray) -> np.ndarray:
+    """Iterative radix-2 FFT along the last axis; its length is a power of two."""
+    lead, m = x.shape[:-1], x.shape[-1]
+    rev, twiddles = _radix2_plan(m)
+    a = x[..., rev]
+    for w in twiddles:
+        # stage s merges pairs of length-h transforms (h = w.size) into
+        # length-2h ones: X[k] = E[k] + w^k O[k], X[k + h] = E[k] - w^k O[k]
+        a = a.reshape(*lead, m // (2 * w.size), 2, w.size)
+        even, odd = a[..., 0, :], a[..., 1, :] * w
+        a = np.stack((even + odd, even - odd), axis=-2)
+    return a.reshape(*lead, m)
+
+
+@lru_cache(maxsize=None)
+def _bluestein_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chirp b_j = exp(i*pi*j^2/n) and the transform of its wrapped copy."""
+    m = 1 << (2 * n - 2).bit_length()  # smallest power of two >= 2n - 1
+    j = np.arange(n)
+    chirp = np.exp(1j * np.pi * ((j * j) % (2 * n)) / n)
+    wrapped = np.zeros(m, dtype=complex)
+    wrapped[:n] = chirp
+    wrapped[m - n + 1 :] = chirp[:0:-1]
+    kernel = _fft_pow2(wrapped)
+    for a in (chirp, kernel):
+        a.flags.writeable = False
+    return chirp, kernel
+
+
+def _dft(x: np.ndarray, n: int) -> np.ndarray:
+    """X[..., k] = sum_j x[..., j] exp(-2*pi*i*j*k/n), k = 0..n-1, for x of length <= n.
+
+    x is zero-padded to n.  Powers of two go straight to the radix-2
+    transform; other n through Bluestein's chirp-z, jk = (j^2 + k^2 -
+    (k-j)^2)/2, which turns the transform into a circular convolution of
+    power-of-two length.
+    """
+    lead, dim = x.shape[:-1], x.shape[-1]
+    if n & (n - 1) == 0:
+        padded = np.zeros(lead + (n,), dtype=complex)
+        padded[..., :dim] = x
+        return _fft_pow2(padded)
+    chirp, kernel = _bluestein_plan(n)
+    padded = np.zeros(lead + (kernel.size,), dtype=complex)
+    padded[..., :dim] = x * chirp[:dim].conj()
+    # circular convolution with the chirp; the inverse FFT as conj(F(conj))/m
+    conv = _fft_pow2(np.conj(_fft_pow2(padded) * kernel)).conj() / kernel.size
+    return conv[..., :n] * chirp.conj()
 
 
 @dataclass(frozen=True)
 class CovariantPOVM:
     """Normalized bin observable over a cyclic time lattice.
 
-    Exactly one storage form is present.  ``kernels`` holds per-bin factors
-    K_k of shape (r, dim) with effect_k = K_k^dagger K_k; every constructor
-    in this module produces this form.  ``dense`` holds explicit effect
-    matrices and is reserved for observables read back from files, where
-    positivity is a claim to be checked rather than a construction.
+    Exactly one storage form is present.  ``generator`` holds the kernel
+    K_0 of bin 0, shape (r, dim), of a covariant family: effect k is
+    K_k^dagger K_k with K_k = K_0 conj(P^k), P = diag(exp(i*E*tau)).  Every
+    constructor in this module produces this form; it needs dim <= n_bins
+    and the lattice conjugate to the grid (n*tau*de = 2*pi), which is what
+    makes the occurrence amplitudes one DFT of K_0 * psi.  ``kernels``
+    derives the (n, r, dim) stack of all K_k from it on request.  ``dense``
+    holds explicit effect matrices and is reserved for observables read
+    back from files, where positivity is a claim to be checked rather than
+    a construction.
     """
 
     grid: EnergyGrid
     lattice: TimeLattice
-    kernels: np.ndarray | None = None
+    generator: np.ndarray | None = None
     dense: np.ndarray | None = None
     label: str = field(default="", compare=False)
 
     def __post_init__(self):
-        if (self.kernels is None) == (self.dense is None):
-            raise ValueError("exactly one of kernels/dense storage must be given")
-        store = self.kernels if self.kernels is not None else self.dense
+        if (self.generator is None) == (self.dense is None):
+            raise ValueError("exactly one of generator/dense storage must be given")
+        if self.generator is not None:
+            if self.generator.ndim != 2 or self.generator.shape[1] != self.grid.n:
+                raise ValueError(
+                    f"generator must be (r, dim) with dim={self.grid.n}, got {self.generator.shape}"
+                )
+            if self.grid.n > self.lattice.n:
+                raise ValueError(f"generator storage needs dim <= n_bins = {self.lattice.n}; got dim={self.grid.n}")
+            turn = self.lattice.n * self.lattice.tau * self.grid.de / (2.0 * np.pi)
+            if abs(turn - 1.0) > 1e-12:
+                raise ValueError(f"generator storage needs n*tau*de = 2*pi; got {turn!r} * 2*pi")
+            return
+        store = self.dense
         if store.ndim != 3 or store.shape[0] != self.lattice.n:
             raise ValueError(
                 f"storage must be (n_bins, ., dim) with n_bins={self.lattice.n}, got {store.shape}"
             )
         if store.shape[-1] != self.grid.n:
             raise ValueError(f"effect dimension {store.shape[-1]} does not match grid size {self.grid.n}")
-        if self.dense is not None and store.shape[1] != store.shape[2]:
+        if store.shape[1] != store.shape[2]:
             raise ValueError("dense effects must be square matrices")
 
     @property
@@ -184,32 +275,49 @@ class CovariantPOVM:
         """Row k is the diagonal of P^k, P = diag(exp(i*E*tau)): k covariance steps."""
         return np.exp(1j * np.outer(np.arange(self.n_bins) * self.lattice.tau, self.grid.energies))
 
+    def _kernels_at(self, bins) -> np.ndarray:
+        """K_k = K_0 conj(P^k) for the given bins, shape (len(bins), r, dim)."""
+        steps = np.exp(-1j * np.outer(np.asarray(bins) * self.lattice.tau, self.grid.energies))
+        return self.generator[np.newaxis] * steps[:, np.newaxis, :]
+
+    @property
+    def kernels(self) -> np.ndarray | None:
+        """Per-bin kernels (n, r, dim) derived from the generator; None for dense storage."""
+        if self.generator is None:
+            return None
+        return self._kernels_at(np.arange(self.n_bins))
+
     def effect(self, k: int) -> np.ndarray:
         k = int(k) % self.n_bins
-        if self.kernels is not None:
-            kk = self.kernels[k]
+        if self.generator is not None:
+            kk = self._kernels_at([k])[0]
             return kk.conj().T @ kk
         return self.dense[k].copy()
 
-    def sum_effects(self) -> np.ndarray:
-        if self.kernels is not None:
-            flat = self.kernels.reshape(-1, self.dim)
+    def sum_effects(self, bins=None) -> np.ndarray:
+        """Sum of the effects over ``bins`` (default: all), from one stacked product."""
+        if self.generator is not None:
+            flat = self._kernels_at(np.arange(self.n_bins) if bins is None else bins).reshape(-1, self.dim)
             return flat.conj().T @ flat
-        return self.dense.sum(axis=0)
+        return (self.dense if bins is None else self.dense[bins]).sum(axis=0)
 
     def occurrence_probabilities(self, state: StateVector) -> np.ndarray:
         """psi^dagger E_k psi for every bin k, unclipped.
 
-        Factored storage cannot go negative; a dense family that is not
-        positive can, and callers that need a distribution decide how much
-        negativity is roundoff (see ``uncertainty.occurrence_distribution``).
+        Generator storage computes the amplitudes K_k psi as the DFT of
+        K_0 * psi: with E_j = offset + j*de and tau*de = 2*pi/n, K_k psi is
+        exp(-i*offset*k*tau) sum_j (K_0 psi)_j exp(-2*pi*i*j*k/n), and the
+        phase in front drops out of |.|^2.  It cannot go negative; a dense
+        family that is not positive can, and callers that need a
+        distribution decide how much negativity is roundoff (see
+        ``uncertainty.occurrence_distribution``).
         """
         if state.grid.n != self.dim:
             raise ValueError("state dimension does not match observable dimension")
         psi = state.amplitudes
-        if self.kernels is not None:
-            amp = self.kernels @ psi
-            return np.sum(np.abs(amp) ** 2, axis=1)
+        if self.generator is not None:
+            amp = _dft(self.generator * psi, self.n_bins)
+            return np.sum(amp.real**2 + amp.imag**2, axis=0)
         return np.real(np.einsum("i,kij,j->k", psi.conj(), self.dense, psi))
 
 
@@ -217,16 +325,15 @@ def build_sharp_time_povm(grid: EnergyGrid) -> CovariantPOVM:
     """Sharp time observable on a full-line grid: one rank-one effect per bin.
 
     The effects are the projectors onto the rows of the time-side Fourier
-    map, so occurrence amplitudes are literally the discrete Fourier data
-    of the state.  Rejects half-line grids: compressing to a positive
-    spectrum is what :func:`build_halfline_povm` is for, and the compressed
-    effects are genuinely different objects (no longer projections).
+    map (:func:`fourier_map`), so occurrence amplitudes are literally the
+    discrete Fourier data of the state; only row 0 is stored.  Rejects
+    half-line grids: compressing to a positive spectrum is what
+    :func:`build_halfline_povm` is for, and the compressed effects are
+    genuinely different objects (no longer projections).
     """
     if grid.halfline:
         raise ValueError("sharp time observables need a full-line grid; use build_halfline_povm")
-    m = fourier_map(grid)
-    kernels = m[:, np.newaxis, :]
-    return CovariantPOVM(grid, TimeLattice.from_grid(grid), kernels=kernels, label="sharp")
+    return CovariantPOVM(grid, TimeLattice.from_grid(grid), generator=fourier_map(grid, [0]), label="sharp")
 
 
 def build_halfline_povm(full_grid: EnergyGrid, cutoff_index: int) -> CovariantPOVM:
@@ -234,7 +341,8 @@ def build_halfline_povm(full_grid: EnergyGrid, cutoff_index: int) -> CovariantPO
 
     The retained model keeps all n time bins of the full grid but only the
     grid points j >= cutoff_index; each effect is the compressed rank-one
-    kernel, normalized so the family still sums to the identity on the
+    kernel (row 0 of the full grid's Fourier map, cut to the retained
+    energies), normalized so the family still sums to the identity on the
     retained space.  The returned grid is marked half-line and starts at
     the cutoff energy.
     """
@@ -248,9 +356,8 @@ def build_halfline_povm(full_grid: EnergyGrid, cutoff_index: int) -> CovariantPO
         raise ValueError("fewer than two energies retained above the cutoff")
     energies = full_grid.energies
     sub = EnergyGrid(keep, full_grid.de, offset=float(energies[cutoff_index]), halfline=True)
-    m = fourier_map(full_grid)[:, cutoff_index:]
-    kernels = m[:, np.newaxis, :]
-    return CovariantPOVM(sub, TimeLattice.from_grid(full_grid), kernels=kernels, label="halfline")
+    generator = fourier_map(full_grid, [0])[:, cutoff_index:]
+    return CovariantPOVM(sub, TimeLattice.from_grid(full_grid), generator=generator, label="halfline")
 
 
 def vector_generated_povm(grid: EnergyGrid, generator: np.ndarray) -> CovariantPOVM:
@@ -272,9 +379,8 @@ def vector_generated_povm(grid: EnergyGrid, generator: np.ndarray) -> CovariantP
             f"component {j} has modulus {np.abs(g[j]):.12e}, expected {target:.12e}"
         )
     lattice = TimeLattice.from_grid(grid)
-    phases = np.exp(1j * np.outer(lattice.centers, grid.energies))
-    kernels = (phases * g).conj()[:, np.newaxis, :]
-    return CovariantPOVM(grid, lattice, kernels=kernels, label="vector")
+    kernel = (np.exp(1j * (lattice.centers[0] * grid.energies)) * g).conj()
+    return CovariantPOVM(grid, lattice, generator=kernel[np.newaxis], label="vector")
 
 
 @dataclass(frozen=True)
@@ -335,8 +441,17 @@ def validate_povm(povm: CovariantPOVM, tol: float = 1e-10, seed: int = 0) -> Pov
     transport P^k E_0 P^-k of it, P = diag(exp(i*E*tau)), and the largest
     Frobenius gap delta bounds how far the lowest eigenvalue can move
     (Weyl's inequality).  The reported minimum is lambda_min(E_0) - delta,
-    a lower bound on the lowest eigenvalue of every effect.  Additivity is
-    probed with seeded random disjoint bin sets against a random state.
+    a lower bound on the lowest eigenvalue of every effect.
+
+    Additivity is probed with seeded random disjoint bin sets A and B whose
+    union is a proper part of the lattice (for n >= 3): P(A u B) computed
+    from the union effect, one stacked sum, is compared against P(A) + P(B)
+    summed from ``occurrence_probabilities``, all on one random state.  A
+    family indexed by bins is additive by construction, so the probe cannot
+    find a non-additive one; what it detects is disagreement between the
+    occurrence path (the FFT for generator storage, the per-bin contraction
+    for dense storage) and explicit sums of the effects, such as a wrong
+    bin order, phase or normalization in either.
     """
     n, dim = povm.n_bins, povm.dim
     completeness = float(np.max(np.abs(povm.sum_effects() - np.eye(dim))))
@@ -351,7 +466,7 @@ def validate_povm(povm: CovariantPOVM, tol: float = 1e-10, seed: int = 0) -> Pov
         cov = max(cov, float(np.max(np.abs(shifted - nxt))))
         prev = nxt
 
-    if povm.kernels is not None:
+    if povm.generator is not None:
         min_eig = 0.0
     else:
         transport = povm.transport_phases()
@@ -367,11 +482,12 @@ def validate_povm(povm: CovariantPOVM, tol: float = 1e-10, seed: int = 0) -> Pov
     add = 0.0
     for _ in range(8):
         picks = rng.permutation(n)
-        cut = int(rng.integers(1, n))
-        a, b = picks[:cut], picks[cut:]
-        # P(A u B) recomputed from the union effect, not from the per-bin sums
-        union_effect = sum(povm.effect(k) for k in np.concatenate([a, b]))
-        p_union = float(np.real(state.amplitudes.conj() @ union_effect @ state.amplitudes))
+        # 1 <= i < j <= n - 1: A = picks[:i] and B = picks[i:j] are nonempty,
+        # disjoint, and leave picks[j:] out (on two bins the union is all)
+        i, j = np.sort(rng.choice(np.arange(1, max(n, 3)), size=2, replace=False))
+        a, b = picks[:i], picks[i:j]
+        union_effect = povm.sum_effects(picks[:j])
+        p_union = float(np.real(np.vdot(state.amplitudes, union_effect @ state.amplitudes)))
         add = max(add, abs(p_union - float(probs[a].sum()) - float(probs[b].sum())))
 
     return PovmValidation(completeness, cov, min_eig, add, tol)

@@ -7,7 +7,9 @@ time observable:
 * positive energy:  std(T) * mean(H)     >= sqrt(4/27) * z1^(3/2)
 * combined:         var(T) * mean(H^2)   >= 4/27 * z1^3 + 1/4
 
-with z1 the first zero of the decaying Airy function.  All three are
+with z1 the first zero of the decaying Airy function.  Each check takes the
+state's occurrence distribution (:func:`occurrence_distribution`), so one
+distribution serves every check made on the same state.  All three are
 continuum statements; on a finite model the moments carry truncation and
 wrap error, so every report comes with a reliability flag derived from how
 much probability sits near the edges of the grids.  An unreliable report
@@ -145,10 +147,9 @@ def _reliability(dist: OccurrenceDistribution, state: StateVector) -> tuple[bool
 
 
 def check_time_energy_bound(
-    povm: CovariantPOVM, state: StateVector, tolerance: float = 1e-3
+    dist: OccurrenceDistribution, state: StateVector, tolerance: float = 1e-3
 ) -> BoundReport:
     """Certify std(T) * std(H) >= 1/2 for this state."""
-    dist = occurrence_distribution(povm, state)
     _, e_var = energy_moments(state)
     lhs = dist.std() * math.sqrt(max(e_var, 0.0))
     reliable, ctx = _reliability(dist, state)
@@ -157,7 +158,7 @@ def check_time_energy_bound(
 
 
 def check_positive_energy_bound(
-    povm: CovariantPOVM, state: StateVector, tolerance: float = 2e-3
+    dist: OccurrenceDistribution, state: StateVector, tolerance: float = 2e-3
 ) -> BoundReport:
     """Certify std(T) * mean(H) >= the universal positive-spectrum constant.
 
@@ -171,7 +172,6 @@ def check_positive_energy_bound(
             "grid has negative energies; shift the spectrum so its infimum is zero "
             "before certifying the positive-energy bound"
         )
-    dist = occurrence_distribution(povm, state)
     e_mean, _ = energy_moments(state)
     lhs = dist.std() * e_mean
     reliable, ctx = _reliability(dist, state)
@@ -180,7 +180,7 @@ def check_positive_energy_bound(
 
 
 def check_combined_bound(
-    povm: CovariantPOVM, state: StateVector, tolerance: float = 5e-3
+    dist: OccurrenceDistribution, state: StateVector, tolerance: float = 5e-3
 ) -> BoundReport:
     """Certify var(T) * mean(H^2) against the combined positive-spectrum bound.
 
@@ -194,7 +194,6 @@ def check_combined_bound(
             "grid has negative energies; shift the spectrum so its infimum is zero "
             "before certifying the combined bound"
         )
-    dist = occurrence_distribution(povm, state)
     e_mean, e_var = energy_moments(state)
     second = e_var + e_mean**2
     lhs = dist.variance() * second
@@ -221,9 +220,11 @@ def ccr_residual(povm: CovariantPOVM, state: StateVector) -> float:
     The defect of the centered stencil is O(tau^2), so halving the bin
     width cuts the residual by about four.
     """
-    if povm.kernels is None or povm.kernels.shape[1] != 1:
+    if povm.generator is None or povm.generator.shape[0] != 1:
         raise ValueError("commutator check needs a rank-one factored observable")
-    a = (povm.kernels[:, 0, :] @ state.amplitudes).ravel()
+    # the stencil needs the true phase of every bin amplitude, which the
+    # derived kernels carry and the DFT in occurrence_probabilities drops
+    a = povm.kernels[:, 0, :] @ state.amplitudes
     edge_mass = float(np.sum(np.abs(a[:2]) ** 2) + np.sum(np.abs(a[-2:]) ** 2))
     if edge_mass > _CCR_EDGE_LIMIT:
         raise ValueError(

@@ -119,10 +119,12 @@ def test_criterion_06_fullline_fuzz(fullline_model):
     worst = np.inf
     compliant = True
     for seed in range(100):
-        report = unc.check_time_energy_bound(fullline_model, random_smooth_state(fullline_model.grid, seed))
+        state = random_smooth_state(fullline_model.grid, seed)
+        report = unc.check_time_energy_bound(unc.occurrence_distribution(fullline_model, state), state)
         worst = min(worst, report.lhs)
         compliant = compliant and report.reliable
-    gauss = unc.check_time_energy_bound(fullline_model, gaussian_state(fullline_model.grid, 0.0, 1.0))
+    state = gaussian_state(fullline_model.grid, 0.0, 1.0)
+    gauss = unc.check_time_energy_bound(unc.occurrence_distribution(fullline_model, state), state)
     elapsed = time.perf_counter() - t0
     ok = worst >= 0.5 - 1e-3 and compliant and abs(gauss.lhs - 0.5) <= 1e-4 and elapsed <= 30.0
     certify(
@@ -138,10 +140,12 @@ def test_criterion_07_halfline_fuzz(halfline_model):
     worst = np.inf
     compliant = True
     for seed in range(100):
-        report = unc.check_positive_energy_bound(halfline_model, random_smooth_state(halfline_model.grid, seed))
+        state = random_smooth_state(halfline_model.grid, seed)
+        report = unc.check_positive_energy_bound(unc.occurrence_distribution(halfline_model, state), state)
         worst = min(worst, report.lhs)
         compliant = compliant and report.reliable
-    minimal = unc.check_positive_energy_bound(halfline_model, transported_minimal_state(halfline_model.grid))
+    state = transported_minimal_state(halfline_model.grid)
+    minimal = unc.check_positive_energy_bound(unc.occurrence_distribution(halfline_model, state), state)
     err = abs(minimal.lhs - 1.376)
     ok = worst >= 1.376 - 2e-3 and compliant and err <= 2e-3
     certify(

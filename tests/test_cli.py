@@ -252,6 +252,36 @@ def test_certify_needs_few_sturm_passes(capsys, monkeypatch):
     assert len(calls) <= 12
 
 
+def test_bounds_builds_no_fourier_map_and_one_distribution_per_state(capsys, monkeypatch):
+    # the factored model stores one kernel row and serves all three checks
+    # of a state from one FFT; before, the whole n x n map and 3 dense
+    # products per state
+    built = []
+    rows_of = model.fourier_map
+
+    def one_row_only(grid, rows=None):
+        if rows is None:
+            raise AssertionError("the n x n Fourier map was materialized")
+        out = rows_of(grid, rows)
+        built.append(out.shape)
+        return out
+
+    calls = []
+    probs = CovariantPOVM.occurrence_probabilities
+
+    def counted(self, state):
+        calls.append(state)
+        return probs(self, state)
+
+    monkeypatch.setattr(model, "fourier_map", one_row_only)
+    monkeypatch.setattr(CovariantPOVM, "occurrence_probabilities", counted)
+    assert main(["bounds", "--model", "halfline", "--states", "random:0..20", "--check", "all"]) == 0
+    _, recs = records(capsys)
+    assert recs[-1] == {"summary": "bounds", "checks": "63", "failures": "0"}
+    assert built == [(1, 2048)]
+    assert len(calls) == 21
+
+
 @pytest.mark.parametrize("n", [8, 64])
 def test_dilate_needs_few_eigensolves(n, tmp_path, capsys, monkeypatch):
     # one spectrum of effect 0 in each validation and one for the blocks;

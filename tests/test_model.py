@@ -152,6 +152,37 @@ def test_validate_povm_flags_broken_covariance(sharp16):
     assert not v.covariant
 
 
+def test_additivity_probe_catches_a_misordered_occurrence_path(sharp16, monkeypatch):
+    # a proper union of bins must get the mass of its own effects; with the
+    # union always the whole lattice, any permutation of the bins passed
+    probs = CovariantPOVM.occurrence_probabilities
+    monkeypatch.setattr(CovariantPOVM, "occurrence_probabilities", lambda self, s: np.roll(probs(self, s), 1))
+    v = validate_povm(sharp16)
+    assert v.complete and v.covariant
+    assert not v.additive
+    assert v.failed_axioms == ("additivity",)
+
+
+@pytest.mark.parametrize("storage", ["generator", "dense"])
+def test_validate_povm_builds_each_effect_once(sharp64, storage, monkeypatch):
+    # covariance walks the n effects once; completeness and additivity come
+    # from stacked sums, not per-bin copies (8 rounds of n copies before)
+    povm = sharp64
+    if storage == "dense":
+        dense = np.stack([sharp64.effect(k) for k in range(64)])
+        povm = CovariantPOVM(sharp64.grid, sharp64.lattice, dense=dense)
+    calls = []
+    effect = CovariantPOVM.effect
+
+    def counted(self, k):
+        calls.append(k)
+        return effect(self, k)
+
+    monkeypatch.setattr(CovariantPOVM, "effect", counted)
+    assert validate_povm(povm).passed
+    assert len(calls) <= povm.n_bins + 1
+
+
 def test_validate_povm_flags_negative_effect(sharp16):
     dense = np.stack([sharp16.effect(k) for k in range(16)])
     dense[0] -= 2e-9 * np.eye(16)
@@ -183,7 +214,17 @@ def test_covariant_povm_requires_exactly_one_storage(sharp16):
         CovariantPOVM(sharp16.grid, sharp16.lattice)
     dense = np.stack([sharp16.effect(k) for k in range(16)])
     with pytest.raises(ValueError):
-        CovariantPOVM(sharp16.grid, sharp16.lattice, kernels=sharp16.kernels, dense=dense)
+        CovariantPOVM(sharp16.grid, sharp16.lattice, generator=sharp16.generator, dense=dense)
+
+
+def test_generator_storage_needs_the_conjugate_lattice(sharp16):
+    # the FFT occurrence path is exact only when n*tau*de = 2*pi and dim <= n
+    lattice = TimeLattice(16, 1.01 * sharp16.lattice.tau)
+    with pytest.raises(ValueError, match="2\\*pi"):
+        CovariantPOVM(sharp16.grid, lattice, generator=sharp16.generator)
+    wide = EnergyGrid(32, sharp16.grid.de)
+    with pytest.raises(ValueError, match="dim <= n_bins"):
+        CovariantPOVM(wide, sharp16.lattice, generator=np.ones((1, 32), dtype=complex))
 
 
 def test_state_vector_normalization_contract():

@@ -1,5 +1,7 @@
 """Property tests of the in-repo eigensolvers against numpy's dense oracle,
-and of the dilation identities on random vector-generated observables.
+of the FFT occurrence path against the dense kernels and numpy's FFT, of
+the dilation identities on random vector-generated observables, and of the
+file round trips.
 
 Examples are derandomized, so every run checks the same inputs; each
 example is drawn from a seed, a size and a decimal scale or grid shape.
@@ -12,10 +14,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timepovm import dilation
-from timepovm.formats import load_povm, save_povm
+from timepovm import dilation, model
+from timepovm.formats import load_povm, load_state_table, save_povm, save_state_table
 from timepovm.linalg import SymTridiag, hermitian_eigh, sturm_count, tridiag_lowest_eigs
-from timepovm.model import CovariantPOVM, EnergyGrid, random_smooth_state, vector_generated_povm
+from timepovm.model import (
+    CovariantPOVM,
+    EnergyGrid,
+    build_halfline_povm,
+    build_sharp_time_povm,
+    random_smooth_state,
+    vector_generated_povm,
+)
+from timepovm.variational import GridState
 
 properties = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 
@@ -107,6 +117,95 @@ def test_tridiag_lowest_eigs_matches_dense_spectrum(seed, n, scale, kind, data):
     assert np.max(np.abs(got - ref[:k])) <= 1e-10 * max(1.0, norm)
 
 
+def mixture(grid: EnergyGrid, rank: int, rng) -> CovariantPOVM:
+    """Equal-weight mixture of ``rank`` random vector-generated families.
+
+    The generators are stacked, so every effect has rank ``rank``; rank 1
+    is a single vector-generated family.
+    """
+    families = [
+        vector_generated_povm(grid, np.exp(2j * np.pi * rng.random(grid.n)) / np.sqrt(grid.n))
+        for _ in range(rank)
+    ]
+    generator = np.concatenate([f.generator for f in families]) / np.sqrt(rank)
+    return CovariantPOVM(grid, families[0].lattice, generator=generator, label="mixture")
+
+
+def covariant_family(kind: str, n: int, de: float, offset_steps: float, rng) -> CovariantPOVM:
+    """A generator-stored family of one kind on n energies at offset offset_steps * de.
+
+    The half-line family keeps the energies from a random cutoff up, with
+    the cutoff energy at the fractional part of ``offset_steps`` times de.
+    """
+    if kind == "halfline":
+        cutoff = int(rng.integers(0, n - 1))
+        fraction = offset_steps - np.floor(offset_steps)
+        return build_halfline_povm(EnergyGrid(n, de, offset=(fraction - cutoff) * de), cutoff)
+    grid = EnergyGrid(n, de, offset=offset_steps * de)
+    if kind == "sharp":
+        return build_sharp_time_povm(grid)
+    return mixture(grid, 1 if kind == "vector" else 2, rng)
+
+
+# powers of two, primes, 12 and 3 * 2^k: radix-2 and Bluestein lengths
+fft_sizes = st.sampled_from([2, 4, 8, 64, 256, 3, 5, 13, 61, 251, 12, 6, 24, 96, 384])
+offsets = st.tuples(st.integers(-16, 4), st.sampled_from([0.0, 0.25, 0.5, 0.37])).map(sum)
+kinds = st.sampled_from(["sharp", "halfline", "vector", "mixture"])
+
+
+@properties
+@given(seeds, fft_sizes, st.floats(0.2, 1.5), offsets, kinds)
+def test_occurrence_fft_matches_dense_kernels_and_numpy_fft(seed, n, de, offset_steps, kind):
+    rng = np.random.default_rng(seed)
+    povm = covariant_family(kind, n, de, offset_steps, rng)
+    state = random_smooth_state(povm.grid, seed % 1000)
+    got = povm.occurrence_probabilities(state)
+    # oracles: the derived kernel stack times the state, and numpy's FFT of
+    # the zero-padded K_0 * psi
+    dense = np.sum(np.abs(povm.kernels @ state.amplitudes) ** 2, axis=1)
+    padded = np.zeros((povm.generator.shape[0], n), dtype=complex)
+    padded[:, : povm.dim] = povm.generator * state.amplitudes
+    spectrum = np.fft.fft(padded, axis=-1)
+    reference = np.sum(np.abs(spectrum) ** 2, axis=0)
+    # |.|^2 hides a phase per bin, so the transform is also checked directly
+    assert np.max(np.abs(model._dft(povm.generator * state.amplitudes, n) - spectrum)) <= 1e-13
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - dense)) <= 1e-13
+    assert np.max(np.abs(got - reference)) <= 1e-13
+
+
+@properties
+@given(seeds, st.integers(2, 12), st.floats(0.2, 1.5), offsets, kinds)
+def test_save_povm_round_trip_is_bit_identical(seed, n, de, offset_steps, kind):
+    # the file holds explicit effects, so the derived effect(k) of the
+    # generator storage is what gets written
+    povm = covariant_family(kind, n, de, offset_steps, np.random.default_rng(seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "povm.json"
+        save_povm(povm, path)
+        loaded = load_povm(path)
+    assert loaded.dense is not None and loaded.label == povm.label
+    assert (loaded.n_bins, loaded.dim, loaded.lattice.tau) == (povm.n_bins, povm.dim, povm.lattice.tau)
+    for k in range(n):
+        assert np.array_equal(loaded.effect(k), povm.effect(k)), k
+
+
+@properties
+@given(seeds, st.integers(2, 200), st.floats(1e-4, 1.0), st.integers(0, 200))
+def test_state_table_round_trip_is_bit_identical(seed, size, h, spread):
+    # magnitudes spanning up to 10^-spread exercise the exponent range
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal(size) * 10.0 ** -rng.integers(0, spread + 1, size)
+    state = GridState(raw / (np.sqrt(h) * np.linalg.norm(raw)), h, h * (size + 1))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.txt"
+        save_state_table(state, path)
+        loaded = load_state_table(path)
+    assert np.array_equal(loaded.values, state.values)
+    # the spacing is re-derived from the written nodes, so it agrees to rounding
+    assert abs(loaded.h - h) <= 1e-12 * h and abs(loaded.L - state.L) <= 1e-12 * state.L
+
+
 @properties
 @given(seeds, st.integers(4, 16), st.floats(0.2, 1.5), st.integers(-16, 4),
        st.sampled_from([0.0, 0.25, 0.5, 0.37]), st.sampled_from([1, 2]))
@@ -116,12 +215,7 @@ def test_dilation_identities_on_vector_generated_families(seed, n, de, start, fr
     # rank 2 mixes two vector-generated families, so every effect has rank
     # two and the shift maps (2 x 2) blocks
     rng = np.random.default_rng(seed)
-    grid = EnergyGrid(n, de, offset=(start + fraction) * de)
-    families = [
-        vector_generated_povm(grid, np.exp(2j * np.pi * rng.random(n)) / np.sqrt(n)) for _ in range(rank)
-    ]
-    kernels = np.concatenate([f.kernels for f in families], axis=1) / np.sqrt(rank)
-    kernel = CovariantPOVM(grid, families[0].lattice, kernels=kernels, label="mixture")
+    kernel = mixture(EnergyGrid(n, de, offset=(start + fraction) * de), rank, rng)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "vector.json"
         save_povm(kernel, path)

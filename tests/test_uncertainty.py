@@ -79,7 +79,7 @@ def test_energy_tail_counts_only_top_on_halfline(halfline_model):
 
 def test_time_energy_bound_saturated_by_gaussian(fullline_model):
     s = gaussian_state(fullline_model.grid, 0.0, 1.0)
-    rep = check_time_energy_bound(fullline_model, s)
+    rep = check_time_energy_bound(occurrence_distribution(fullline_model, s), s)
     assert rep.passed
     assert rep.reliable
     assert rep.rhs == 0.5
@@ -89,22 +89,22 @@ def test_time_energy_bound_saturated_by_gaussian(fullline_model):
 
 def test_time_energy_bound_holds_off_center(fullline_model):
     s = gaussian_state(fullline_model.grid, 1.7, 0.9)
-    rep = check_time_energy_bound(fullline_model, s)
+    rep = check_time_energy_bound(occurrence_distribution(fullline_model, s), s)
     assert rep.passed and rep.reliable
 
 
 def test_positive_energy_bound_rejects_negative_spectrum(fullline_model):
     s = gaussian_state(fullline_model.grid, 0.0, 1.0)
     with pytest.raises(ValueError) as err:
-        check_positive_energy_bound(fullline_model, s)
+        check_positive_energy_bound(occurrence_distribution(fullline_model, s), s)
     assert "shift the spectrum" in str(err.value)
     with pytest.raises(ValueError):
-        check_combined_bound(fullline_model, s)
+        check_combined_bound(occurrence_distribution(fullline_model, s), s)
 
 
 def test_positive_energy_bound_on_minimal_profile(halfline_model):
     s = transported_minimal_state(halfline_model.grid)
-    rep = check_positive_energy_bound(halfline_model, s)
+    rep = check_positive_energy_bound(occurrence_distribution(halfline_model, s), s)
     assert rep.passed
     assert abs(rep.lhs - universal_constant()) <= 2e-3
     # the boundary kink gives slow time tails: honesty requires the flag
@@ -115,13 +115,13 @@ def test_positive_energy_bound_on_minimal_profile(halfline_model):
 def test_positive_energy_bound_on_random_states(halfline_model):
     for seed in range(8):
         s = random_smooth_state(halfline_model.grid, seed)
-        rep = check_positive_energy_bound(halfline_model, s)
+        rep = check_positive_energy_bound(occurrence_distribution(halfline_model, s), s)
         assert rep.passed and rep.reliable, seed
 
 
 def test_combined_bound_and_context(halfline_model):
     s = random_smooth_state(halfline_model.grid, 3)
-    rep = check_combined_bound(halfline_model, s)
+    rep = check_combined_bound(occurrence_distribution(halfline_model, s), s)
     assert rep.passed
     d = universal_constant()
     assert abs(rep.rhs - (d * d + 0.25)) <= 1e-15
@@ -134,7 +134,7 @@ def test_wide_state_is_flagged_unreliable():
     g = selfdual_grid(64)
     p = build_sharp_time_povm(g)
     wide = gaussian_state(g, 0.0, 3.5)
-    rep = check_time_energy_bound(p, wide)
+    rep = check_time_energy_bound(occurrence_distribution(p, wide), wide)
     assert not rep.reliable
     assert rep.context["energy_tail"] > 1e-12
 
