@@ -362,7 +362,7 @@ def cmd_dilate(args: argparse.Namespace) -> int:
         print(format_record({"error": "axiom-violated", "axiom": verdict.failed_axioms[0]}))
         return 1
 
-    built = dila.build_dilation(povm, validate_tol=1e-10 * scale)
+    built = dila._dilate_verdict(povm, verdict)
     rep.emit({"dilation": "built", "rank": built.rank, "discarded": built.discarded_count})
     tol = 1e-10 * scale
     states = [random_smooth_state(povm.grid, args.seed + i) for i in range(5)]
@@ -561,3 +561,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entrypoint()

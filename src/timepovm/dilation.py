@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import hermitian_eigh
-from .model import CovariantPOVM, StateVector, validate_povm
+from .model import CovariantPOVM, PovmValidation, StateVector, validate_povm
 
 __all__ = [
     "Dilation",
@@ -83,7 +83,11 @@ def build_dilation(povm: CovariantPOVM, validate_tol: float = 1e-10) -> Dilation
     sqrt(L) (P^(k+1) W)^dagger P (P^k W) / sqrt(L), so its residuals in the
     checks measure rounding rather than reading back an identity.
     """
-    report = validate_povm(povm, tol=validate_tol)
+    return _dilate_verdict(povm, validate_povm(povm, tol=validate_tol))
+
+
+def _dilate_verdict(povm: CovariantPOVM, report: PovmValidation) -> Dilation:
+    """build_dilation from a validation of povm the caller already holds."""
     if not report.passed:
         raise ValueError(f"observable fails validation ({', '.join(report.failed_axioms)}); cannot dilate")
 

@@ -10,6 +10,15 @@ quotient of an inverse-iteration vector, accepted only when its residual
 ball lies inside the bracket; eigenvectors come from inverse iteration
 through the cyclic-reduction factorization.  Both paths are deterministic
 for identical input.
+
+A Sturm pass (Kahan, "Accurate eigenvalues of a symmetric tri-diagonal
+matrix", 1966) runs the pivot recurrence row by row for all its probes at
+once, and a probe leaves the pass at the row that settles its count: once
+its pivot d_i exceeds |b_i| and it lies below
+G_{i+1} = min_{j > i} (a_j - |b_{j-1}| - |b_j|), less a rounding margin,
+no later pivot can be negative.  Probes low in the spectrum of a long
+diagonal with a rising potential, the Airy and oscillator operators, leave
+well before the last row.  The counts are those of the full row loop.
 """
 
 from __future__ import annotations
@@ -38,6 +47,8 @@ _NARROW = 1e-4
 _RESIDUAL_ULPS = 64
 # absolute bracket width and residual floor of tridiag_lowest_eigs
 _BRACKET_TOL = 1e-12
+# rows between two settle tests of a Sturm pass
+_SETTLE_STRIDE = 32
 
 
 def _clamp_pivots(d: np.ndarray) -> np.ndarray:
@@ -176,35 +187,105 @@ def hermitian_eigh(a: np.ndarray, want_vectors: bool = True) -> Spectrum:
 
 
 def sturm_count(t: SymTridiag, x):
-    """Number of eigenvalues of t strictly below x (vectorized over x)."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    """Number of eigenvalues of t strictly below x (vectorized over x).
+
+    The pivots d_i = (a_i - x) - b_{i-1}^2 / d_{i-1}, pivots smaller than
+    1e-290 in magnitude counted as negative, are run row by row, and each
+    probe leaves the pass at the row that settles its count.  Let
+    G_i = min_{j >= i} (a_j - |b_{j-1}| - |b_j|).  If d_i > |b_i| and
+    x < G_{i+1}, then every later pivot satisfies d_j >= |b_j| + (a_j - x
+    - |b_{j-1}| - |b_j|) > 0, so no later row adds to the count.  G_i is
+    taken less a margin of 8 eps (|a_j| + |b_{j-1}| + |b_j|) + 2e-290,
+    which covers the rounding of G and of the recurrence, so a pivot the
+    full row loop would count as negative (or as a tiny zero) is never
+    skipped.  A probe that fails the test stays in the pass and is tested
+    again 32 rows later.  The counts are the ones the full row loop gives,
+    bit for bit, for any probe order, repeats, scalar input and probes on
+    an eigenvalue.
+    """
+    xs = np.asarray(x, dtype=float)
+    counts = _sturm_pass(t, xs.ravel())
+    if xs.ndim == 0:
+        return int(counts[0])
+    return counts.reshape(xs.shape)
+
+
+def _gershgorin_radius(t: SymTridiag) -> np.ndarray:
+    """|b_{i-1}| + |b_i| per row, with b_{-1} = b_{n-1} = 0."""
+    radius = np.zeros(t.n)
+    if t.n > 1:
+        radius[:-1] += np.abs(t.offdiag)
+        radius[1:] += np.abs(t.offdiag)
+    return radius
+
+
+def _settle_floor(t: SymTridiag) -> np.ndarray:
+    """G_i of sturm_count, less its rounding margin; -inf where b^2 overflows."""
+    radius = _gershgorin_radius(t)
+    margin = 8.0 * np.finfo(float).eps * (np.abs(t.diag) + radius) + 2.0 * _PIVMIN
+    floor = t.diag - radius - margin
+    # an overflowing b_{i-1}^2 turns pivot i into -inf whatever d_{i-1} is
+    floor[1:][np.isinf(t.offdiag * t.offdiag)] = -np.inf
+    return np.minimum.accumulate(floor[::-1])[::-1]
+
+
+def _sturm_pass(t: SymTridiag, xs: np.ndarray, retire_at: int = 0) -> np.ndarray:
+    """Sturm counts of the 1-D probes xs, each probe leaving at the row that settles it.
+
+    With retire_at = k > 0 the probes must be ascending, and once the
+    running count of some probe reaches k every probe above it is dropped:
+    counts only grow along the rows and are monotone in x, so none of them
+    can end below k or below that probe's count.  Only the counts of
+    xs[:m + 1] are returned, m the lowest probe that reached k (all of xs
+    when none did).
+    """
+    counts = np.zeros(xs.size, dtype=np.int64)
     d = t.diag[0] - xs
     d = np.where(np.abs(d) < _PIVMIN, -_PIVMIN, d)
     count = (d < 0).astype(np.int64)
+    live = np.arange(xs.size)  # original index of each probe still in the pass
+    x = xs
+    keep_to = xs.size
     # the loop runs once per row, so every step works in place on
     # preallocated buffers with plain float coefficients
     b2 = t.offdiag * t.offdiag
+    absb = np.abs(t.offdiag)
     diag = t.diag
+    floor = _settle_floor(t)
     shifted = np.empty_like(xs)
     tiny = np.empty(xs.shape, dtype=bool)
     for i in range(1, t.n):
         # d = (diag[i] - x) - b2[i-1] / d, tiny pivots replaced by -_PIVMIN
-        np.subtract(diag.item(i), xs, out=shifted)
+        np.subtract(diag.item(i), x, out=shifted)
         np.divide(b2.item(i - 1), d, out=d)
         np.subtract(shifted, d, out=d)
         np.less(np.abs(d, out=shifted), _PIVMIN, out=tiny)
         np.copyto(d, -_PIVMIN, where=tiny)
         count += d < 0
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return int(count[0])
-    return count
+        if i % _SETTLE_STRIDE or i == t.n - 1:
+            continue
+        counts[live] = count
+        stay = (d <= absb.item(i)) | ~(x < floor.item(i + 1))
+        if retire_at:
+            reached = np.flatnonzero(counts >= retire_at)
+            if reached.size:
+                keep_to = int(reached[0]) + 1
+                stay &= live < keep_to
+        if not stay.any():
+            break
+        if not stay.all():
+            live, x, d, count = live[stay], x[stay], d[stay], count[stay]
+            shifted, tiny = shifted[: live.size], tiny[: live.size]
+    counts[live] = count
+    return counts[:keep_to]
 
 
 def tridiag_lowest_eigs(t: SymTridiag, k: int) -> np.ndarray:
     """Lowest k eigenvalues by Sturm bracketing and residual-certified Rayleigh refinement.
 
-    A geometric ladder of probes brackets every target index, then shared
-    multisection passes (all probes for all open targets in one Sturm
+    A geometric ladder of probes brackets every target index (its rungs
+    above the first one counting k eigenvalues are dropped from the pass
+    as soon as that count is seen), then shared multisection passes (all probes for all open targets in one Sturm
     pass) narrow the brackets.  The Sturm counts at both ends travel with
     each bracket.  Once bracket j is isolated (count j-1 at lo, j at hi)
     and narrow, inverse iteration at its midpoint gives a vector v with
@@ -220,10 +301,7 @@ def tridiag_lowest_eigs(t: SymTridiag, k: int) -> np.ndarray:
     n = t.n
     if not 1 <= k <= n:
         raise ValueError(f"requested {k} eigenvalues from a matrix of size {n}")
-    radius = np.zeros(n)
-    if n > 1:
-        radius[:-1] += np.abs(t.offdiag)
-        radius[1:] += np.abs(t.offdiag)
+    radius = _gershgorin_radius(t)
     lo0 = float(np.min(t.diag - radius))
     hi0 = float(np.max(t.diag + radius))
     span = max(hi0 - lo0, 1.0)
@@ -234,7 +312,11 @@ def tridiag_lowest_eigs(t: SymTridiag, k: int) -> np.ndarray:
     targets = np.arange(1, k + 1)
     lo, c_lo = np.full(k, lo0), np.zeros(k, dtype=np.int64)
     hi, c_hi = np.full(k, ladder[-1]), np.full(k, -1, dtype=np.int64)
-    ladder_counts = np.broadcast_to(sturm_count(t, ladder), (k, ladder.size))
+    # rungs above the first one counting k eigenvalues can be neither lo
+    # nor hi of any target, so the pass drops them once that count is seen
+    ladder_counts = _sturm_pass(t, ladder, retire_at=k)
+    ladder = ladder[: ladder_counts.size]
+    ladder_counts = np.broadcast_to(ladder_counts, (k, ladder.size))
     _tighten(np.arange(k), np.broadcast_to(ladder, ladder_counts.shape), ladder_counts, lo, hi, c_lo, c_hi)
     values = np.full(k, np.nan)
     while True:

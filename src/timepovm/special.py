@@ -84,7 +84,8 @@ def _build_ladder() -> None:
     for i in range(nodes.size):
         coeffs[i] = _taylor_coeffs(nodes[i], values[i], derivs[i])
     _ladder_cache["nodes"] = nodes
-    _ladder_cache["coeffs"] = coeffs
+    # row k holds the degree-k coefficient at every node
+    _ladder_cache["coeffs"] = np.ascontiguousarray(coeffs.T)
 
 
 def airy_ai(x):
@@ -109,15 +110,10 @@ def airy_ai(x):
     coeffs = _ladder_cache["coeffs"]
     idx = np.clip(np.round((flat - _NEG_MIN) / _STEP).astype(int), 0, nodes.size - 1)
     dx = flat - nodes[idx]
-    out = np.empty_like(flat)
-    for node in np.unique(idx):
-        m = idx == node
-        c = coeffs[node]
-        d = dx[m]
-        r = np.full(d.shape, c[_TERMS - 1])
-        for k in range(_TERMS - 2, -1, -1):
-            r = r * d + c[k]
-        out[m] = r
+    # one Horner recurrence for all points, each with the coefficients of its node
+    out = coeffs[_TERMS - 1, idx]
+    for k in range(_TERMS - 2, -1, -1):
+        out = out * dx + coeffs[k, idx]
     if scalar:
         return float(out[0])
     return out.reshape(arr.shape)

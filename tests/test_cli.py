@@ -3,6 +3,9 @@
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +58,13 @@ def test_certify_fast_grid(capsys):
     assert chain["pairs"] == "10000"
     weaker = find(recs, check="weaker-combined-rhs")
     assert weaker["strictly_below_sharp"] == "true"
+
+
+def test_certify_stdout_is_unchanged_to_the_last_digit(capsys):
+    # the full-row-loop implementation's stdout: no printed digit may move
+    golden = (Path(__file__).parent / "golden" / "airy-certify-h2e-3-L17.txt").read_text()
+    assert main(["airy-certify", "--h", "2e-3", "--domain-l", "17"]) == 0
+    assert capsys.readouterr().out == golden
 
 
 def test_certify_coarse_grid_reports_regime(capsys):
@@ -181,6 +191,20 @@ def test_help_exits_zero(capsys):
         assert name in out
 
 
+@pytest.mark.parametrize("module", ["timepovm", "timepovm.cli"])
+@pytest.mark.parametrize(
+    "argv, code, last",
+    [(["airy-certify", "--h", "0.1"], 0, "summary=airy-certify"), (["bounds", "--states", "nope"], 2, "error=config")],
+)
+def test_python_dash_m_runs_the_cli(module, argv, code, last):
+    src = str(Path(model.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == code
+    assert run.stdout.splitlines()[-1].startswith(last)
+    assert "Traceback" not in run.stderr
+
+
 def test_report_file_matches_stdout(tmp_path, capsys):
     target = tmp_path / "report.txt"
     assert main(["bounds", "--out", str(target)]) == 0
@@ -211,7 +235,7 @@ def test_numerical_breakdown_is_one_record_exit_one(tmp_path, capsys, monkeypatc
 
     path = tmp_path / "sharp8.json"
     save_povm(build_sharp_time_povm(selfdual_grid(8)), path)
-    monkeypatch.setattr("timepovm.cli.dila.build_dilation", breakdown)
+    monkeypatch.setattr("timepovm.cli.dila._dilate_verdict", breakdown)
     assert main(["dilate", str(path)]) == 1
     _, recs = records(capsys)
     assert recs[-1] == {"error": "numerical", "detail": "jacobi iteration did not converge within the sweep limit"}
@@ -282,9 +306,31 @@ def test_bounds_builds_no_fourier_map_and_one_distribution_per_state(capsys, mon
     assert len(calls) == 21
 
 
+def test_dilate_validates_once(tmp_path, capsys, monkeypatch):
+    # the dilation is built from the verdict the command already printed
+    calls = []
+    validate = model.validate_povm
+
+    def counted(povm, *args, **kwargs):
+        calls.append(povm.n_bins)
+        return validate(povm, *args, **kwargs)
+
+    for module in (cli, dilation):
+        monkeypatch.setattr(module, "validate_povm", counted)
+    path = tmp_path / "sharp.json"
+    save_povm(build_sharp_time_povm(selfdual_grid(16)), path)
+    assert main(["dilate", str(path)]) == 0
+    _, recs = records(capsys)
+    assert recs[-1] == {"summary": "dilate", "checks": "6", "failures": "0"}
+    assert calls == [16]
+    # library callers still get a validated dilation
+    assert dilation.build_dilation(build_sharp_time_povm(selfdual_grid(16))).rank == 16
+    assert calls == [16, 16]
+
+
 @pytest.mark.parametrize("n", [8, 64])
 def test_dilate_needs_few_eigensolves(n, tmp_path, capsys, monkeypatch):
-    # one spectrum of effect 0 in each validation and one for the blocks;
+    # one spectrum of effect 0 in the validation and one for the blocks;
     # one per effect in each of the three stages takes 3n
     calls = []
     eigh = linalg.hermitian_eigh
@@ -303,7 +349,7 @@ def test_dilate_needs_few_eigensolves(n, tmp_path, capsys, monkeypatch):
         assert main(["dilate", str(out / name)]) == 0
         _, recs = records(capsys)
         assert recs[-1] == {"summary": "dilate", "checks": "6", "failures": "0"}
-        assert len(calls) <= 3, name
+        assert len(calls) <= 2, name
 
 
 OVERSIZED = [

@@ -104,6 +104,40 @@ def test_sturm_count_matches_sorted_spectrum():
         assert sturm_count(t, x) == int(np.sum(ref < x))
 
 
+def test_sturm_count_counts_clamped_pivots_past_the_settle_row():
+    # rows 33.. have pivots below the 1e-290 clamp, which count as negative;
+    # without the clamp in the settle margin, x = 0 would leave the pass at
+    # row 32 (pivot 3e-290 > |b| = 0, x below every later a_j) with count 0
+    t = SymTridiag(np.r_[np.full(33, 3e-290), np.full(7, 5e-291)], np.zeros(39))
+    assert sturm_count(t, 0.0) == 7
+    assert sturm_count(t, np.array([-1.0, 0.0, 1e-291])).tolist() == [0, 7, 7]
+
+
+def test_ladder_rung_retirement_leaves_eigenvalues_bit_identical(monkeypatch):
+    # rungs above the first one counting k eigenvalues leave the ladder pass;
+    # the Airy (k=3) and oscillator (k=1) operators of airy-certify
+    op = dirichlet_operator(2e-3, 17.0)
+    x = 2e-3 * np.arange(1, op.n + 1)
+    osc = SymTridiag(dirichlet_operator(2e-3, 17.0, 0.0).diag + x**2, op.offdiag)
+    cases = ((op, 3), (osc, 1))
+    got = [tridiag_lowest_eigs(t, k) for t, k in cases]
+    kept = []
+    full_pass = linalg._sturm_pass
+
+    def no_retirement(t, xs, retire_at=0):
+        counts = full_pass(t, xs, retire_at)
+        if retire_at:
+            kept.append(counts.size)
+        return full_pass(t, xs)
+
+    monkeypatch.setattr(linalg, "_sturm_pass", no_retirement)
+    for (t, k), values in zip(cases, got):
+        assert np.array_equal(tridiag_lowest_eigs(t, k), values)
+    # of the 41 rungs, the Airy ladder keeps those up to about 7.6 and the
+    # oscillator ladder those up to about 3.8
+    assert kept == [24, 23]
+
+
 def test_tridiag_lowest_eigs_matches_dense_oracle():
     rng = np.random.default_rng(12)
     t = random_tridiag(rng, 60)

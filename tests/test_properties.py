@@ -87,6 +87,65 @@ def test_sturm_count_matches_dense_spectrum(seed, n):
     assert np.array_equal(sturm_count(t, probes), expected)
 
 
+def row_loop_counts(t: SymTridiag, xs: np.ndarray) -> np.ndarray:
+    """Sturm counts from the plain recurrence, every probe through every row."""
+    tiny = 1e-290
+    d = t.diag[0] - xs
+    d = np.where(np.abs(d) < tiny, -tiny, d)
+    count = (d < 0).astype(np.int64)
+    for i in range(1, t.n):
+        d = (t.diag[i] - xs) - (t.offdiag[i - 1] * t.offdiag[i - 1]) / d
+        d = np.where(np.abs(d) < tiny, -tiny, d)
+        count += d < 0
+    return count
+
+
+def settling_bands(rng, kind, n):
+    """Bands on which Sturm probes settle before the last row, and a generic control."""
+    if kind == "generic":
+        return rng.standard_normal(n), rng.standard_normal(n - 1)
+    if kind == "ramp":
+        # the Airy operator's shape: second differences plus a rising potential
+        slope = rng.uniform(1.0, 60.0)
+        return 2.0 + slope * np.arange(n) / n, -np.ones(n - 1)
+    if kind == "split":
+        # diagonally dominant with exact zero couplings: split into blocks
+        e = rng.standard_normal(n - 1) * (rng.random(n - 1) < 0.6)
+        return rng.integers(-3, 4, n) + 4.0 * np.arange(n) / n, e
+    # dominant: every row clears its couplings except near the top
+    return np.sort(rng.uniform(-2.0, 40.0, n)), rng.uniform(-1.0, 1.0, n - 1)
+
+
+@properties
+@given(seeds, st.integers(1, 160), st.integers(-3, 6).map(lambda e: 10.0**e),
+       st.sampled_from(["generic", "ramp", "split", "dominant"]))
+def test_sturm_count_early_exit_matches_row_loop(seed, n, scale, kind):
+    # the early exit must reproduce the full row loop bit for bit, also on
+    # probes placed exactly on eigenvalues and on the settle floors G_i
+    rng = np.random.default_rng(seed)
+    d, e = settling_bands(rng, kind, n)
+    t = SymTridiag(scale * d, scale * e)
+    radius = np.zeros(n)
+    radius[:-1] += np.abs(t.offdiag)
+    radius[1:] += np.abs(t.offdiag)
+    floors = np.minimum.accumulate((t.diag - radius)[::-1])[::-1]
+    ref = np.linalg.eigvalsh(t.dense())
+    on_points = np.concatenate([ref, floors, t.diag])
+    probes = np.concatenate([
+        on_points,
+        np.nextafter(on_points, np.inf),
+        np.nextafter(on_points, -np.inf),
+        rng.uniform(ref[0] - scale, ref[-1] + scale, 40),
+    ])
+    probes = rng.permutation(np.concatenate([probes, probes[: probes.size // 3]]))
+    expected = row_loop_counts(t, probes)
+    assert np.array_equal(sturm_count(t, probes), expected)
+    i = int(rng.integers(probes.size))
+    assert sturm_count(t, float(probes[i])) == expected[i]
+    assert np.array_equal(sturm_count(t, probes[: 2 * (probes.size // 2)].reshape(2, -1)),
+                          expected[: 2 * (probes.size // 2)].reshape(2, -1))
+
+
 def tridiagonal_bands(rng, kind, n):
     """Bands of a tridiagonal: generic, exact repeats, repeated or clustered blocks."""
     if kind == "generic":

@@ -1,11 +1,12 @@
 """Airy evaluation and the scaling-identity helpers against frozen oracles."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from timepovm.special import airy_ai, airy_zero, min_product_identity, universal_constant
+from timepovm.special import _airy_zeros_table, airy_ai, airy_zero, min_product_identity, universal_constant
 
 # reference values computed with 30-digit arbitrary-precision arithmetic
 # and frozen here; the point at the first zero is checked absolutely below
@@ -64,6 +65,13 @@ def test_airy_ai_satisfies_its_differential_equation():
 @pytest.mark.parametrize("k", sorted(ZEROS))
 def test_airy_zero_matches_frozen_oracle(k):
     assert abs(airy_zero(k) - ZEROS[k]) <= 1e-13
+
+
+def test_airy_zeros_table_is_unchanged_to_the_last_bit():
+    # the 20 zeros as repr floats from the per-node Horner evaluation;
+    # every half-line constant derives from them, so no bit may move
+    golden = (Path(__file__).parent / "golden" / "airy-zeros.txt").read_text()
+    assert "".join(f"{z!r}\n" for z in _airy_zeros_table()) == golden
 
 
 def test_airy_zero_bracketed_by_sign_changes():
