@@ -34,8 +34,6 @@ from .model import (
     EnergyGrid,
     build_halfline_povm,
     build_sharp_time_povm,
-    default_fullline_model,
-    default_halfline_model,
     gaussian_state,
     random_smooth_state,
     transported_minimal_state,
@@ -202,6 +200,13 @@ class _Report:
         return 0 if self.failures == 0 else 1
 
 
+def _compare(rep, name: str, value: float, ref: float, tol: float, key: str = "printed", **also) -> None:
+    """Emit a value-against-reference check; every condition in also must hold too."""
+    err = abs(value - ref)
+    ok = err <= tol and all(also.values())
+    rep.emit({"check": name, "value": value, key: ref, "error": err, **also, "tolerance": tol, "pass": ok})
+
+
 def cmd_airy_certify(args: argparse.Namespace) -> int:
     h, L, scale = args.h, args.domain_l, args.tolerance_scale
     _refuse_oversized_grid(h, L)
@@ -215,106 +220,36 @@ def cmd_airy_certify(args: argparse.Namespace) -> int:
         rep.emit({"airy_level": i, "eigenvalue": float(ev), "airy_zero": ref, "error": float(ev - ref)})
 
     lam1 = float(eigs[0])
-    tol = 1e-3 * scale + 2.0 * h * h
-    rep.emit(
-        {
-            "check": "ground-eigenvalue",
-            "value": lam1,
-            "printed": _PRINTED_LAMBDA1,
-            "error": abs(lam1 - _PRINTED_LAMBDA1),
-            "tolerance": tol,
-            "pass": abs(lam1 - _PRINTED_LAMBDA1) <= tol,
-        }
-    )
-    tol = 1e-6 * scale + 0.2 * h * h
-    rep.emit(
-        {
-            "check": "eigenvalue-vs-zero",
-            "value": lam1,
-            "reference": zeros[0],
-            "error": abs(lam1 - zeros[0]),
-            "tolerance": tol,
-            "pass": abs(lam1 - zeros[0]) <= tol,
-        }
-    )
+    _compare(rep, "ground-eigenvalue", lam1, _PRINTED_LAMBDA1, 1e-3 * scale + 2.0 * h * h)
+    _compare(rep, "eigenvalue-vs-zero", lam1, zeros[0], 1e-6 * scale + 0.2 * h * h, key="reference")
     d = universal_constant()
-    tol = 1e-3 * scale + h * h
-    rep.emit(
-        {
-            "check": "universal-constant",
-            "value": d,
-            "printed": _PRINTED_D,
-            "error": abs(d - _PRINTED_D),
-            "tolerance": tol,
-            "pass": abs(d - _PRINTED_D) <= tol,
-        }
-    )
+    _compare(rep, "universal-constant", d, _PRINTED_D, 1e-3 * scale + h * h)
 
     # beyond the agreement regime the descent value is reported but not
     # certified, so a short iteration budget is enough there
     budget = 100000 if h <= _ROUTE_AGREEMENT_H_MAX else 4000
-    spectral = minimize_product(h, L, method="spectral")
-    descent = minimize_product(h, L, method="descent", seed=args.seed, max_iter=budget)
-    rep.emit({"minimize": "product", "route": "spectral", "value": spectral.value})
-    rep.emit(
-        {
-            "minimize": "product",
-            "route": "descent",
-            "value": descent.value,
-            "iterations": descent.iterations,
-            "converged": descent.converged,
-        }
-    )
-    tol = 5e-4 * scale + h * h
-    rep.emit(
-        {
-            "check": "product-infimum",
-            "value": spectral.value,
-            "printed": _PRINTED_PRODUCT,
-            "error": abs(spectral.value - _PRINTED_PRODUCT),
-            "tolerance": tol,
-            "pass": abs(spectral.value - _PRINTED_PRODUCT) <= tol,
-        }
-    )
-    _route_agreement(rep, "product", spectral.value, descent, h, scale)
-
-    spectral_c = minimize_combined(h, L, method="spectral")
-    descent_c = minimize_combined(h, L, method="descent", seed=args.seed, max_iter=budget)
-    rep.emit({"minimize": "combined", "route": "spectral", "value": spectral_c.value})
-    rep.emit(
-        {
-            "minimize": "combined",
-            "route": "descent",
-            "value": descent_c.value,
-            "iterations": descent_c.iterations,
-            "converged": descent_c.converged,
-        }
-    )
-    tol = 1e-2 * scale + h * h
-    rep.emit(
-        {
-            "check": "combined-infimum",
-            "value": spectral_c.value,
-            "printed": _PRINTED_COMBINED,
-            "error": abs(spectral_c.value - _PRINTED_COMBINED),
-            "tolerance": tol,
-            "pass": abs(spectral_c.value - _PRINTED_COMBINED) <= tol,
-        }
-    )
-    _route_agreement(rep, "combined", spectral_c.value, descent_c, h, scale)
+    for name, minimize, printed, tol in (
+        ("product", minimize_product, _PRINTED_PRODUCT, 5e-4 * scale + h * h),
+        ("combined", minimize_combined, _PRINTED_COMBINED, 1e-2 * scale + h * h),
+    ):
+        spectral = minimize(h, L, method="spectral")
+        descent = minimize(h, L, method="descent", seed=args.seed, max_iter=budget)
+        rep.emit({"minimize": name, "route": "spectral", "value": spectral.value})
+        rep.emit(
+            {
+                "minimize": name,
+                "route": "descent",
+                "value": descent.value,
+                "iterations": descent.iterations,
+                "converged": descent.converged,
+            }
+        )
+        _compare(rep, f"{name}-infimum", spectral.value, printed, tol)
+        _route_agreement(rep, name, spectral.value, descent, h, scale)
+    # spectral now holds the combined infimum, the sharp right-hand side
     weaker = d * d + 0.25
     tol = 3e-3 * scale + h * h
-    rep.emit(
-        {
-            "check": "weaker-combined-rhs",
-            "value": weaker,
-            "printed": _PRINTED_WEAKER,
-            "error": abs(weaker - _PRINTED_WEAKER),
-            "strictly_below_sharp": weaker < spectral_c.value,
-            "tolerance": tol,
-            "pass": abs(weaker - _PRINTED_WEAKER) <= tol and weaker < spectral_c.value,
-        }
-    )
+    _compare(rep, "weaker-combined-rhs", weaker, _PRINTED_WEAKER, tol, strictly_below_sharp=weaker < spectral.value)
 
     rng = np.random.default_rng(args.seed)
     pairs = 10**4
@@ -407,20 +342,14 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if args.n is not None:
         _refuse_oversized("energy bins (--n)", args.n, _MAX_BOUNDS_BINS)
     if args.model == "fullline":
-        if args.n is None and args.de is None:
-            povm = default_fullline_model()
-        else:
-            n = args.n or 512
-            de = args.de or float(np.sqrt(2.0 * np.pi / n))
-            povm = build_sharp_time_povm(EnergyGrid(n, de, offset=-de * (n // 2)))
+        n = args.n or 512
+        de = args.de or float(np.sqrt(2.0 * np.pi / n))
+        povm = build_sharp_time_povm(EnergyGrid(n, de, offset=-de * (n // 2)))
     else:
-        if args.n is None and args.de is None:
-            povm = default_halfline_model()
-        else:
-            n = args.n or 2048
-            de = args.de or 0.01
-            cutoff = n // 2
-            povm = build_halfline_povm(EnergyGrid(n, de, offset=-de * cutoff), cutoff)
+        n = args.n or 2048
+        de = args.de or 0.01
+        cutoff = n // 2
+        povm = build_halfline_povm(EnergyGrid(n, de, offset=-de * cutoff), cutoff)
     grid = povm.grid
 
     items = _parse_states(args.states, args.model)

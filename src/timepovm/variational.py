@@ -7,12 +7,14 @@ second-difference operator, and the two certified functionals are
     product:   kinetic * mean(x)^2     (squared spread-mean bound)
     combined:  kinetic * mean(x^2)     (combined second-moment bound)
 
-Both are invariant under the unitary scale transformation, which on the
-grid is a pure relabeling: values pick up sqrt(mu) and the spacing becomes
-h/mu, with no interpolation and hence no invariance error.  The infima can
-be reached two independent ways, through the ground state of a tridiagonal
-operator or by preconditioned projected gradient descent, and the module
-exposes both so they can be played against each other.
+one family kinetic * mean(x^p)^q with p*q = 2, so the private helpers take
+the moment weight p alone (q = 2 // p).  Both are invariant under the
+unitary scale transformation, which on the grid is a pure relabeling:
+values pick up sqrt(mu) and the spacing becomes h/mu, with no interpolation
+and hence no invariance error.  The infima can be reached two independent
+ways, through the ground state of a tridiagonal operator or by
+preconditioned projected gradient descent, and the module exposes both so
+they can be played against each other.
 """
 
 from __future__ import annotations
@@ -149,20 +151,30 @@ def airy_operator_spectrum(h: float, L: float, slope: float = 1.0, k: int = 1) -
     return tuple(float(w) for w in tridiag_lowest_eigs(op, k))
 
 
-def minimal_state(h: float, L: float) -> GridState:
-    """Normalized ground state of the unit-slope operator, positive sign."""
-    lam = airy_operator_spectrum(h, L, 1.0, 1)[0]
-    op = dirichlet_operator(h, L, 1.0)
+def _ground_state(op: SymTridiag, lam: float, h: float, L: float) -> GridState:
+    """Normalized eigenvector of op at its lowest eigenvalue lam, positive sign."""
     vec = tridiag_eigenvector(op, lam)
     if float(vec.sum()) < 0.0:
         vec = -vec
     return _as_state(vec, h, L)
 
 
+def minimal_state(h: float, L: float) -> GridState:
+    """Normalized ground state of the unit-slope operator, positive sign."""
+    lam = airy_operator_spectrum(h, L, 1.0, 1)[0]
+    return _ground_state(dirichlet_operator(h, L, 1.0), lam, h, L)
+
+
 def _kinetic(values: np.ndarray, h: float) -> float:
     # edge sum includes both wall edges through the implicit zeros
     core = np.diff(values)
     return float(core @ core + values[0] ** 2 + values[-1] ** 2) / h
+
+
+def _moments(state: GridState, p: int) -> tuple[float, float]:
+    """(kinetic, mean of x^p) of a grid state."""
+    v = np.asarray(state.values)
+    return _kinetic(v, state.h), state.h * float((state.nodes**p) @ (np.abs(v) ** 2))
 
 
 def product_functional(state: GridState) -> tuple[float, float, float]:
@@ -172,18 +184,14 @@ def product_functional(state: GridState) -> tuple[float, float, float]:
     the squared time spread of a mean-zero-time state; the position mean
     plays the mean energy.
     """
-    v = np.asarray(state.values)
-    kin = _kinetic(v, state.h)
-    pos = state.h * float(state.nodes @ (np.abs(v) ** 2))
+    kin, pos = _moments(state, 1)
     return kin, pos, kin * pos * pos
 
 
 def combined_functional(state: GridState) -> tuple[float, float, float]:
     """(kinetic, second moment of position, their product)."""
-    v = np.asarray(state.values)
-    kin = _kinetic(v, state.h)
-    second = state.h * float((state.nodes**2) @ (np.abs(v) ** 2))
-    return kin, second, kin * second
+    kin, sec = _moments(state, 2)
+    return kin, sec, kin * sec
 
 
 def scaling_transform(state: GridState, mu: float) -> GridState:
@@ -199,6 +207,12 @@ def scaling_transform(state: GridState, mu: float) -> GridState:
     return GridState(math.sqrt(mu) * np.asarray(state.values), state.h / mu, state.L / mu)
 
 
+def _virial_rescale(state: GridState, p: int) -> GridState:
+    """Scale to the stationary point in mu, where p * mean(x^p) = 2 * kinetic."""
+    kin, mom = _moments(state, p)
+    return scaling_transform(state, ((p * mom) / (2.0 * kin)) ** (1.0 / (p + 2)))
+
+
 @dataclass(frozen=True)
 class MinimizationResult:
     value: float
@@ -208,38 +222,62 @@ class MinimizationResult:
     iterations: int
 
 
-def _descent(h: float, L: float, grad_fn, value_fn, pot_fn, seed: int, max_iter: int):
+def _moment_batch(phi: np.ndarray, h: float, w: np.ndarray):
+    """Second-difference action, kinetic and weighted moment per column."""
+    grads_k = np.empty_like(phi)
+    # tridiagonal action of the second-difference operator, batched
+    grads_k[0] = 2.0 * phi[0] - phi[1]
+    grads_k[-1] = 2.0 * phi[-1] - phi[-2]
+    grads_k[1:-1] = 2.0 * phi[1:-1] - phi[:-2] - phi[2:]
+    grads_k /= h * h
+    kin = h * np.sum(phi * grads_k, axis=0)
+    mom = h * np.sum(w[:, None] * phi**2, axis=0)
+    return grads_k, kin, mom
+
+
+def _descent(h: float, L: float, p: int, seed: int, max_iter: int):
     """Batched projected gradient descent over unit-norm Dirichlet states.
 
-    Steps are preconditioned by (T + potential + 1)^{-1}, with the potential
-    matching the functional being minimized; without the potential term the
+    Steps are preconditioned by (T + x^p + 1)^{-1}, the potential matching
+    the functional being minimized; without the potential term the
     far-field modes converge at a crawl.  All restart columns advance
     together; each column owns its step size, halved on any non-decrease and
     grown gently on success.  A column stops improving when its relative
     decrease falls below 1e-12; the batch stops when every column has.
+    Returns (value, virial-rescaled best state, iterations, converged).
     """
     base = dirichlet_operator(h, L, 0.0)
     m = base.n
     rng = np.random.default_rng(seed)
-    x = h * np.arange(1, m + 1)
-    prec = TridiagFactor(SymTridiag(base.diag + pot_fn(x) + 1.0, base.offdiag))
+    w = (h * np.arange(1, m + 1)) ** p
+    prec = TridiagFactor(SymTridiag(base.diag + w + 1.0, base.offdiag))
+    q = 2 // p
+
+    def value(phi):
+        _, kin, mom = _moment_batch(phi, h, w)
+        return kin * mom**q
+
+    def grad(phi):
+        # d/dphi of kin * mom^q, both factors being quadratic forms
+        gk, kin, mom = _moment_batch(phi, h, w)
+        return 2.0 * gk * (mom**q)[None, :] + ((2.0 * q * kin) * mom ** (q - 1))[None, :] * (w[:, None] * phi)
 
     # smoothed noise: random but not adversarially rough, pulled toward the
     # origin where both minimizers concentrate
     phi = prec.solve(rng.standard_normal((m, _RESTARTS)))
     phi /= math.sqrt(h) * np.linalg.norm(phi, axis=0, keepdims=True)
-    best = value_fn(phi, h)
+    best = value(phi)
     step = np.full(_RESTARTS, 1.0)
     active = np.ones(_RESTARTS, dtype=bool)
     iters = 0
     for iters in range(1, max_iter + 1):
-        g = grad_fn(phi, h)
+        g = grad(phi)
         # project out the radial component in the h-weighted metric
         g -= phi * (h * np.sum(phi * g, axis=0, keepdims=True))
         d = prec.solve(g)
         trial = phi - step[None, :] * d
         trial /= math.sqrt(h) * np.linalg.norm(trial, axis=0, keepdims=True)
-        val = value_fn(trial, h)
+        val = value(trial)
         improved = val < best
         rel = np.where(improved, (best - val) / np.maximum(np.abs(best), 1e-300), 0.0)
         phi = np.where(improved[None, :], trial, phi)
@@ -250,56 +288,25 @@ def _descent(h: float, L: float, grad_fn, value_fn, pot_fn, seed: int, max_iter:
         if not active.any():
             break
     j = int(np.argmin(best))
-    converged = iters < max_iter
-    return float(best[j]), phi[:, j], iters, converged
+    state = _virial_rescale(_as_state(phi[:, j], h, L), p)
+    return float(best[j]), state, iters, iters < max_iter
 
 
-def _product_batch(phi: np.ndarray, h: float):
-    x = h * np.arange(1, phi.shape[0] + 1)
-    grads_k = np.empty_like(phi)
-    # tridiagonal action of the second-difference operator, batched
-    grads_k[0] = 2.0 * phi[0] - phi[1]
-    grads_k[-1] = 2.0 * phi[-1] - phi[-2]
-    grads_k[1:-1] = 2.0 * phi[1:-1] - phi[:-2] - phi[2:]
-    grads_k /= h * h
-    kin = h * np.sum(phi * grads_k, axis=0)
-    pos = h * np.sum(x[:, None] * phi**2, axis=0)
-    return grads_k, kin, pos, x
-
-
-def _make_product_fns():
-    def value(phi, h):
-        gk, kin, pos, _ = _product_batch(phi, h)
-        return kin * pos**2
-
-    def grad(phi, h):
-        gk, kin, pos, x = _product_batch(phi, h)
-        return 2.0 * gk * (pos**2)[None, :] + (4.0 * kin * pos)[None, :] * (x[:, None] * phi)
-
-    return value, grad
-
-
-def _make_combined_fns():
-    def moments(phi, h):
-        gk, kin, _, x = _product_batch(phi, h)
-        sec = h * np.sum((x**2)[:, None] * phi**2, axis=0)
-        return gk, kin, sec, x
-
-    def value(phi, h):
-        _, kin, sec, _ = moments(phi, h)
-        return kin * sec
-
-    def grad(phi, h):
-        gk, kin, sec, x = moments(phi, h)
-        return 2.0 * gk * sec[None, :] + (2.0 * kin)[None, :] * ((x**2)[:, None] * phi)
-
-    return value, grad
+def _minimize(p: int, h, L, method, seed, max_iter, spectral) -> MinimizationResult:
+    """Either route for the weight x^p; spectral() gives (infimum, ground state)."""
+    if method == "spectral":
+        value, ground = spectral()
+        return MinimizationResult(value, _virial_rescale(ground, p), "spectral", True, 0)
+    if method != "descent":
+        raise ValueError(f"unknown method {method!r}; expected 'spectral' or 'descent'")
+    val, state, iters, conv = _descent(h, L, p, seed, max_iter)
+    return MinimizationResult(val, state, "descent", conv, iters)
 
 
 def minimize_product(
     h: float,
     L: float,
-    method: str = "spectral",
+    method: str,
     seed: int = 0,
     max_iter: int = 100000,
 ) -> MinimizationResult:
@@ -312,30 +319,18 @@ def minimize_product(
     preconditioned projected gradient steps, step halving on non-decrease.
     The two agreeing is a genuine cross-check, not a tautology.
     """
-    if method == "spectral":
+
+    def spectral():
         lam = airy_operator_spectrum(h, L, 1.0, 1)[0]
-        ground = minimal_state(h, L)
-        kin, pos, _ = product_functional(ground)
-        mu = (pos / (2.0 * kin)) ** (1.0 / 3.0)
-        scaled = scaling_transform(ground, mu)
-        value = 4.0 / 27.0 * lam**3
-        return MinimizationResult(value, scaled, "spectral", True, 0)
-    if method != "descent":
-        raise ValueError(f"unknown method {method!r}; expected 'spectral' or 'descent'")
-    value_fn, grad_fn = _make_product_fns()
-    val, vec, iters, conv = _descent(
-        h, L, grad_fn, value_fn, lambda x: x, seed, max_iter
-    )
-    state = _as_state(vec, h, L)
-    kin, pos, _ = product_functional(state)
-    state = scaling_transform(state, (pos / (2.0 * kin)) ** (1.0 / 3.0))
-    return MinimizationResult(val, state, "descent", conv, iters)
+        return 4.0 / 27.0 * lam**3, minimal_state(h, L)
+
+    return _minimize(1, h, L, method, seed, max_iter, spectral)
 
 
 def minimize_combined(
     h: float,
     L: float,
-    method: str = "descent",
+    method: str,
     seed: int = 0,
     max_iter: int = 100000,
 ) -> MinimizationResult:
@@ -345,28 +340,15 @@ def minimize_combined(
     energy; the continuum value is (3/2)^2 with minimizer proportional to
     x*exp(-x^2/2) after optimal scaling.
     """
-    if method == "spectral":
+
+    def spectral():
         op = dirichlet_operator(h, L, 0.0)
         x = h * np.arange(1, op.n + 1)
         osc = SymTridiag(op.diag + x**2, op.offdiag)
         e0 = float(tridiag_lowest_eigs(osc, 1)[0])
-        vec = tridiag_eigenvector(osc, e0)
-        if float(vec.sum()) < 0.0:
-            vec = -vec
-        state = _as_state(vec, h, L)
-        kin, sec, _ = combined_functional(state)
-        mu = (sec / kin) ** 0.25
-        return MinimizationResult((e0 / 2.0) ** 2, scaling_transform(state, mu), "spectral", True, 0)
-    if method != "descent":
-        raise ValueError(f"unknown method {method!r}; expected 'spectral' or 'descent'")
-    value_fn, grad_fn = _make_combined_fns()
-    val, vec, iters, conv = _descent(
-        h, L, grad_fn, value_fn, lambda x: x * x, seed, max_iter
-    )
-    state = _as_state(vec, h, L)
-    kin, sec, _ = combined_functional(state)
-    state = scaling_transform(state, (sec / kin) ** 0.25)
-    return MinimizationResult(val, state, "descent", conv, iters)
+        return (e0 / 2.0) ** 2, _ground_state(osc, e0, h, L)
+
+    return _minimize(2, h, L, method, seed, max_iter, spectral)
 
 
 @dataclass(frozen=True)
@@ -402,7 +384,8 @@ def verify_min_identity_chain(
     for a, b in zip(a_arr.ravel(), b_arr.ravel()):
         inf_val, arg = min_product_identity(a, b)
         lam = arg * grid
-        f = (4.0 / 27.0) * (a + lam * b) ** 3 / lam**2
+        t = a + lam * b
+        f = (4.0 / 27.0) * (t * t * t) / lam**2
         worst_floor = max(worst_floor, float(inf_val - f.min()))
         lam_star = float(lam[np.argmin(f)])
         # offset in decades, same unit as the scan grid spacing

@@ -6,6 +6,7 @@ certification report.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +43,9 @@ def test_criterion_01_airy_ground_eigenvalue(capsys):
     rc = main(["airy-certify"])
     elapsed = time.perf_counter() - t0
     out = capsys.readouterr().out
+    # every record of the default grid, pinned to the last printed digit
+    golden = (Path(__file__).parent / "golden" / "airy-certify-default.txt").read_text()
+    assert out == golden
     level1 = next(ln for ln in out.split("\n") if ln.startswith("airy_level=1 "))
     lam1 = float(dict(f.split("=", 1) for f in level1.split())["eigenvalue"])
     err_printed = abs(lam1 - 2.338)

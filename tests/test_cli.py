@@ -155,6 +155,24 @@ def test_bounds_halfline_minimal(capsys):
     assert recs[-1]["failures"] == "0"
 
 
+def test_bounds_default_grid_is_the_reference_model(capsys):
+    # leaving out --n and --de builds the same family as spelling out the
+    # reference grids of default_fullline_model and default_halfline_model
+    minimal = ["bounds", "--model", "halfline", "--states", "minimal"]
+    for implicit, explicit in ((["bounds"], ["bounds", "--n", "512"]), (minimal, minimal + ["--n", "2048", "--de", "0.01"])):
+        assert main(implicit) == 0
+        want = capsys.readouterr().out
+        assert main(explicit) == 0
+        assert capsys.readouterr().out == want
+    for argv, reference in ((["bounds"], model.default_fullline_model()), (minimal, model.default_halfline_model())):
+        assert main(argv) == 0
+        _, recs = records(capsys)
+        assert recs[0]["n_bins"] == str(reference.n_bins)
+        assert recs[0]["dim"] == str(reference.dim)
+        assert recs[0]["de"] == format(float(reference.grid.de), ".12g")
+        assert recs[0]["tau"] == format(float(reference.lattice.tau), ".12g")
+
+
 def test_bounds_random_family(capsys):
     assert main(["bounds", "--model", "halfline", "--states", "random:1..3"]) == 0
     _, recs = records(capsys)

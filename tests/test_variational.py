@@ -184,6 +184,22 @@ def test_minimize_combined_routes_agree_and_shape():
     assert abs(st.h * float(st.values @ ref)) >= 0.999
 
 
+def test_minimize_combined_minimizers_satisfy_the_virial_identity():
+    # at p = 2 the shared rescale makes kinetic equal the second moment
+    for method in ("spectral", "descent"):
+        res = minimize_combined(2e-3, 14.0, method=method)
+        kin, sec, prod = combined_functional(res.minimizer)
+        assert abs(kin - sec) <= 1e-10 * sec
+        assert abs(prod - res.value) <= 1e-6 * res.value
+
+
+def test_minimize_needs_a_method():
+    with pytest.raises(TypeError):
+        minimize_product(1e-2, 10.0)
+    with pytest.raises(TypeError):
+        minimize_combined(1e-2, 10.0)
+
+
 def test_minimize_rejects_unknown_method():
     with pytest.raises(ValueError):
         minimize_product(1e-2, 10.0, method="annealing")
