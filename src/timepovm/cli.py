@@ -31,9 +31,8 @@ from .formats import (
     save_state_table,
 )
 from .model import (
-    EnergyGrid,
-    build_halfline_povm,
-    build_sharp_time_povm,
+    default_fullline_model,
+    default_halfline_model,
     gaussian_state,
     random_smooth_state,
     transported_minimal_state,
@@ -79,14 +78,21 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive: {text}")
-    return value
+def _int_from(least: int, what: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be {what}: {text}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_from(1, "positive")
+_seed = _int_from(0, "non-negative")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0, help="base seed for all randomness")
+        p.add_argument("--seed", type=_seed, default=0, help="base seed for all randomness")
         p.add_argument("--out", default=None, help="also write the report (or fixtures) here")
         p.add_argument(
             "--tolerance-scale",
@@ -297,7 +303,7 @@ def cmd_dilate(args: argparse.Namespace) -> int:
         print(format_record({"error": "axiom-violated", "axiom": verdict.failed_axioms[0]}))
         return 1
 
-    built = dila._dilate_verdict(povm, verdict)
+    built = dila.build_dilation(povm, verdict)
     rep.emit({"dilation": "built", "rank": built.rank, "discarded": built.discarded_count})
     tol = 1e-10 * scale
     states = [random_smooth_state(povm.grid, args.seed + i) for i in range(5)]
@@ -325,13 +331,12 @@ def _parse_states(spec: str, model: str):
     if spec.startswith("random:"):
         body = spec[len("random:") :]
         try:
-            if ".." in body:
-                first, last = body.split("..", 1)
-                lo, hi = int(first), int(last)
-                if hi < lo:
-                    raise ValueError
-                return [("random", s) for s in range(lo, hi + 1)]
-            return [("random", int(body))]
+            first, dots, last = body.partition("..")
+            lo = int(first)
+            hi = int(last) if dots else lo
+            if not 0 <= lo <= hi:
+                raise ValueError
+            return [("random", s) for s in range(lo, hi + 1)]
         except ValueError:
             raise ValueError(f"bad --states value {spec!r}; use random:SEED or random:FIRST..LAST") from None
     raise ValueError(f"unknown --states value {spec!r}")
@@ -341,18 +346,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     scale = args.tolerance_scale
     if args.n is not None:
         _refuse_oversized("energy bins (--n)", args.n, _MAX_BOUNDS_BINS)
-    if args.model == "fullline":
-        n = args.n or 512
-        de = args.de or float(np.sqrt(2.0 * np.pi / n))
-        povm = build_sharp_time_povm(EnergyGrid(n, de, offset=-de * (n // 2)))
-    else:
-        n = args.n or 2048
-        de = args.de or 0.01
-        cutoff = n // 2
-        povm = build_halfline_povm(EnergyGrid(n, de, offset=-de * cutoff), cutoff)
-    grid = povm.grid
-
     items = _parse_states(args.states, args.model)
+    build = default_fullline_model if args.model == "fullline" else default_halfline_model
+    povm = build(args.n, args.de)
+    grid = povm.grid
     if args.check == "auto":
         checks = ("time-energy", "positive-energy", "combined") if args.model == "halfline" else ("time-energy",)
     elif args.check == "all":
@@ -433,13 +430,11 @@ def cmd_emit_fixtures(args: argparse.Namespace) -> int:
     n = args.n
     rep = _Report("emit-fixtures")
 
-    de = float(np.sqrt(2.0 * np.pi / n))
-    sharp = build_sharp_time_povm(EnergyGrid(n, de, offset=-de * (n // 2)))
-    half_de = 0.3
-    half = build_halfline_povm(EnergyGrid(n, half_de, offset=-half_de * (n // 2)), n // 2)
+    sharp = default_fullline_model(n)
+    half = default_halfline_model(n, 0.3)
     rng = np.random.default_rng(args.seed)
     generator = np.exp(2j * np.pi * rng.random(n)) / np.sqrt(n)
-    vector = vector_generated_povm(EnergyGrid(n, de, offset=-de * (n // 2)), generator)
+    vector = vector_generated_povm(sharp.grid, generator)
     table_state = minimal_state(args.h, args.domain_l)
 
     try:

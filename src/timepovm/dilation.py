@@ -68,26 +68,24 @@ class Dilation:
         return (self.blocks.reshape(n * r, dim) @ state.amplitudes).reshape(n, r)
 
 
-def build_dilation(povm: CovariantPOVM, validate_tol: float = 1e-10) -> Dilation:
+def build_dilation(povm: CovariantPOVM, report: PovmValidation | None = None) -> Dilation:
     """Construct the block-form dilation of a validated observable.
 
-    The family is checked against its axioms first; a family that is not
-    complete, covariant, positive and additive at ``validate_tol`` has no
-    dilation of this kind, and the error says which axiom failed.  Only
-    effect 0 is diagonalized; block k holds its retained eigenvectors W
-    transported to P^k W, which are eigenvectors of effect k up to the
-    covariance drift that validation measured.  Eigenvalues below ``_EPS``
-    times the largest are treated as exact zeros and dropped; an eigenvalue
-    below -1e-8 times the largest means the input was not an effect at all.
-    The shift is assembled from the blocks as
-    sqrt(L) (P^(k+1) W)^dagger P (P^k W) / sqrt(L), so its residuals in the
-    checks measure rounding rather than reading back an identity.
+    ``report`` is a validation of ``povm`` the caller already holds; without
+    one the family is validated here at the default tolerance.  A family
+    that is not complete, covariant, positive and additive has no dilation
+    of this kind, and the error says which axiom failed.  Only effect 0 is
+    diagonalized; block k holds its retained eigenvectors W transported to
+    P^k W, which are eigenvectors of effect k up to the covariance drift
+    that validation measured.  Eigenvalues below ``_EPS`` times the largest
+    are treated as exact zeros and dropped; an eigenvalue below -1e-8 times
+    the largest means the input was not an effect at all.  The shift is
+    assembled from the blocks as sqrt(L) (P^(k+1) W)^dagger P (P^k W) /
+    sqrt(L), so its residuals in the checks measure rounding rather than
+    reading back an identity.
     """
-    return _dilate_verdict(povm, validate_povm(povm, tol=validate_tol))
-
-
-def _dilate_verdict(povm: CovariantPOVM, report: PovmValidation) -> Dilation:
-    """build_dilation from a validation of povm the caller already holds."""
+    if report is None:
+        report = validate_povm(povm)
     if not report.passed:
         raise ValueError(f"observable fails validation ({', '.join(report.failed_axioms)}); cannot dilate")
 

@@ -25,6 +25,7 @@ from .special import airy_ai, airy_zero
 
 __all__ = [
     "EnergyGrid",
+    "centered_grid",
     "TimeLattice",
     "StateVector",
     "CovariantPOVM",
@@ -70,9 +71,16 @@ class EnergyGrid:
     def energies(self) -> np.ndarray:
         return self.offset + self.de * np.arange(self.n)
 
-    @property
-    def span(self) -> float:
-        return self.de * (self.n - 1)
+
+def centered_grid(n: int, de: float | None = None) -> EnergyGrid:
+    """n energies at spacing de with energy 0 at index n // 2.
+
+    Without ``de`` the spacing is the self-dual sqrt(2*pi/n), at which the
+    energy span and the time period of the conjugate lattice are equal.
+    """
+    if de is None:
+        de = float(np.sqrt(2.0 * np.pi / n))
+    return EnergyGrid(n, de, offset=-de * (n // 2))
 
 
 @dataclass(frozen=True)
@@ -288,11 +296,7 @@ class CovariantPOVM:
         return self._kernels_at(np.arange(self.n_bins))
 
     def effect(self, k: int) -> np.ndarray:
-        k = int(k) % self.n_bins
-        if self.generator is not None:
-            kk = self._kernels_at([k])[0]
-            return kk.conj().T @ kk
-        return self.dense[k].copy()
+        return self.sum_effects([int(k) % self.n_bins])
 
     def sum_effects(self, bins=None) -> np.ndarray:
         """Sum of the effects over ``bins`` (default: all), from one stacked product."""
@@ -539,29 +543,27 @@ def random_smooth_state(grid: EnergyGrid, seed: int) -> StateVector:
     return _normalized_state(grid, raw)
 
 
-def default_fullline_model() -> CovariantPOVM:
+def default_fullline_model(n: int | None = None, de: float | None = None) -> CovariantPOVM:
     """Reference full-line model for bound certification.
 
-    512 energies at the self-dual spacing sqrt(2*pi/512), centered on zero:
-    energy span and time period are then equal, which balances the two
-    truncation errors for states of order-one width.
+    By default 512 energies at the self-dual spacing sqrt(2*pi/512),
+    centered on zero: energy span and time period are then equal, which
+    balances the two truncation errors for states of order-one width.
     """
-    n = 512
-    de = float(np.sqrt(2.0 * np.pi / n))
-    return build_sharp_time_povm(EnergyGrid(n, de, offset=-de * (n // 2)))
+    return build_sharp_time_povm(centered_grid(512 if n is None else n, de))
 
 
-def default_halfline_model() -> CovariantPOVM:
+def default_halfline_model(n: int | None = None, de: float | None = None) -> CovariantPOVM:
     """Reference positive-spectrum model for bound certification.
 
-    Compresses a 2048-point grid at spacing 0.01 onto its upper half, so
-    the retained spectrum is [0, 10.23] and the time period is about 628.
-    The long period keeps the slow time tails of boundary-kinked states
-    from biasing second moments at the tolerance level.
+    Compresses a centered grid onto its upper half, energies from index
+    n // 2 on.  By default 2048 points at spacing 0.01, so the retained
+    spectrum is [0, 10.23] and the time period is about 628; the long
+    period keeps the slow time tails of boundary-kinked states from
+    biasing second moments at the tolerance level.
     """
-    n, cutoff = 2048, 1024
-    de = 0.01
-    return build_halfline_povm(EnergyGrid(n, de, offset=-de * cutoff), cutoff)
+    n = 2048 if n is None else n
+    return build_halfline_povm(centered_grid(n, 0.01 if de is None else de), n // 2)
 
 
 def transported_minimal_state(grid: EnergyGrid) -> StateVector:

@@ -29,8 +29,6 @@ _POS_MAX = 30.0
 _ANCHOR = 36.0
 _TERMS = 30
 
-_ladder_cache: dict[str, np.ndarray] = {}
-
 
 def _taylor_coeffs(x0: float, y: float, yp: float) -> np.ndarray:
     """Taylor coefficients of the solution of y'' = x*y around x0."""
@@ -54,7 +52,12 @@ def _taylor_step(x0: float, y: float, yp: float, dx: float) -> tuple[float, floa
     return val, der
 
 
-def _build_ladder() -> None:
+@functools.lru_cache(maxsize=1)
+def _ladder() -> tuple[np.ndarray, np.ndarray]:
+    """Expansion nodes and the Taylor coefficients of Ai at each of them.
+
+    Row k of the coefficients holds the degree-k coefficient at every node.
+    """
     nodes = np.round(np.arange(_NEG_MIN, _POS_MAX + 0.5 * _STEP, _STEP), 10)
     zero_idx = int(np.round(-_NEG_MIN / _STEP))
     values = np.empty(nodes.size)
@@ -83,9 +86,10 @@ def _build_ladder() -> None:
     coeffs = np.empty((nodes.size, _TERMS))
     for i in range(nodes.size):
         coeffs[i] = _taylor_coeffs(nodes[i], values[i], derivs[i])
-    _ladder_cache["nodes"] = nodes
-    # row k holds the degree-k coefficient at every node
-    _ladder_cache["coeffs"] = np.ascontiguousarray(coeffs.T)
+    coeffs = np.ascontiguousarray(coeffs.T)
+    for a in (nodes, coeffs):
+        a.flags.writeable = False
+    return nodes, coeffs
 
 
 def airy_ai(x):
@@ -94,8 +98,6 @@ def airy_ai(x):
     Supported window is [-24, 30], generous compared to the guaranteed
     relative accuracy range [-15, 10]; arguments outside raise ValueError.
     """
-    if not _ladder_cache:
-        _build_ladder()
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     flat = np.atleast_1d(arr).astype(float).ravel()
@@ -106,8 +108,7 @@ def airy_ai(x):
             raise ValueError(
                 f"argument outside supported window [{_NEG_MIN}, {_POS_MAX}]"
             )
-    nodes = _ladder_cache["nodes"]
-    coeffs = _ladder_cache["coeffs"]
+    nodes, coeffs = _ladder()
     idx = np.clip(np.round((flat - _NEG_MIN) / _STEP).astype(int), 0, nodes.size - 1)
     dx = flat - nodes[idx]
     # one Horner recurrence for all points, each with the coefficients of its node

@@ -53,7 +53,6 @@ class OccurrenceDistribution:
 
     times: np.ndarray
     probabilities: np.ndarray
-    period: float
 
     def mean(self) -> float:
         return float(self.times @ self.probabilities)
@@ -91,7 +90,7 @@ def occurrence_distribution(povm: CovariantPOVM, state: StateVector) -> Occurren
         raise ValueError(f"occurrence probabilities sum to {total!r}; observable is not normalized here")
     if abs(total - 1.0) > 1e-10:
         p = p / total
-    return OccurrenceDistribution(povm.lattice.centers, p, povm.lattice.period)
+    return OccurrenceDistribution(povm.lattice.centers, p)
 
 
 def energy_moments(state: StateVector) -> tuple[float, float]:

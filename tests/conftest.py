@@ -9,9 +9,7 @@ import pytest
 
 from timepovm.dilation import build_dilation
 from timepovm.model import (
-    EnergyGrid,
-    build_halfline_povm,
-    build_sharp_time_povm,
+    centered_grid,
     default_fullline_model,
     default_halfline_model,
     vector_generated_povm,
@@ -19,32 +17,26 @@ from timepovm.model import (
 from timepovm.variational import minimal_state
 
 
-def selfdual_grid(n: int) -> EnergyGrid:
-    de = float(np.sqrt(2.0 * np.pi / n))
-    return EnergyGrid(n, de, offset=-de * (n // 2))
-
-
 @pytest.fixture(scope="session")
 def sharp16():
-    return build_sharp_time_povm(selfdual_grid(16))
+    return default_fullline_model(16)
 
 
 @pytest.fixture(scope="session")
 def sharp64():
-    return build_sharp_time_povm(selfdual_grid(64))
+    return default_fullline_model(64)
 
 
 @pytest.fixture(scope="session")
 def halfline64():
-    de = 0.3
-    return build_halfline_povm(EnergyGrid(64, de, offset=-de * 32), 32)
+    return default_halfline_model(64, 0.3)
 
 
 @pytest.fixture(scope="session")
 def vector64():
     rng = np.random.default_rng(0)
     generator = np.exp(2j * np.pi * rng.random(64)) / np.sqrt(64.0)
-    return vector_generated_povm(selfdual_grid(64), generator)
+    return vector_generated_povm(centered_grid(64), generator)
 
 
 @pytest.fixture(scope="session")

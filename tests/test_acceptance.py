@@ -15,8 +15,8 @@ from timepovm import dilation as dila
 from timepovm import uncertainty as unc
 from timepovm.cli import main
 from timepovm.model import (
-    EnergyGrid,
     build_sharp_time_povm,
+    centered_grid,
     gaussian_state,
     random_smooth_state,
     transported_minimal_state,
@@ -211,7 +211,7 @@ def test_criterion_10_ccr_residual_convergence():
     for center, width in ((0.0, 1.0), (0.3, 0.8), (0.3, 1.3)):
         residuals = []
         for n in (512, 1024):
-            povm = build_sharp_time_povm(EnergyGrid(n, de, offset=-de * (n // 2)))
+            povm = build_sharp_time_povm(centered_grid(n, de))
             state = gaussian_state(povm.grid, center, width)
             residuals.append(abs(unc.ccr_residual(povm, state)))
         ratios.append(residuals[0] / residuals[1])

@@ -13,10 +13,8 @@ import pytest
 from timepovm import cli, dilation, linalg, model
 from timepovm.cli import main
 from timepovm.formats import save_povm
-from timepovm.model import CovariantPOVM, build_sharp_time_povm
+from timepovm.model import CovariantPOVM, build_sharp_time_povm, centered_grid
 from timepovm.variational import airy_operator_spectrum
-
-from conftest import selfdual_grid
 
 
 def records(capsys):
@@ -233,7 +231,7 @@ def test_report_file_matches_stdout(tmp_path, capsys):
 def test_dilate_indefinite_file_reports_positivity(tmp_path, capsys):
     # a zero-diagonal perturbation transported covariantly from bin to bin
     # sums to zero over a period, so only positivity breaks
-    povm = build_sharp_time_povm(selfdual_grid(8))
+    povm = build_sharp_time_povm(centered_grid(8))
     phases = np.exp(1j * povm.grid.energies * povm.lattice.tau)
     bump = np.zeros((8, 8), dtype=complex)
     bump[0, 1] = bump[1, 0] = 0.3
@@ -252,8 +250,8 @@ def test_numerical_breakdown_is_one_record_exit_one(tmp_path, capsys, monkeypatc
         raise RuntimeError("jacobi iteration did not converge within the sweep limit")
 
     path = tmp_path / "sharp8.json"
-    save_povm(build_sharp_time_povm(selfdual_grid(8)), path)
-    monkeypatch.setattr("timepovm.cli.dila._dilate_verdict", breakdown)
+    save_povm(build_sharp_time_povm(centered_grid(8)), path)
+    monkeypatch.setattr("timepovm.cli.dila.build_dilation", breakdown)
     assert main(["dilate", str(path)]) == 1
     _, recs = records(capsys)
     assert recs[-1] == {"error": "numerical", "detail": "jacobi iteration did not converge within the sweep limit"}
@@ -263,7 +261,7 @@ def test_written_files_honour_the_umask(tmp_path, capsys):
     old = os.umask(0o022)
     try:
         fixture = tmp_path / "fixture.json"
-        save_povm(build_sharp_time_povm(selfdual_grid(8)), fixture)
+        save_povm(build_sharp_time_povm(centered_grid(8)), fixture)
         report = tmp_path / "report.txt"
         assert main(["dilate", str(fixture), "--out", str(report)]) == 0
     finally:
@@ -325,25 +323,47 @@ def test_bounds_builds_no_fourier_map_and_one_distribution_per_state(capsys, mon
 
 
 def test_dilate_validates_once(tmp_path, capsys, monkeypatch):
-    # the dilation is built from the verdict the command already printed
-    calls = []
-    validate = model.validate_povm
+    # the public builder makes the dilation from the verdict the command
+    # already printed
+    calls, builds = [], []
+    validate, build = model.validate_povm, dilation.build_dilation
 
     def counted(povm, *args, **kwargs):
         calls.append(povm.n_bins)
         return validate(povm, *args, **kwargs)
 
+    def counted_build(povm, *args, **kwargs):
+        builds.append(povm.n_bins)
+        return build(povm, *args, **kwargs)
+
     for module in (cli, dilation):
         monkeypatch.setattr(module, "validate_povm", counted)
+    monkeypatch.setattr(dilation, "build_dilation", counted_build)
     path = tmp_path / "sharp.json"
-    save_povm(build_sharp_time_povm(selfdual_grid(16)), path)
+    save_povm(build_sharp_time_povm(centered_grid(16)), path)
     assert main(["dilate", str(path)]) == 0
     _, recs = records(capsys)
     assert recs[-1] == {"summary": "dilate", "checks": "6", "failures": "0"}
     assert calls == [16]
+    assert builds == [16]
     # library callers still get a validated dilation
-    assert dilation.build_dilation(build_sharp_time_povm(selfdual_grid(16))).rank == 16
+    assert dilation.build_dilation(build_sharp_time_povm(centered_grid(16))).rank == 16
     assert calls == [16, 16]
+
+
+def test_negative_seeds_are_refused_before_any_work(tmp_path, capsys):
+    path = tmp_path / "sharp.json"
+    save_povm(build_sharp_time_povm(centered_grid(8)), path)
+    for argv in (
+        ["airy-certify", "--seed", "-1"],
+        ["dilate", str(path), "--seed", "-5"],
+        ["bounds", "--states", "random:-2..1"],
+        ["bounds", "--states", "random:-3"],
+    ):
+        assert main(argv) == 2, argv
+        out = capsys.readouterr().out
+        # at most the one error record: no header, no data
+        assert all(line.startswith("error=config ") for line in out.splitlines()), argv
 
 
 @pytest.mark.parametrize("n", [8, 64])
@@ -389,8 +409,8 @@ def stop_builders(monkeypatch):
         raise Reached
 
     for name in (
-        "build_sharp_time_povm",
-        "build_halfline_povm",
+        "default_fullline_model",
+        "default_halfline_model",
         "vector_generated_povm",
         "minimal_state",
         "airy_operator_spectrum",

@@ -16,21 +16,20 @@ from timepovm.model import (
     EnergyGrid,
     build_halfline_povm,
     build_sharp_time_povm,
+    centered_grid,
     random_smooth_state,
     vector_generated_povm,
 )
-
-from conftest import selfdual_grid
 
 
 @pytest.fixture(scope="module")
 def small_dilations():
     rng = np.random.default_rng(7)
-    sharp = build_sharp_time_povm(selfdual_grid(12))
+    sharp = build_sharp_time_povm(centered_grid(12))
     de = 0.4
     half = build_halfline_povm(EnergyGrid(24, de, offset=-de * 12), 12)
     gen = np.exp(2j * np.pi * rng.random(12)) / np.sqrt(12.0)
-    vector = vector_generated_povm(selfdual_grid(12), gen)
+    vector = vector_generated_povm(centered_grid(12), gen)
     return {p.label: build_dilation(p) for p in (sharp, half, vector)}
 
 
@@ -112,7 +111,7 @@ def test_rank_bookkeeping(small_dilations):
 
 
 def test_build_dilation_rejects_invalid_family():
-    sharp = build_sharp_time_povm(selfdual_grid(8))
+    sharp = build_sharp_time_povm(centered_grid(8))
     dense = np.stack([sharp.effect(k) for k in range(8)])
     dense[1] *= 0.8
     broken = CovariantPOVM(sharp.grid, sharp.lattice, dense=dense)
@@ -122,7 +121,7 @@ def test_build_dilation_rejects_invalid_family():
 
 
 def test_dense_storage_dilates_identically():
-    sharp = build_sharp_time_povm(selfdual_grid(8))
+    sharp = build_sharp_time_povm(centered_grid(8))
     dense = np.stack([sharp.effect(k) for k in range(8)])
     via_dense = build_dilation(CovariantPOVM(sharp.grid, sharp.lattice, dense=dense))
     assert check_compression(via_dense, count=30, seed=1) <= 1e-11

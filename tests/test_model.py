@@ -10,6 +10,7 @@ from timepovm.model import (
     TimeLattice,
     build_halfline_povm,
     build_sharp_time_povm,
+    centered_grid,
     default_fullline_model,
     default_halfline_model,
     fourier_map,
@@ -20,13 +21,10 @@ from timepovm.model import (
     vector_generated_povm,
 )
 
-from conftest import selfdual_grid
-
 
 def test_energy_grid_basics():
     g = EnergyGrid(8, 0.5, offset=-2.0)
     assert np.allclose(g.energies, -2.0 + 0.5 * np.arange(8))
-    assert g.span == 0.5 * 7
 
 
 @pytest.mark.parametrize(
@@ -112,7 +110,7 @@ def test_halfline_povm_rejects_degenerate_cutoff():
 
 
 def test_vector_generated_povm_accepts_flat_and_rejects_skewed():
-    g = selfdual_grid(16)
+    g = centered_grid(16)
     rng = np.random.default_rng(1)
     flat = np.exp(2j * np.pi * rng.random(16)) / 4.0
     p = vector_generated_povm(g, flat)
@@ -238,7 +236,7 @@ def test_state_vector_normalization_contract():
 
 
 def test_gaussian_state_moments_and_flags():
-    g = selfdual_grid(256)
+    g = centered_grid(256)
     s = gaussian_state(g, 0.7, 1.3)
     p = s.probabilities
     mean = float(p @ g.energies)
@@ -258,13 +256,21 @@ def test_gaussian_state_respects_halfline_wall(halfline_model):
 
 
 def test_random_smooth_state_is_deterministic_and_normalized():
-    g = selfdual_grid(128)
+    g = centered_grid(128)
     a = random_smooth_state(g, 42)
     b = random_smooth_state(g, 42)
     c = random_smooth_state(g, 43)
     assert np.array_equal(a.amplitudes, b.amplitudes)
     assert not np.array_equal(a.amplitudes, c.amplitudes)
     assert abs(np.linalg.norm(a.amplitudes) - 1.0) <= 1e-12
+
+
+def test_centered_grid_puts_zero_at_the_middle_index():
+    g = centered_grid(9)
+    assert g.energies[9 // 2] == 0.0
+    assert g.de == np.sqrt(2.0 * np.pi / 9)
+    assert abs(g.n * g.de - 2.0 * np.pi / g.de) <= 1e-12  # energy span = time period
+    assert centered_grid(8, 0.3).offset == -0.3 * 4
 
 
 def test_default_models_shapes(fullline_model, halfline_model):
@@ -292,5 +298,5 @@ def test_occurrence_probabilities_normalized(sharp16):
     assert p.min() >= 0.0
     assert abs(p.sum() - 1.0) <= 1e-12
     with pytest.raises(ValueError):
-        other = gaussian_state(selfdual_grid(32), 0.0, 1.0)
+        other = gaussian_state(centered_grid(32), 0.0, 1.0)
         sharp16.occurrence_probabilities(other)

@@ -5,9 +5,9 @@ import pytest
 
 from timepovm.model import (
     CovariantPOVM,
-    EnergyGrid,
     StateVector,
     build_sharp_time_povm,
+    centered_grid,
     fourier_map,
     gaussian_state,
     random_smooth_state,
@@ -24,8 +24,6 @@ from timepovm.uncertainty import (
     occurrence_distribution,
 )
 
-from conftest import selfdual_grid
-
 
 def test_occurrence_distribution_is_normalized(fullline_model):
     s = gaussian_state(fullline_model.grid, 0.0, 1.0)
@@ -33,7 +31,6 @@ def test_occurrence_distribution_is_normalized(fullline_model):
     assert abs(dist.probabilities.sum() - 1.0) <= 1e-12
     assert dist.probabilities.min() >= 0.0
     assert dist.times.shape == dist.probabilities.shape
-    assert abs(dist.period - fullline_model.lattice.period) <= 1e-12
 
 
 def test_negative_occurrence_probability_is_rejected(sharp16):
@@ -131,7 +128,7 @@ def test_combined_bound_and_context(halfline_model):
 
 
 def test_wide_state_is_flagged_unreliable():
-    g = selfdual_grid(64)
+    g = centered_grid(64)
     p = build_sharp_time_povm(g)
     wide = gaussian_state(g, 0.0, 3.5)
     rep = check_time_energy_bound(occurrence_distribution(p, wide), wide)
@@ -143,7 +140,7 @@ def test_ccr_residual_quadratic_in_bin_width():
     de = float(np.sqrt(2.0 * np.pi / 256))
     res = []
     for n in (256, 512):
-        g = EnergyGrid(n, de, offset=-de * (n // 2))
+        g = centered_grid(n, de)
         p = build_sharp_time_povm(g)
         s = gaussian_state(g, 0.0, 1.0)
         res.append(ccr_residual(p, s))
@@ -165,7 +162,7 @@ def test_ccr_residual_rejects_edge_mass_and_dense_storage(fullline_model):
     with pytest.raises(ValueError):
         ccr_residual(fullline_model, edge_state)
 
-    small = build_sharp_time_povm(selfdual_grid(16))
+    small = build_sharp_time_povm(centered_grid(16))
     dense = np.stack([small.effect(k) for k in range(16)])
     from timepovm.model import CovariantPOVM
 
