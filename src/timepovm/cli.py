@@ -15,6 +15,7 @@ command line that made it.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -66,6 +67,16 @@ _MAX_GRID_ROWS = 200_000  # variational grids: about 1 kB of arrays per row
 # dilation, the commutator check)
 _MAX_BOUNDS_BINS = 4096
 _MAX_FIXTURE_BINS = 128  # emit-fixtures: 2 n^3 JSON numbers per file, 84 MB at 128
+
+# --check name -> its check in `uncertainty`, looked up there per call so that
+# a wrapper bound to the module name sees every call
+_BOUNDS = {
+    "time-energy": "check_time_energy_bound",
+    "positive-energy": "check_positive_energy_bound",
+    "combined": "check_combined_bound",
+}
+# (model, state, bound) that the canonical state sits on -> tolerance of |lhs - rhs|
+_SATURATES = {("fullline", "gaussian", "time-energy"): 1e-4, ("halfline", "minimal", "positive-energy"): 2e-3}
 
 
 def _positive_float(text: str) -> float:
@@ -130,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--check",
-        choices=("auto", "time-energy", "positive-energy", "combined", "all"),
+        choices=("auto", *_BOUNDS, "all"),
         default="auto",
         help="which bound(s) to certify; auto picks the ones defined for the model",
     )
@@ -321,41 +332,44 @@ def cmd_dilate(args: argparse.Namespace) -> int:
 
 
 def _parse_states(spec: str, model: str):
-    """Expand a --states value into (kind, seed-or-None) work items."""
+    """Expand a --states value into (tag, make_state) work items, where
+    make_state builds the state on an energy grid.
+
+    Every parse error is raised here; a seed range is yielded lazily, so a
+    long one costs no memory before the first state is checked.
+    """
     if spec == "gaussian":
-        return [("gaussian", None)]
+        center, width = (0.0, 1.0) if model == "fullline" else (3.0, 0.6)
+        return [({"state": "gaussian"}, lambda grid: gaussian_state(grid, center, width))]
     if spec == "minimal":
         if model != "halfline":
             raise ValueError("--states minimal needs --model halfline")
-        return [("minimal", None)]
+        return [({"state": "minimal"}, transported_minimal_state)]
     if spec.startswith("random:"):
-        body = spec[len("random:") :]
         try:
-            first, dots, last = body.partition("..")
+            first, dots, last = spec[len("random:") :].partition("..")
             lo = int(first)
             hi = int(last) if dots else lo
             if not 0 <= lo <= hi:
                 raise ValueError
-            return [("random", s) for s in range(lo, hi + 1)]
         except ValueError:
             raise ValueError(f"bad --states value {spec!r}; use random:SEED or random:FIRST..LAST") from None
+        return (
+            ({"state": "random", "seed": s}, functools.partial(random_smooth_state, seed=s)) for s in range(lo, hi + 1)
+        )
     raise ValueError(f"unknown --states value {spec!r}")
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    scale = args.tolerance_scale
     if args.n is not None:
         _refuse_oversized("energy bins (--n)", args.n, _MAX_BOUNDS_BINS)
     items = _parse_states(args.states, args.model)
     build = default_fullline_model if args.model == "fullline" else default_halfline_model
     povm = build(args.n, args.de)
-    grid = povm.grid
-    if args.check == "auto":
-        checks = ("time-energy", "positive-energy", "combined") if args.model == "halfline" else ("time-energy",)
-    elif args.check == "all":
-        checks = ("time-energy", "positive-energy", "combined")
-    else:
-        checks = (args.check,)
+    check = args.check
+    if check == "auto":  # the bounds defined for the model's spectrum
+        check = "all" if args.model == "halfline" else "time-energy"
+    checks = tuple(_BOUNDS) if check == "all" else (check,)
 
     rep = _Report("bounds")
     rep.emit(
@@ -363,53 +377,22 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             "model": args.model,
             "n_bins": povm.n_bins,
             "dim": povm.dim,
-            "de": float(grid.de),
+            "de": float(povm.grid.de),
             "tau": float(povm.lattice.tau),
         }
     )
-    runners = {
-        "time-energy": lambda d, s: unc.check_time_energy_bound(d, s, tolerance=1e-3 * scale),
-        "positive-energy": lambda d, s: unc.check_positive_energy_bound(d, s, tolerance=2e-3 * scale),
-        "combined": lambda d, s: unc.check_combined_bound(d, s, tolerance=5e-3 * scale),
-    }
-    for kind, seed in items:
-        if kind == "gaussian":
-            state = (
-                gaussian_state(grid, 0.0, 1.0)
-                if args.model == "fullline"
-                else gaussian_state(grid, 3.0, 0.6)
-            )
-            tag = {"state": "gaussian"}
-        elif kind == "minimal":
-            state = transported_minimal_state(grid)
-            tag = {"state": "minimal"}
-        else:
-            state = random_smooth_state(grid, seed)
-            tag = {"state": "random", "seed": seed}
+    for tag, make_state in items:
+        state = make_state(povm.grid)
         try:
             dist = unc.occurrence_distribution(povm, state)  # serves every check on this state
             for name in checks:
-                report = runners[name](dist, state)
-                rec = dict(tag)
-                rec.update(bound_record(report, n=povm.dim))
-                rep.emit(rec)
-                # the canonical states are expected to sit on the bound, not
-                # merely above it; certify saturation for them
-                saturating = (kind == "gaussian" and args.model == "fullline" and name == "time-energy") or (
-                    kind == "minimal" and name == "positive-energy"
-                )
-                if saturating:
-                    stol = (1e-4 if kind == "gaussian" else 2e-3) * scale
-                    err = abs(report.lhs - report.rhs)
-                    rep.emit(
-                        {
-                            "state": tag["state"],
-                            "saturation": report.name,
-                            "error": err,
-                            "tolerance": stol,
-                            "pass": err <= stol,
-                        }
-                    )
+                report = getattr(unc, _BOUNDS[name])(dist, state, args.tolerance_scale)
+                rep.emit({**tag, **bound_record(report, n=povm.dim)})
+                stol = _SATURATES.get((args.model, tag["state"], name))
+                if stol is not None:
+                    err, tol = abs(report.lhs - report.rhs), stol * args.tolerance_scale
+                    rec = {"saturation": report.name, "error": err, "tolerance": tol, "pass": err <= tol}
+                    rep.emit({"state": tag["state"], **rec})
         except ValueError as exc:
             print(format_record({"error": "bound-not-applicable", "detail": str(exc)}))
             return 1

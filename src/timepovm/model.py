@@ -105,10 +105,6 @@ class TimeLattice:
         return cls(grid.n, 2.0 * np.pi / (grid.n * grid.de))
 
     @property
-    def period(self) -> float:
-        return self.n * self.tau
-
-    @property
     def centers(self) -> np.ndarray:
         return (np.arange(self.n) - self.n // 2) * self.tau
 

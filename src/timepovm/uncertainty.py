@@ -9,7 +9,8 @@ time observable:
 
 with z1 the first zero of the decaying Airy function.  Each check takes the
 state's occurrence distribution (:func:`occurrence_distribution`), so one
-distribution serves every check made on the same state.  All three are
+distribution serves every check made on the same state, and holds its own
+tolerance, which its ``scale`` argument multiplies.  All three are
 continuum statements; on a finite model the moments carry truncation and
 wrap error, so every report comes with a reliability flag derived from how
 much probability sits near the edges of the grids.  An unreliable report
@@ -64,10 +65,10 @@ class OccurrenceDistribution:
     def std(self) -> float:
         return math.sqrt(max(self.variance(), 0.0))
 
-    def tail_fraction(self, window: float = TAIL_WINDOW) -> float:
-        """Mass in the outer ``window`` fraction of bins (both lattice ends)."""
+    def tail_fraction(self) -> float:
+        """Mass in the outer ``TAIL_WINDOW`` fraction of bins (both lattice ends)."""
         n = self.probabilities.size
-        edge = max(1, int(math.ceil(0.5 * window * n)))
+        edge = max(1, int(math.ceil(0.5 * TAIL_WINDOW * n)))
         return float(self.probabilities[:edge].sum() + self.probabilities[-edge:].sum())
 
 
@@ -137,28 +138,32 @@ class BoundReport:
         return self.lhs >= self.rhs - self.tolerance
 
 
-def _reliability(dist: OccurrenceDistribution, state: StateVector) -> tuple[bool, dict]:
-    t_tail = dist.tail_fraction()
-    e_tail = energy_tail_fraction(state)
-    ok = t_tail <= TAIL_LIMIT and e_tail <= TAIL_LIMIT and not state.undersampled
-    ctx = {"time_tail": t_tail, "energy_tail": e_tail, "undersampled": state.undersampled}
-    return ok, ctx
+def _report(name: str, lhs: float, rhs: float, tolerance: float, dist, state, quantities: dict) -> BoundReport:
+    """One bound's report: both tails, the reliability flag, and the bound's own quantities in the context."""
+    if not math.isfinite(lhs):
+        raise ValueError(f"{name} left-hand side is not finite; the moments overflow on this grid")
+    t_tail, e_tail = dist.tail_fraction(), energy_tail_fraction(state)
+    reliable = t_tail <= TAIL_LIMIT and e_tail <= TAIL_LIMIT and not state.undersampled
+    ctx = {"time_tail": t_tail, "energy_tail": e_tail, "undersampled": state.undersampled, **quantities}
+    return BoundReport(name, lhs, rhs, tolerance, reliable, ctx)
 
 
-def check_time_energy_bound(
-    dist: OccurrenceDistribution, state: StateVector, tolerance: float = 1e-3
-) -> BoundReport:
+def _require_nonnegative_spectrum(state: StateVector, bound: str) -> None:
+    if float(state.grid.energies[0]) < 0.0:
+        raise ValueError(
+            "grid has negative energies; shift the spectrum so its infimum is zero "
+            f"before certifying the {bound} bound"
+        )
+
+
+def check_time_energy_bound(dist: OccurrenceDistribution, state: StateVector, scale: float = 1.0) -> BoundReport:
     """Certify std(T) * std(H) >= 1/2 for this state."""
-    _, e_var = energy_moments(state)
-    lhs = dist.std() * math.sqrt(max(e_var, 0.0))
-    reliable, ctx = _reliability(dist, state)
-    ctx.update({"time_std": dist.std(), "energy_std": math.sqrt(max(e_var, 0.0))})
-    return BoundReport("spread-spread", lhs, 0.5, tolerance, reliable, ctx)
+    e_std = math.sqrt(max(energy_moments(state)[1], 0.0))
+    ctx = {"time_std": dist.std(), "energy_std": e_std}
+    return _report("spread-spread", dist.std() * e_std, 0.5, 1e-3 * scale, dist, state, ctx)
 
 
-def check_positive_energy_bound(
-    dist: OccurrenceDistribution, state: StateVector, tolerance: float = 2e-3
-) -> BoundReport:
+def check_positive_energy_bound(dist: OccurrenceDistribution, state: StateVector, scale: float = 1.0) -> BoundReport:
     """Certify std(T) * mean(H) >= the universal positive-spectrum constant.
 
     Only meaningful when the whole spectrum is nonnegative; for a model
@@ -166,21 +171,13 @@ def check_positive_energy_bound(
     the spectrum starts at zero (the bound is covariant under that shift,
     the reported mean is not).
     """
-    if float(state.grid.energies[0]) < 0.0:
-        raise ValueError(
-            "grid has negative energies; shift the spectrum so its infimum is zero "
-            "before certifying the positive-energy bound"
-        )
+    _require_nonnegative_spectrum(state, "positive-energy")
     e_mean, _ = energy_moments(state)
-    lhs = dist.std() * e_mean
-    reliable, ctx = _reliability(dist, state)
-    ctx.update({"time_std": dist.std(), "energy_mean": e_mean})
-    return BoundReport("spread-mean", lhs, universal_constant(), tolerance, reliable, ctx)
+    ctx = {"time_std": dist.std(), "energy_mean": e_mean}
+    return _report("spread-mean", dist.std() * e_mean, universal_constant(), 2e-3 * scale, dist, state, ctx)
 
 
-def check_combined_bound(
-    dist: OccurrenceDistribution, state: StateVector, tolerance: float = 5e-3
-) -> BoundReport:
+def check_combined_bound(dist: OccurrenceDistribution, state: StateVector, scale: float = 1.0) -> BoundReport:
     """Certify var(T) * mean(H^2) against the combined positive-spectrum bound.
 
     The certified right-hand side is the sum of the squared universal
@@ -188,25 +185,13 @@ def check_combined_bound(
     constant for this functional is 9/4 and is recorded in the context as
     ``sharp_rhs`` for callers that want the tight comparison.
     """
-    if float(state.grid.energies[0]) < 0.0:
-        raise ValueError(
-            "grid has negative energies; shift the spectrum so its infimum is zero "
-            "before certifying the combined bound"
-        )
+    _require_nonnegative_spectrum(state, "combined")
     e_mean, e_var = energy_moments(state)
     second = e_var + e_mean**2
     lhs = dist.variance() * second
     d = universal_constant()
-    reliable, ctx = _reliability(dist, state)
-    ctx.update(
-        {
-            "time_var": dist.variance(),
-            "energy_second_moment": second,
-            "sharp_rhs": 2.25,
-            "sharp_margin": lhs - 2.25,
-        }
-    )
-    return BoundReport("combined", lhs, d * d + 0.25, tolerance, reliable, ctx)
+    ctx = {"time_var": dist.variance(), "energy_second_moment": second, "sharp_rhs": 2.25, "sharp_margin": lhs - 2.25}
+    return _report("combined", lhs, d * d + 0.25, 5e-3 * scale, dist, state, ctx)
 
 
 def ccr_residual(povm: CovariantPOVM, state: StateVector) -> float:

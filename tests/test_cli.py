@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,44 @@ def test_bounds_random_family(capsys):
     seeds = {r["seed"] for r in recs if r.get("state") == "random"}
     assert seeds == {"1", "2", "3"}
     assert recs[-1]["failures"] == "0"
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("bounds-default.txt", []),
+        ("bounds-halfline-minimal.txt", ["--model", "halfline", "--states", "minimal"]),
+        ("bounds-halfline-random-0-20-all.txt", ["--model", "halfline", "--states", "random:0..20", "--check", "all"]),
+    ],
+)
+def test_bounds_stdout_is_unchanged_to_the_last_digit(golden, argv, capsys):
+    # all three bounds, both saturations and the fuzz family; the fuzz
+    # states' time_tail digits sit at the FFT's rounding floor, so a new
+    # summation order in the FFT moves them and this file must be regenerated
+    want = (Path(__file__).parent / "golden" / golden).read_text()
+    assert main(["bounds", *argv]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_random_state_range_is_lazy():
+    tracemalloc.start()
+    try:
+        items = cli._parse_states("random:0..1000000", "fullline")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    tag, _ = next(iter(items))
+    assert tag == {"state": "random", "seed": 0}
+
+
+def test_overflowing_moments_are_not_a_bound_failure(capsys):
+    # energies of 1e200 square to inf: the moments, not the bound, break down
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["bounds", "--de", "1e200", "--n", "4"]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1].startswith("error=bound-not-applicable detail=")
+    assert "nan" not in out
 
 
 def test_bounds_wrong_model_for_check_exits_one(capsys):

@@ -48,7 +48,6 @@ def test_time_lattice_from_grid():
     lat = TimeLattice.from_grid(g)
     assert lat.n == 16
     assert abs(lat.tau - 2.0 * np.pi / (16 * 0.25)) <= 1e-15
-    assert abs(lat.period - 2.0 * np.pi / 0.25) <= 1e-12
     assert lat.centers[16 // 2] == 0.0
 
 
