@@ -186,34 +186,33 @@ def _refuse_oversized_grid(h: float, L: float) -> None:
 
 
 class _Report:
-    """Collects records, prints them as they arrive, tracks failures."""
+    """Prints records as they arrive and tracks failures; the lines are kept
+    only when out_path asks for a copy in a file, written at close."""
 
-    def __init__(self, command: str):
+    def __init__(self, command: str, out_path: str | None = None):
         self.command = command
+        self.out_path = out_path
         self.lines: list[str] = []
         self.checks = 0
         self.failures = 0
+
+    def _print(self, record: dict) -> None:
+        line = format_record(record)
+        if self.out_path is not None:
+            self.lines.append(line)
+        print(line)
 
     def emit(self, record: dict) -> None:
         if "pass" in record:
             self.checks += 1
             if not record["pass"]:
                 self.failures += 1
-        line = format_record(record)
-        self.lines.append(line)
-        print(line)
+        self._print(record)
 
-    def close(self, out_path: str | None) -> int:
-        summary = {
-            "summary": self.command,
-            "checks": self.checks,
-            "failures": self.failures,
-        }
-        line = format_record(summary)
-        self.lines.append(line)
-        print(line)
-        if out_path is not None:
-            atomic_write_text(out_path, "\n".join(self.lines) + "\n")
+    def close(self) -> int:
+        self._print({"summary": self.command, "checks": self.checks, "failures": self.failures})
+        if self.out_path is not None:
+            atomic_write_text(self.out_path, "\n".join(self.lines) + "\n")
         return 0 if self.failures == 0 else 1
 
 
@@ -227,7 +226,7 @@ def _compare(rep, name: str, value: float, ref: float, tol: float, key: str = "p
 def cmd_airy_certify(args: argparse.Namespace) -> int:
     h, L, scale = args.h, args.domain_l, args.tolerance_scale
     _refuse_oversized_grid(h, L)
-    rep = _Report("airy-certify")
+    rep = _Report("airy-certify", args.out)
     # tolerances widen with h^2 so coarse grids still certify at their own
     # attainable precision; at the reference spacing 1e-3 the extra term is
     # far below the printed-precision targets
@@ -283,12 +282,12 @@ def cmd_airy_certify(args: argparse.Namespace) -> int:
             "pass": chain.passed,
         }
     )
-    return rep.close(args.out)
+    return rep.close()
 
 
 def cmd_dilate(args: argparse.Namespace) -> int:
     povm = load_povm(args.povm)
-    rep = _Report("dilate")
+    rep = _Report("dilate", args.out)
     scale = args.tolerance_scale
     rep.emit(
         {
@@ -328,7 +327,7 @@ def cmd_dilate(args: argparse.Namespace) -> int:
     for name, check, limit in checks:
         residual = check(built)
         rep.emit({"check": name, "residual": residual, "tolerance": limit, "pass": residual <= limit})
-    return rep.close(args.out)
+    return rep.close()
 
 
 def _parse_states(spec: str, model: str):
@@ -371,7 +370,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         check = "all" if args.model == "halfline" else "time-energy"
     checks = tuple(_BOUNDS) if check == "all" else (check,)
 
-    rep = _Report("bounds")
+    rep = _Report("bounds", args.out)
     rep.emit(
         {
             "model": args.model,
@@ -381,22 +380,25 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             "tau": float(povm.lattice.tau),
         }
     )
-    for tag, make_state in items:
-        state = make_state(povm.grid)
-        try:
-            dist = unc.occurrence_distribution(povm, state)  # serves every check on this state
-            for name in checks:
-                report = getattr(unc, _BOUNDS[name])(dist, state, args.tolerance_scale)
-                rep.emit({**tag, **bound_record(report, n=povm.dim)})
-                stol = _SATURATES.get((args.model, tag["state"], name))
-                if stol is not None:
-                    err, tol = abs(report.lhs - report.rhs), stol * args.tolerance_scale
-                    rec = {"saturation": report.name, "error": err, "tolerance": tol, "pass": err <= tol}
-                    rep.emit({"state": tag["state"], **rec})
-        except ValueError as exc:
-            print(format_record({"error": "bound-not-applicable", "detail": str(exc)}))
-            return 1
-    return rep.close(args.out)
+    # moments that overflow end in the one bound-not-applicable record below,
+    # so numpy's own overflow warnings would only add noise on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tag, make_state in items:
+            state = make_state(povm.grid)
+            try:
+                dist = unc.occurrence_distribution(povm, state)  # serves every check on this state
+                for name in checks:
+                    report = getattr(unc, _BOUNDS[name])(dist, state, args.tolerance_scale)
+                    rep.emit({**tag, **bound_record(report, n=povm.dim)})
+                    stol = _SATURATES.get((args.model, tag["state"], name))
+                    if stol is not None:
+                        err, tol = abs(report.lhs - report.rhs), stol * args.tolerance_scale
+                        rec = {"saturation": report.name, "error": err, "tolerance": tol, "pass": err <= tol}
+                        rep.emit({"state": tag["state"], **rec})
+            except ValueError as exc:
+                print(format_record({"error": "bound-not-applicable", "detail": str(exc)}))
+                return 1
+    return rep.close()
 
 
 def cmd_emit_fixtures(args: argparse.Namespace) -> int:
@@ -435,7 +437,7 @@ def cmd_emit_fixtures(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(format_record({"error": "io", "detail": str(exc)}))
         return 2
-    return rep.close(None)
+    return rep.close()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -47,6 +47,8 @@ __all__ = [
 
 # random starts advanced together by the descent route of the minimizers
 _RESTARTS = 8
+# grid points evaluated at once by the identity scan, over all pairs of a chunk
+_SCAN_CHUNK = 1 << 16
 
 
 class DomainTooSmallError(ValueError):
@@ -222,17 +224,21 @@ class MinimizationResult:
     iterations: int
 
 
-def _moment_batch(phi: np.ndarray, h: float, w: np.ndarray):
-    """Second-difference action, kinetic and weighted moment per column."""
-    grads_k = np.empty_like(phi)
+def _moment_batch(phi: np.ndarray, h: float, w: np.ndarray, action: np.ndarray, scratch: np.ndarray):
+    """Kinetic and weighted moment per column; the second-difference action
+    goes into action, and scratch (same shape) is overwritten."""
     # tridiagonal action of the second-difference operator, batched
-    grads_k[0] = 2.0 * phi[0] - phi[1]
-    grads_k[-1] = 2.0 * phi[-1] - phi[-2]
-    grads_k[1:-1] = 2.0 * phi[1:-1] - phi[:-2] - phi[2:]
-    grads_k /= h * h
-    kin = h * np.sum(phi * grads_k, axis=0)
-    mom = h * np.sum(w[:, None] * phi**2, axis=0)
-    return grads_k, kin, mom
+    np.multiply(phi, 2.0, out=action)
+    action[0] -= phi[1]
+    action[-1] -= phi[-2]
+    action[1:-1] -= phi[:-2]
+    action[1:-1] -= phi[2:]
+    action /= h * h
+    kin = h * np.sum(np.multiply(phi, action, out=scratch), axis=0)
+    np.square(phi, out=scratch)
+    scratch *= w[:, None]
+    mom = h * np.sum(scratch, axis=0)
+    return kin, mom
 
 
 def _descent(h: float, L: float, p: int, seed: int, max_iter: int):
@@ -253,34 +259,44 @@ def _descent(h: float, L: float, p: int, seed: int, max_iter: int):
     prec = TridiagFactor(SymTridiag(base.diag + w + 1.0, base.offdiag))
     q = 2 // p
 
-    def value(phi):
-        _, kin, mom = _moment_batch(phi, h, w)
-        return kin * mom**q
-
-    def grad(phi):
-        # d/dphi of kin * mom^q, both factors being quadratic forms
-        gk, kin, mom = _moment_batch(phi, h, w)
-        return 2.0 * gk * (mom**q)[None, :] + ((2.0 * q * kin) * mom ** (q - 1))[None, :] * (w[:, None] * phi)
-
     # smoothed noise: random but not adversarially rough, pulled toward the
     # origin where both minimizers concentrate
     phi = prec.solve(rng.standard_normal((m, _RESTARTS)))
     phi /= math.sqrt(h) * np.linalg.norm(phi, axis=0, keepdims=True)
-    best = value(phi)
+    # phi's action, kinetic and moment are kept from the batch that accepted
+    # each column, so every iteration runs one moment batch, on the trial;
+    # the gradient and trial-action buffers lend each other scratch space
+    action = np.empty_like(phi)
+    g = np.empty_like(phi)
+    trial_action = np.empty_like(phi)
+    kin, mom = _moment_batch(phi, h, w, action, g)
+    best = kin * mom**q
     step = np.full(_RESTARTS, 1.0)
     active = np.ones(_RESTARTS, dtype=bool)
     iters = 0
     for iters in range(1, max_iter + 1):
-        g = grad(phi)
+        # d/dphi of kin * mom^q, both factors being quadratic forms
+        np.multiply(action, 2.0, out=g)
+        g *= (mom**q)[None, :]
+        scratch = np.multiply(w[:, None], phi, out=trial_action)
+        scratch *= ((2.0 * q * kin) * mom ** (q - 1))[None, :]
+        g += scratch
         # project out the radial component in the h-weighted metric
-        g -= phi * (h * np.sum(phi * g, axis=0, keepdims=True))
-        d = prec.solve(g)
-        trial = phi - step[None, :] * d
+        radial = h * np.sum(np.multiply(phi, g, out=scratch), axis=0, keepdims=True)
+        g -= np.multiply(phi, radial, out=scratch)
+        trial = prec.solve(g)
+        trial *= step[None, :]
+        np.subtract(phi, trial, out=trial)
         trial /= math.sqrt(h) * np.linalg.norm(trial, axis=0, keepdims=True)
-        val = value(trial)
+        kin_t, mom_t = _moment_batch(trial, h, w, trial_action, g)
+        val = kin_t * mom_t**q
         improved = val < best
         rel = np.where(improved, (best - val) / np.maximum(np.abs(best), 1e-300), 0.0)
-        phi = np.where(improved[None, :], trial, phi)
+        np.copyto(phi, trial, where=improved[None, :])
+        np.copyto(action, trial_action, where=improved[None, :])
+        del trial  # freed before the next solve allocates its successor
+        kin = np.where(improved, kin_t, kin)
+        mom = np.where(improved, mom_t, mom)
         best = np.where(improved, val, best)
         step = np.where(improved, np.minimum(step * 1.25, 1e6), step * 0.5)
         active[improved & (rel <= 1e-12)] = False
@@ -366,10 +382,19 @@ def verify_min_identity_chain(
     """Scan check of the scaling identity behind the spread-mean bound.
 
     For each positive pair (a, b) the function (4/(27 L^2)) (a + L b)^3 is
-    scanned over a log grid of scale parameters bracketing 2a/b by three
-    decades each way; the scan floor must stay above a*b^2 - 1e-12 and the
-    scan argmin must land on 2a/b within one grid step.  Values and argmins
-    are delegated to :func:`timepovm.special.min_product_identity`.
+    scanned over a log grid of scale parameters L = (2a/b) g bracketing 2a/b
+    by three decades each way; the scan floor must stay above a*b^2 - 1e-12
+    and the scan argmin must land on 2a/b within one grid step.  Values and
+    argmins are delegated to :func:`timepovm.special.min_product_identity`.
+
+    Every pair scans the same shape, a*b^2 * F(g) with F(g) = (1 + 2g)^3 /
+    (27 g^2), so only the window from the first to the last grid index with
+    F <= min F * (1 + 1e-9) is evaluated.  Every point outside it exceeds
+    that threshold, far more than the few ulps by which rounding moves f,
+    so the floor and the argmin are those of the full scan.  That argument
+    needs normal floats, and a pair whose L, L^2, (a + L b)^3 at either end
+    of its scan, a*b^2, or scan floor leaves the normal range is refused
+    with a ValueError naming it.
     """
     a_arr = np.atleast_1d(np.asarray(a_grid, dtype=float))
     b_arr = np.atleast_1d(np.asarray(b_grid, dtype=float))
@@ -379,16 +404,49 @@ def verify_min_identity_chain(
         raise ValueError("identity holds for positive pairs only")
     log_step = 6.0 / (scan_points - 1)
     grid = np.logspace(-3.0, 3.0, scan_points)
+    a_all, b_all = a_arr.ravel(), b_arr.ravel()
+
+    def refused(i: int) -> ValueError:
+        a, b = float(a_all[i]), float(b_all[i])
+        return ValueError(f"pair a={a!r}, b={b!r} leaves the normal float range in its scan")
+
+    inf_val = np.empty(a_all.size)
+    arg = np.empty(a_all.size)
+    for i, (a, b) in enumerate(zip(a_all, b_all)):
+        try:
+            inf_val[i], arg[i] = min_product_identity(a, b)
+        except OverflowError:  # b^2 beyond the float range
+            raise refused(i) from None
+    shape = 1.0 + 2.0 * grid
+    shape = shape * shape * shape / (27.0 * grid * grid)
+    near = np.flatnonzero(shape <= shape.min() * (1.0 + 1e-9))
+    window = grid[near[0] : near[-1] + 1]
+    # L and a + L b grow with g, so the two ends bound every intermediate
+    with np.errstate(over="ignore"):
+        lam = arg[:, None] * grid[[0, -1]]
+        t = a_all[:, None] + lam * b_all[:, None]
+        ends = np.hstack([lam, lam**2, t * t * t, inf_val[:, None]])
+    normal = np.all((ends >= np.finfo(float).tiny) & (ends <= np.finfo(float).max), axis=1)
+    if not normal.all():
+        raise refused(int(np.argmin(normal)))
     worst_floor = 0.0
     worst_arg = 0.0
-    for a, b in zip(a_arr.ravel(), b_arr.ravel()):
-        inf_val, arg = min_product_identity(a, b)
-        lam = arg * grid
-        t = a + lam * b
-        f = (4.0 / 27.0) * (t * t * t) / lam**2
-        worst_floor = max(worst_floor, float(inf_val - f.min()))
-        lam_star = float(lam[np.argmin(f)])
-        # offset in decades, same unit as the scan grid spacing
-        worst_arg = max(worst_arg, abs(math.log10(lam_star / arg)))
+    rows = max(1, _SCAN_CHUNK // window.size)
+    for lo in range(0, a_all.size, rows):
+        chunk = slice(lo, lo + rows)
+        lam = arg[chunk, None] * window
+        t = a_all[chunk, None] + lam * b_all[chunk, None]
+        with np.errstate(over="ignore"):
+            f = (4.0 / 27.0) * (t * t * t) / lam**2
+        at = np.argmin(f, axis=1)[:, None]
+        f_min = np.take_along_axis(f, at, axis=1)[:, 0]
+        finite = np.isfinite(f_min)
+        if not finite.all():
+            raise refused(lo + int(np.argmin(finite)))
+        worst_floor = max(worst_floor, float(np.max(inf_val[chunk] - f_min)))
+        lam_star = np.take_along_axis(lam, at, axis=1)[:, 0]
+        for ratio in (lam_star / arg[chunk]).tolist():
+            # offset in decades, same unit as the scan grid spacing
+            worst_arg = max(worst_arg, abs(math.log10(ratio)))
     ok = worst_floor <= 1e-12 and worst_arg <= log_step * (1.0 + 1e-9)
     return IdentityChainReport(int(a_arr.size), worst_floor, worst_arg, log_step, ok)

@@ -1,13 +1,18 @@
 """Dirichlet grid states, the two functionals, spectra, and the minimizers."""
 
+import math
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from timepovm.linalg import SymTridiag
-from timepovm.special import airy_ai, airy_zero
+from timepovm.special import airy_ai, airy_zero, min_product_identity
 from timepovm.variational import (
     DomainTooSmallError,
     GridState,
+    IdentityChainReport,
     airy_operator_spectrum,
     combined_functional,
     dirichlet_operator,
@@ -225,6 +230,66 @@ def test_identity_chain_trivial_and_random():
     assert rep.passed
     assert rep.worst_floor_violation <= 1e-12
     assert rep.worst_argmin_offset <= rep.grid_resolution * (1.0 + 1e-9)
+
+
+def full_scan_identity_chain(a_grid, b_grid, scan_points):
+    # every pair scanned over the whole grid, one pair at a time
+    log_step = 6.0 / (scan_points - 1)
+    grid = np.logspace(-3.0, 3.0, scan_points)
+    worst_floor = 0.0
+    worst_arg = 0.0
+    for a, b in zip(a_grid, b_grid):
+        inf_val, arg = min_product_identity(a, b)
+        lam = arg * grid
+        t = a + lam * b
+        f = (4.0 / 27.0) * (t * t * t) / lam**2
+        worst_floor = max(worst_floor, float(inf_val - f.min()))
+        worst_arg = max(worst_arg, abs(math.log10(float(lam[np.argmin(f)]) / arg)))
+    ok = worst_floor <= 1e-12 and worst_arg <= log_step * (1.0 + 1e-9)
+    return IdentityChainReport(len(a_grid), worst_floor, worst_arg, log_step, ok)
+
+
+@pytest.mark.parametrize(
+    "seed, scan_points",
+    [(0, 10000), (1, 10000), (2, 10000), (3, 10000), (4, 3), (4, 4001), (4, 20001)],
+)
+def test_identity_window_matches_full_scan(seed, scan_points):
+    rng = np.random.default_rng(seed)
+    a = 10.0 ** rng.uniform(-2.0, 2.0, 10**4)
+    b = 10.0 ** rng.uniform(-2.0, 2.0, 10**4)
+    assert verify_min_identity_chain(a, b, scan_points) == full_scan_identity_chain(a, b, scan_points)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (1e103, 1.0),  # (a + L b)^3 overflows at the top of the scan
+        (1e-200, 1e-60),  # a b^2 is subnormal
+        (1e150, 1e-5),  # L^2 overflows at the top of the scan
+        (1.0, 1e200),  # b^2 overflows, an OverflowError in min_product_identity
+        (1000.0, 4.2399211488e152),  # a b^2 is normal, the scan floor is not
+    ],
+)
+def test_identity_chain_refuses_pairs_outside_the_float_range(a, b):
+    # a full scan over these gives passed=False with a floor violation that
+    # hides the inf and nan behind it; the pair is named instead
+    with pytest.raises(ValueError, match=re.escape(f"a={a!r}, b={b!r}")):
+        verify_min_identity_chain([1.0, a], [1.0, b])
+
+
+def test_descent_holds_few_batch_arrays():
+    # one product descent's tracemalloc peak, counted in (m x 8) float
+    # arrays; the moment batch, gradient and step reuse their buffers
+    h, L = 2e-3, 20.0
+    m = dirichlet_operator(h, L, 0.0).n
+    minimize_product(h, L, method="descent", max_iter=1)  # numpy.random loads on first use
+    tracemalloc.start()
+    try:
+        minimize_product(h, L, method="descent")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (m * 8 * np.dtype(float).itemsize) <= 9.0
 
 
 def test_identity_chain_rejects_bad_input():
