@@ -309,8 +309,9 @@ def cmd_dilate(args: argparse.Namespace) -> int:
             "pass": verdict.passed,
         }
     )
-    if not verdict.passed:
-        print(format_record({"error": "axiom-violated", "axiom": verdict.failed_axioms[0]}))
+    failed = verdict.failed_axioms or (() if verdict.kernel is not None else ("positivity",))
+    if failed:
+        print(format_record({"error": "axiom-violated", "axiom": failed[0]}))
         return 1
 
     built = dila.build_dilation(povm, verdict)

@@ -1,19 +1,17 @@
 """Sharp dilations of covariant bin observables.
 
 Every normalized family of effects is the compression of a projection-valued
-measure on a larger space.  The larger space used here is the direct sum of
-n blocks, one per bin: block k carries the retained eigendirections of
-effect k, weighted by the square roots of the eigenvalues.  In those
-coordinates the sharp measure of bin k is the projector onto block k, the
-embedding of the model space stacks the blocks into an isometry, and the
-one-step time shift is block-cyclic: it carries block k to block k+1 by one
-(r x r) map per bin, a system of imprimitivity.
+measure on a larger space.  For a covariant family, E_k = K_k^dagger K_k with
+K_k = K_0 conj(P^k) and P = diag(exp(i*E*tau)), that space is the direct sum
+of n blocks, one per bin, and the blocks are the kernels themselves: stacked,
+they are an isometry, since sum_k E_k = I (Naimark; Mackey's imprimitivity
+theorem).  The sharp measure of bin k projects onto block k, and the one-step
+time shift carries block k to block k+1 by one (r x r) map per bin.
 
-Covariance, E_k = P^k E_0 P^-k with P = diag(exp(i*E*tau)), means one
-eigensolve fixes every block: the eigenpairs (W, L) of effect 0 give
-effect k the eigenvectors P^k W with the same eigenvalues.  The checks
-below compare the result against the stored per-bin effects, so they stay
-an independent oracle for that transport.
+Validation already factors E_0 = K_0^dagger K_0, so the dilation only makes
+the rows of K_0 orthogonal, through the r x r Gram matrix K_0 K_0^dagger, and
+transports them.  The checks below compare the result against the model's
+per-bin effects, so they stay an independent oracle for that transport.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import hermitian_eigh
-from .model import CovariantPOVM, PovmValidation, StateVector, validate_povm
+from .model import CovariantPOVM, PovmValidation, StateVector, retained_eigenvalues, validate_povm
 
 __all__ = [
     "Dilation",
@@ -35,21 +33,18 @@ __all__ = [
     "shift_power_deviation",
 ]
 
-# eigenvalues of effect 0 below this fraction of the largest are exact zeros
-_EPS = 1e-12
-
 
 @dataclass(frozen=True)
 class Dilation:
     """Block form of a sharp dilation: n blocks of dimension r, one per bin.
 
-    ``blocks[k]`` (r x dim) is sqrt(L) (P^k W)^dagger with (W, L) the
-    retained eigenpairs of effect 0 and P^k the diagonal covariance phases
-    of k steps; stacked, the blocks are the isometric embedding of the model
-    space, and the sharp measure of bin k projects onto block k.
-    ``shift[k]`` (r x r) carries block k to block k+1, so the one-step shift
-    is block-cyclic.  ``discarded_count`` counts the eigendirections dropped
-    as exact zeros.
+    ``blocks[k]`` (r x dim) is the kernel K_k = K_0 conj(P^k) of bin k,
+    with K_0 = sqrt(L) W^dagger in orthogonal rows, (W, L) the retained
+    eigenpairs of effect 0; stacked, the blocks are the isometric embedding
+    of the model space, and the sharp measure of bin k projects onto block
+    k.  ``shift[k]`` (r x r) carries block k to block k+1, so the one-step
+    shift is block-cyclic.  ``discarded_count`` counts the eigendirections
+    dropped as exact zeros.
     """
 
     povm: CovariantPOVM
@@ -74,37 +69,30 @@ def build_dilation(povm: CovariantPOVM, report: PovmValidation | None = None) ->
     ``report`` is a validation of ``povm`` the caller already holds; without
     one the family is validated here at the default tolerance.  A family
     that is not complete, covariant, positive and additive has no dilation
-    of this kind, and the error says which axiom failed.  Only effect 0 is
-    diagonalized; block k holds its retained eigenvectors W transported to
-    P^k W, which are eigenvectors of effect k up to the covariance drift
-    that validation measured.  Eigenvalues below ``_EPS`` times the largest
-    are treated as exact zeros and dropped; an eigenvalue below -1e-8 times
-    the largest means the input was not an effect at all.  The shift is
-    assembled from the blocks as sqrt(L) (P^(k+1) W)^dagger P (P^k W) /
-    sqrt(L), so its residuals in the checks measure rounding rather than
-    reading back an identity.
+    of this kind, and the error says which axiom failed; so has one whose
+    report holds no kernel or a zero one.  The report's K_0 is the only
+    input, whatever the storage: the eigenpairs (U, L) of the Gram matrix
+    K_0 K_0^dagger, whose spectrum is the nonzero spectrum of E_0, give the
+    orthogonal rows U^dagger K_0 = sqrt(L) W^dagger, and the eigenvalues
+    that :func:`~timepovm.model.retained_eigenvalues` calls exact zeros drop
+    dependent rows.  Block k is those rows moved by
+    :meth:`CovariantPOVM.transport`.  The shift is assembled from the blocks
+    and their lifts as K_(k+1) P K_k^dagger / L, so its residuals in the
+    checks measure rounding rather than reading back an identity.
     """
     if report is None:
         report = validate_povm(povm)
     if not report.passed:
         raise ValueError(f"observable fails validation ({', '.join(report.failed_axioms)}); cannot dilate")
-
-    sp = hermitian_eigh(povm.effect(0))
-    w, v = sp.eigenvalues, sp.eigenvectors
-    wmax = float(w[-1])
-    if wmax <= 0.0:
-        raise ValueError("effect 0 vanishes; the bin carries no probability at all")
-    if float(w[0]) < -1e-8 * wmax:
-        raise ValueError(f"effect 0 has negative eigenvalue {w[0]:.3e}; not a positive operator")
-    keep = w > _EPS * wmax
-    root = np.sqrt(w[keep])
-    # eigenvectors of E_k = P^k E_0 P^-k are the columns of P^k W
-    moved = povm.transport_phases()[:, :, None] * v[:, keep]
-    blocks = root[:, None] * moved.conj().transpose(0, 2, 1)
-    lifts = moved / root
+    if report.kernel is None or not report.kernel.any():
+        raise ValueError("effect 0 is zero or negative beyond rounding; it has no kernel to dilate")
+    sp = hermitian_eigh(report.kernel @ report.kernel.conj().T)
+    keep = retained_eigenvalues(sp.eigenvalues)
+    blocks = povm.transport(sp.eigenvectors[:, keep].conj().T @ report.kernel)
+    lifts = blocks.conj().transpose(0, 2, 1) / sp.eigenvalues[keep]
     phases = np.exp(1j * povm.grid.energies * povm.lattice.tau)
     shift = np.roll(blocks, -1, axis=0) @ (phases[:, None] * lifts)
-    return Dilation(povm, blocks, shift, povm.n_bins * (povm.dim - root.size))
+    return Dilation(povm, blocks, shift, povm.n_bins * (povm.dim - int(keep.sum())))
 
 
 def _random_bin_sets(n_bins: int, count: int, seed: int):

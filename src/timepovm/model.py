@@ -33,6 +33,7 @@ __all__ = [
     "build_sharp_time_povm",
     "build_halfline_povm",
     "vector_generated_povm",
+    "retained_eigenvalues",
     "validate_povm",
     "fourier_map",
     "gaussian_state",
@@ -275,21 +276,16 @@ class CovariantPOVM:
     def dim(self) -> int:
         return self.grid.n
 
-    def transport_phases(self) -> np.ndarray:
-        """Row k is the diagonal of P^k, P = diag(exp(i*E*tau)): k covariance steps."""
-        return np.exp(1j * np.outer(np.arange(self.n_bins) * self.lattice.tau, self.grid.energies))
-
-    def _kernels_at(self, bins) -> np.ndarray:
-        """K_k = K_0 conj(P^k) for the given bins, shape (len(bins), r, dim)."""
-        steps = np.exp(-1j * np.outer(np.asarray(bins) * self.lattice.tau, self.grid.energies))
-        return self.generator[np.newaxis] * steps[:, np.newaxis, :]
+    def transport(self, kernel: np.ndarray, bins=None) -> np.ndarray:
+        """Kernels K_k = K conj(P^k), (len(bins), r, dim), of a bin-0 kernel K of any dim; bins default to all."""
+        bins = np.arange(self.n_bins) if bins is None else np.asarray(bins)
+        steps = np.exp(-1j * np.outer(bins * self.lattice.tau, self.grid.energies))
+        return kernel[np.newaxis] * steps[:, np.newaxis, :]
 
     @property
     def kernels(self) -> np.ndarray | None:
         """Per-bin kernels (n, r, dim) derived from the generator; None for dense storage."""
-        if self.generator is None:
-            return None
-        return self._kernels_at(np.arange(self.n_bins))
+        return None if self.generator is None else self.transport(self.generator)
 
     def effect(self, k: int) -> np.ndarray:
         return self.sum_effects([int(k) % self.n_bins])
@@ -297,7 +293,7 @@ class CovariantPOVM:
     def sum_effects(self, bins=None) -> np.ndarray:
         """Sum of the effects over ``bins`` (default: all), from one stacked product."""
         if self.generator is not None:
-            flat = self._kernels_at(np.arange(self.n_bins) if bins is None else bins).reshape(-1, self.dim)
+            flat = self.transport(self.generator, bins).reshape(-1, self.dim)
             return flat.conj().T @ flat
         return (self.dense if bins is None else self.dense[bins]).sum(axis=0)
 
@@ -391,6 +387,10 @@ class PovmValidation:
     every effect: exactly 0 for factored storage, and for dense storage
     lambda_min(E_0) minus the largest Frobenius gap between an effect and
     the covariant transport of E_0 (see :func:`validate_povm`).
+    ``kernel`` is K_0 (r, dim) with E_0 = K_0^dagger K_0: the generator, or
+    sqrt(L) W^dagger over the eigenpairs (W, L) of a dense E_0 that
+    :func:`retained_eigenvalues` keeps; None when E_0 has no positive
+    eigenvalue or one below -1e-8 times the largest, whatever the tolerance.
     """
 
     completeness_residual: float
@@ -398,6 +398,7 @@ class PovmValidation:
     min_effect_eigenvalue: float
     additivity_residual: float
     tolerance: float
+    kernel: np.ndarray | None = field(repr=False, compare=False)
 
     @property
     def complete(self) -> bool:
@@ -431,17 +432,23 @@ class PovmValidation:
         return not self.failed_axioms
 
 
+def retained_eigenvalues(w: np.ndarray) -> np.ndarray:
+    """Mask of the ascending eigenvalues w of E_0 that are not exact zeros: above 1e-12 of the largest."""
+    return w > 1e-12 * w[-1]
+
+
 def validate_povm(povm: CovariantPOVM, tol: float = 1e-10, seed: int = 0) -> PovmValidation:
     """Measure how far a family is from completeness, covariance, positivity
     and additivity.
 
     Positivity of factored storage is structural (a Gram matrix cannot have
     a negative eigenvalue), so it reports 0.  A dense family pays for one
-    spectrum, that of effect 0: every other effect is compared with the
-    transport P^k E_0 P^-k of it, P = diag(exp(i*E*tau)), and the largest
-    Frobenius gap delta bounds how far the lowest eigenvalue can move
-    (Weyl's inequality).  The reported minimum is lambda_min(E_0) - delta,
-    a lower bound on the lowest eigenvalue of every effect.
+    eigendecomposition, that of effect 0: every other effect is compared
+    with the transport P^k E_0 P^-k of it, P = diag(exp(i*E*tau)), and the
+    largest Frobenius gap delta bounds how far the lowest eigenvalue can
+    move (Weyl's inequality).  The reported minimum is lambda_min(E_0) -
+    delta, a lower bound on the lowest eigenvalue of every effect.  The
+    eigenvectors give the report's K_0, so nothing factors E_0 again.
 
     Additivity is probed with seeded random disjoint bin sets A and B whose
     union is a proper part of the lattice (for n >= 3): P(A u B) computed
@@ -458,8 +465,7 @@ def validate_povm(povm: CovariantPOVM, tol: float = 1e-10, seed: int = 0) -> Pov
 
     phases = np.exp(1j * povm.grid.energies * povm.lattice.tau)
     cov = 0.0
-    prev = povm.effect(0)
-    first = prev
+    first = prev = povm.effect(0)
     for k in range(n):
         shifted = (phases[:, None] * prev) * phases.conj()[None, :]
         nxt = first if k == n - 1 else povm.effect(k + 1)
@@ -467,13 +473,16 @@ def validate_povm(povm: CovariantPOVM, tol: float = 1e-10, seed: int = 0) -> Pov
         prev = nxt
 
     if povm.generator is not None:
-        min_eig = 0.0
+        min_eig, kernel = 0.0, povm.generator
     else:
-        transport = povm.transport_phases()
-        drift = transport[:, :, None] * povm.dense[0] * transport.conj()[:, None, :]
+        steps = povm.transport(np.ones((1, dim)))[:, 0]  # row k: the diagonal of conj(P^k)
+        drift = steps.conj()[:, :, None] * povm.dense[0] * steps[:, None, :]
         drift -= povm.dense
-        lowest = hermitian_eigh(povm.dense[0], want_vectors=False).eigenvalues[0]
-        min_eig = float(lowest) - float(np.max(np.linalg.norm(drift, axis=(1, 2))))
+        sp = hermitian_eigh(povm.dense[0])
+        w, keep = sp.eigenvalues, retained_eigenvalues(sp.eigenvalues)
+        min_eig = float(w[0]) - float(np.max(np.linalg.norm(drift, axis=(1, 2))))
+        positive = w[-1] > 0.0 and w[0] >= -1e-8 * w[-1]
+        kernel = np.sqrt(w[keep])[:, None] * sp.eigenvectors[:, keep].conj().T if positive else None
 
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -490,7 +499,7 @@ def validate_povm(povm: CovariantPOVM, tol: float = 1e-10, seed: int = 0) -> Pov
         p_union = float(np.real(np.vdot(state.amplitudes, union_effect @ state.amplitudes)))
         add = max(add, abs(p_union - float(probs[a].sum()) - float(probs[b].sum())))
 
-    return PovmValidation(completeness, cov, min_eig, add, tol)
+    return PovmValidation(completeness, cov, min_eig, add, tol, kernel)
 
 
 def gaussian_state(grid: EnergyGrid, center: float, width: float) -> StateVector:

@@ -154,11 +154,16 @@ def airy_zero(n: int) -> float:
 def min_product_identity(a: float, b: float) -> tuple[float, float]:
     """Infimum over s > 0 of (4/27) s^-2 (a + s b)^3 for positive a, b.
 
-    Returns the infimum a*b^2 together with the minimizing s = 2a/b.
+    Returns the infimum a*b^2 together with the minimizing s = 2a/b, both finite.
     """
-    if not (np.isfinite(a) and np.isfinite(b)) or a <= 0 or b <= 0:
-        raise ValueError(f"need finite positive arguments, got a={a!r}, b={b!r}")
-    return float(a) * float(b) ** 2, 2.0 * float(a) / float(b)
+    a, b = float(a), float(b)
+    try:
+        value, arg = a * b**2, 2.0 * a / b
+    except (OverflowError, ZeroDivisionError):  # b^2 beyond the float range, or b = 0
+        value = arg = math.inf
+    if not (a > 0 and b > 0 and math.isfinite(value) and math.isfinite(arg)):
+        raise ValueError(f"need positive a, b with a*b^2 and 2a/b finite, got a={a!r}, b={b!r}")
+    return value, arg
 
 
 @functools.lru_cache(maxsize=1)

@@ -215,8 +215,6 @@ def ccr_residual(povm: CovariantPOVM, state: StateVector) -> float:
             f"state has mass {edge_mass:.3e} at the lattice edges; "
             "the difference stencil is not meaningful there"
         )
-    t = povm.lattice.centers
-    tau = povm.lattice.tau
     # H a = -i D a with D the centered difference; [T, H] a then reduces to
     # i (a_{k+1} + a_{k-1}) / 2 on interior bins
     comm = 0.5j * (a[2:] + a[:-2])

@@ -402,6 +402,8 @@ def verify_min_identity_chain(
         raise ValueError("a and b sample grids must be paired (same shape)")
     if np.any(a_arr <= 0.0) or np.any(b_arr <= 0.0):
         raise ValueError("identity holds for positive pairs only")
+    if scan_points < 2:
+        raise ValueError(f"need scan_points >= 2, got scan_points={scan_points!r}")
     log_step = 6.0 / (scan_points - 1)
     grid = np.logspace(-3.0, 3.0, scan_points)
     a_all, b_all = a_arr.ravel(), b_arr.ravel()
@@ -413,10 +415,7 @@ def verify_min_identity_chain(
     inf_val = np.empty(a_all.size)
     arg = np.empty(a_all.size)
     for i, (a, b) in enumerate(zip(a_all, b_all)):
-        try:
-            inf_val[i], arg[i] = min_product_identity(a, b)
-        except OverflowError:  # b^2 beyond the float range
-            raise refused(i) from None
+        inf_val[i], arg[i] = min_product_identity(a, b)
     shape = 1.0 + 2.0 * grid
     shape = shape * shape * shape / (27.0 * grid * grid)
     near = np.flatnonzero(shape <= shape.min() * (1.0 + 1e-9))

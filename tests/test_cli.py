@@ -1,6 +1,7 @@
 """Command-line interface: reports, exit codes, and file handling."""
 
 import contextlib
+import io
 import json
 import os
 import stat
@@ -118,6 +119,26 @@ def test_fixtures_deterministic_and_dilatable(tmp_path, capsys):
         assert recs[-1]["failures"] == "0"
         assert find(recs, check="compression")["pass"] == "true"
         assert find(recs, check="imprimitivity")["pass"] == "true"
+
+
+@pytest.fixture(scope="module")
+def fixtures64(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fx64")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["emit-fixtures", "--n", "64", "--h", "5e-3", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("family", ["sharp", "halfline", "vector"])
+def test_dilate_stdout_is_unchanged(family, fixtures64, capsys, monkeypatch):
+    # every field but the check residuals is pinned to the last digit; the
+    # residuals sit at the rounding floor, so a new factorization path moves
+    # them and these files must be regenerated.  A relative path keeps the
+    # povm= field independent of where the test runs.
+    want = (Path(__file__).parent / "golden" / f"dilate-{family}-n64.txt").read_text()
+    monkeypatch.chdir(fixtures64)
+    assert main(["dilate", f"{family}-povm.json"]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_dilate_tampered_file_fails_cleanly(tmp_path, capsys):
@@ -299,21 +320,34 @@ def test_report_file_matches_stdout(tmp_path, capsys):
     assert target.read_text() == out
 
 
-def test_dilate_indefinite_file_reports_positivity(tmp_path, capsys):
+def indefinite_file(tmp_path, size):
     # a zero-diagonal perturbation transported covariantly from bin to bin
     # sums to zero over a period, so only positivity breaks
     povm = build_sharp_time_povm(centered_grid(8))
     phases = np.exp(1j * povm.grid.energies * povm.lattice.tau)
     bump = np.zeros((8, 8), dtype=complex)
-    bump[0, 1] = bump[1, 0] = 0.3
+    bump[0, 1] = bump[1, 0] = size
     dense = np.stack(
         [povm.effect(k) + (phases**k)[:, None] * bump * (phases**k).conj()[None, :] for k in range(8)]
     )
     path = tmp_path / "indefinite.json"
     save_povm(CovariantPOVM(povm.grid, povm.lattice, dense=dense), path)
-    assert main(["dilate", str(path)]) == 1
+    return path
+
+
+def test_dilate_indefinite_file_reports_positivity(tmp_path, capsys):
+    assert main(["dilate", str(indefinite_file(tmp_path, 0.3))]) == 1
     _, recs = records(capsys)
     assert find(recs, error="axiom-violated")["axiom"] == "positivity"
+
+
+def test_dilate_refuses_a_negative_effect_inside_a_loose_tolerance(tmp_path, capsys):
+    # a bump of 3e-7 passes validation at tolerance 1e-6, but effect 0 is
+    # negative beyond rounding and has no kernel to dilate
+    assert main(["dilate", str(indefinite_file(tmp_path, 3e-7)), "--tolerance-scale", "1e4"]) == 1
+    _, recs = records(capsys)
+    assert find(recs, validation="axioms")["pass"] == "true"
+    assert recs[-1] == {"error": "axiom-violated", "axiom": "positivity"}
 
 
 def test_numerical_breakdown_is_one_record_exit_one(tmp_path, capsys, monkeypatch):
@@ -439,8 +473,9 @@ def test_negative_seeds_are_refused_before_any_work(tmp_path, capsys):
 
 @pytest.mark.parametrize("n", [8, 64])
 def test_dilate_needs_few_eigensolves(n, tmp_path, capsys, monkeypatch):
-    # one spectrum of effect 0 in the validation and one for the blocks;
-    # one per effect in each of the three stages takes 3n
+    # one spectrum of effect 0 in the validation, whose eigenvectors give
+    # K_0; the dilation solves only the r x r Gram matrix of K_0, r = 1 here.
+    # One per effect in each of the three stages takes 3n
     calls = []
     eigh = linalg.hermitian_eigh
 
@@ -458,7 +493,9 @@ def test_dilate_needs_few_eigensolves(n, tmp_path, capsys, monkeypatch):
         assert main(["dilate", str(out / name)]) == 0
         _, recs = records(capsys)
         assert recs[-1] == {"summary": "dilate", "checks": "6", "failures": "0"}
-        assert len(calls) <= 2, name
+        dim = int(recs[0]["dim"])
+        assert calls.count((dim, dim)) <= 1, name
+        assert all(shape in ((dim, dim), (1, 1)) for shape in calls), name
 
 
 OVERSIZED = [

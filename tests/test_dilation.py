@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from timepovm import dilation, model
 from timepovm.dilation import (
     build_dilation,
     check_compression,
@@ -14,6 +15,7 @@ from timepovm.dilation import (
 from timepovm.model import (
     CovariantPOVM,
     EnergyGrid,
+    TimeLattice,
     build_halfline_povm,
     build_sharp_time_povm,
     centered_grid,
@@ -31,6 +33,25 @@ def small_dilations():
     gen = np.exp(2j * np.pi * rng.random(12)) / np.sqrt(12.0)
     vector = vector_generated_povm(centered_grid(12), gen)
     return {p.label: build_dilation(p) for p in (sharp, half, vector)}
+
+
+@pytest.fixture(scope="module")
+def multirow_families():
+    # kernels with more than one row, each with its expected rank: the Gram
+    # solve orthonormalizes a mixture's rows, drops the dependent one of
+    # [g; g]/sqrt(2), and factors a dense family with more energies than bins
+    rng = np.random.default_rng(11)
+    grid = centered_grid(12)
+    g1, g2 = (vector_generated_povm(grid, np.exp(2j * np.pi * rng.random(12)) / np.sqrt(12.0)) for _ in range(2))
+    mixture = np.concatenate([g1.generator, g2.generator]) / np.sqrt(2.0)
+    repeated = np.concatenate([g1.generator, g1.generator]) / np.sqrt(2.0)
+    wide_grid = centered_grid(8)
+    wide_lattice = TimeLattice(4, 2.0 * np.pi / (4 * wide_grid.de))
+    return {
+        "mixture": (CovariantPOVM(grid, g1.lattice, generator=mixture), 24),
+        "repeated-row": (CovariantPOVM(grid, g1.lattice, generator=repeated), 12),
+        "wide-dense": (CovariantPOVM(wide_grid, wide_lattice, dense=np.stack([np.eye(8) / 4] * 4)), 32),
+    }
 
 
 def dense_shift(d):
@@ -137,3 +158,47 @@ def test_embed_maps_states_isometrically(small_dilations):
         assert abs(np.linalg.norm(lifted) - 1.0) <= 1e-12, name
         back = np.einsum("krd,kr->d", d.blocks.conj(), lifted)
         assert np.max(np.abs(back - state.amplitudes)) <= 1e-12, name
+
+
+@pytest.mark.parametrize("name", ["mixture", "repeated-row", "wide-dense"])
+def test_multirow_kernels_dilate(multirow_families, name):
+    povm, rank = multirow_families[name]
+    d = build_dilation(povm)
+    n, dim = povm.n_bins, povm.dim
+    assert d.rank == rank
+    assert d.rank + d.discarded_count == n * dim
+    v = d.blocks.reshape(d.rank, dim)
+    assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) <= 1e-12
+    states = [random_smooth_state(povm.grid, s) for s in range(4)]
+    residuals = (
+        check_compression(d, count=60, seed=3),
+        check_imprimitivity(d),
+        check_restriction(d),
+        check_occurrence_consistency(d, states),
+        shift_power_deviation(d),
+    )
+    assert max(residuals) <= 1e-12, residuals
+
+
+def test_generator_storage_dilates_without_a_solve_of_size_dim(multirow_families, monkeypatch):
+    # validation hands the generator on, and the only solve is the r x r
+    # Gram matrix of its rows
+    shapes = []
+    eigh = dilation.hermitian_eigh
+
+    def counted(a, want_vectors=True):
+        shapes.append(a.shape)
+        return eigh(a, want_vectors)
+
+    for module in (model, dilation):
+        monkeypatch.setattr(module, "hermitian_eigh", counted)
+    de = 0.4
+    families = (
+        build_sharp_time_povm(centered_grid(12)),
+        build_halfline_povm(EnergyGrid(24, de, offset=-de * 12), 12),
+        multirow_families["mixture"][0],
+    )
+    for povm in families:
+        shapes.clear()
+        build_dilation(povm)
+        assert shapes == [(povm.generator.shape[0],) * 2], povm.label

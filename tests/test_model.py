@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from timepovm import model
 from timepovm.model import (
     CovariantPOVM,
     EnergyGrid,
@@ -188,6 +189,22 @@ def test_validate_povm_flags_negative_effect(sharp16):
     assert not v.positive
     assert v.min_effect_eigenvalue < -1e-10
     assert "positivity" in v.failed_axioms
+
+
+def test_validation_carries_the_generating_kernel(sharp16, monkeypatch):
+    # generator storage hands its generator on without an eigensolve; a
+    # dense family gets sqrt(L) W^dagger from the one spectrum of effect 0
+    monkeypatch.setattr(model, "hermitian_eigh", None)
+    assert validate_povm(sharp16).kernel is sharp16.generator
+    monkeypatch.undo()
+    dense = np.stack([sharp16.effect(k) for k in range(16)])
+    kernel = validate_povm(CovariantPOVM(sharp16.grid, sharp16.lattice, dense=dense)).kernel
+    assert kernel.shape == (1, 16)
+    assert np.max(np.abs(kernel.conj().T @ kernel - dense[0])) <= 1e-12
+    # negative beyond rounding: no factor, even where the tolerance forgives it
+    dense[0] -= 1e-7 * np.eye(16)
+    v = validate_povm(CovariantPOVM(sharp16.grid, sharp16.lattice, dense=dense), tol=1e-6)
+    assert v.positive and v.kernel is None
 
 
 def test_min_effect_eigenvalue_bounds_every_effect(sharp16):

@@ -1,6 +1,7 @@
 """Airy evaluation and the scaling-identity helpers against frozen oracles."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,20 @@ def test_min_product_identity_rejects_nonpositive():
         min_product_identity(0.0, 1.0)
     with pytest.raises(ValueError):
         min_product_identity(1.0, -2.0)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (1.0, 1e200),  # b^2 beyond the float range
+        (1e300, 1e10),  # a b^2 overflows, b^2 does not
+        (1e300, 1e-10),  # 2a/b overflows
+    ],
+)
+def test_min_product_identity_refuses_results_outside_the_float_range(a, b):
+    # the pair is named as plain floats, whatever type it came in
+    with pytest.raises(ValueError, match=re.escape(f"a={a!r}, b={b!r}")):
+        min_product_identity(np.float64(a), np.float64(b))
 
 
 def test_universal_constant_value():

@@ -266,7 +266,7 @@ def test_identity_window_matches_full_scan(seed, scan_points):
         (1e103, 1.0),  # (a + L b)^3 overflows at the top of the scan
         (1e-200, 1e-60),  # a b^2 is subnormal
         (1e150, 1e-5),  # L^2 overflows at the top of the scan
-        (1.0, 1e200),  # b^2 overflows, an OverflowError in min_product_identity
+        (1.0, 1e200),  # b^2 overflows, refused by min_product_identity itself
         (1000.0, 4.2399211488e152),  # a b^2 is normal, the scan floor is not
     ],
 )
@@ -297,3 +297,6 @@ def test_identity_chain_rejects_bad_input():
         verify_min_identity_chain([1.0, 2.0], [1.0])
     with pytest.raises(ValueError):
         verify_min_identity_chain([1.0, -2.0], [1.0, 1.0])
+    for points in (1, 0):
+        with pytest.raises(ValueError, match="scan_points"):
+            verify_min_identity_chain([1.0, 2.0], [1.0, 3.0], scan_points=points)
