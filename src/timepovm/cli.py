@@ -66,7 +66,9 @@ _MAX_GRID_ROWS = 200_000  # variational grids: about 1 kB of arrays per row
 # size needs when its kernel stack or effects are materialized (validation,
 # dilation, the commutator check)
 _MAX_BOUNDS_BINS = 4096
-_MAX_FIXTURE_BINS = 128  # emit-fixtures: 2 n^3 JSON numbers per file, 84 MB at 128
+# emit-fixtures: 2 n^3 JSON numbers per file, 95 MB for the sharp family at
+# 128; files stream bin by bin, so the bound is disk and time, not memory
+_MAX_FIXTURE_BINS = 128
 
 # --check name -> its check in `uncertainty`, looked up there per call so that
 # a wrapper bound to the module name sees every call

@@ -5,16 +5,19 @@ file is a claim that can be checked rather than trusted: loading produces a
 dense observable whose positivity and covariance are verified downstream,
 not assumed.  States use a plain delimited table that any plotting tool
 can ingest.  All writes go through a sibling temp file and an atomic
-rename, so readers never observe a half-written document.
+rename, so readers never observe a half-written document.  An observable
+file holds 2 n_bins dim^2 numbers, so it is streamed to that temp file one
+bin at a time, with each distinct magnitude of a bin formatted once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping, TextIO
 
 import numpy as np
 
@@ -45,8 +48,11 @@ class PovmFormatError(ValueError):
     """
 
 
-def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    """Write ``text`` to ``path`` via a sibling temp file and atomic rename.
+@contextlib.contextmanager
+def _atomic_file(path: str | os.PathLike) -> Iterator[TextIO]:
+    """A text handle on a sibling temp file that replaces ``path`` when the
+    block ends, after an fsync; if the block raises, the temp file is removed
+    and ``path`` keeps its old content.
 
     The file gets the mode a plain ``open`` would give it (0o666 under the
     process umask), not the owner-only mode of the temp file.
@@ -58,7 +64,7 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     os.umask(umask)
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            yield handle
             handle.flush()
             os.fchmod(handle.fileno(), 0o666 & ~umask)
             os.fsync(handle.fileno())
@@ -71,25 +77,59 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
         raise
 
 
+def atomic_write_text(path: str | os.PathLike, text: str) -> None:
+    """Write ``text`` to ``path`` via a sibling temp file and atomic rename."""
+    with _atomic_file(path) as handle:
+        handle.write(text)
+
+
+_MAGNITUDE_BITS = np.uint64(0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _json_matrix_pair(m: np.ndarray) -> tuple[str, str]:
+    """``json.dumps`` of ``m.real.tolist()`` and of ``m.imag.tolist()``.
+
+    Each distinct magnitude is formatted once, in one ``json.dumps`` call,
+    and a negative number is written as "-" and its magnitude's text, as
+    json writes it; the exception is NaN, which json writes as "NaN"
+    whatever its sign bit.
+    """
+    bits = np.stack((m.real, m.imag)).astype(np.float64).view(np.uint64)
+    magnitudes, index = np.unique((bits & _MAGNITUDE_BITS).ravel(), return_inverse=True)
+    texts = json.dumps(magnitudes.view(np.float64).tolist())[1:-1].split(", ")
+    table = np.array(texts + [t if t == "NaN" else "-" + t for t in texts], dtype=object)
+    index = index.reshape(bits.shape) + (bits >> np.uint64(63)).astype(np.intp) * len(texts)
+    re, im = (
+        "[" + ", ".join("[" + ", ".join(row) + "]" for row in part) + "]"
+        for part in table[index].tolist()
+    )
+    return re, im
+
+
 def save_povm(povm: CovariantPOVM, path: str | os.PathLike) -> None:
     """Serialize an observable with explicit per-bin effect matrices.
 
-    Numbers are written in shortest round-trip decimal form, which always
-    carries enough digits to reproduce the exact binary value on load.
+    The file is ``json.dumps`` of the document {n_bins, dim, tau, energies,
+    effects, label} and a newline, byte for byte, but it is streamed: one
+    effect is built and formatted at a time, so memory does not grow with
+    n_bins.  Numbers are written in shortest round-trip decimal form, which
+    always carries enough digits to reproduce the exact binary value on
+    load; every effect entry is written as a float.
     """
-    effects = []
-    for k in range(povm.n_bins):
-        m = povm.effect(k)
-        effects.append({"re": m.real.tolist(), "im": m.imag.tolist()})
-    doc = {
-        "n_bins": povm.n_bins,
-        "dim": povm.dim,
-        "tau": float(povm.lattice.tau),
-        "energies": [float(e) for e in povm.grid.energies],
-        "effects": effects,
-        "label": povm.label,
-    }
-    atomic_write_text(path, json.dumps(doc) + "\n")
+    head = json.dumps(
+        {
+            "n_bins": povm.n_bins,
+            "dim": povm.dim,
+            "tau": float(povm.lattice.tau),
+            "energies": [float(e) for e in povm.grid.energies],
+        }
+    )
+    with _atomic_file(path) as handle:
+        handle.write(head[:-1] + ', "effects": [')
+        for k in range(povm.n_bins):
+            re, im = _json_matrix_pair(povm.effect(k))
+            handle.write(('{"re": ' if k == 0 else ', {"re": ') + re + ', "im": ' + im + "}")
+        handle.write('], "label": ' + json.dumps(povm.label) + "}\n")
 
 
 def _want_int(doc: dict, field: str, minimum: int, where: str) -> int:

@@ -61,7 +61,7 @@ class Spectrum:
     """Eigenvalues in ascending order, eigenvectors as matching columns."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None = None
+    eigenvectors: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def _round_robin_pairs(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
-def hermitian_eigh(a: np.ndarray, want_vectors: bool = True) -> Spectrum:
+def hermitian_eigh(a: np.ndarray) -> Spectrum:
     """Full spectrum of a Hermitian matrix by cyclic complex Jacobi rotations.
 
     Each rotation is the 2x2 unitary of Forsythe and Henrici: a phase that
@@ -144,7 +144,7 @@ def hermitian_eigh(a: np.ndarray, want_vectors: bool = True) -> Spectrum:
     if asym > 1e-12 * scale:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")
     a = (0.5 * (a + a.conj().T)).astype(complex)
-    v = np.eye(n, dtype=complex) if want_vectors else None
+    v = np.eye(n, dtype=complex)
     tol, max_sweeps = 1e-14, 60
     fro = np.linalg.norm(a)
     # entries below skip_level can never push the off-diagonal norm past the
@@ -173,7 +173,7 @@ def hermitian_eigh(a: np.ndarray, want_vectors: bool = True) -> Spectrum:
             rq = w.conj()[:, None] * a[q, :]
             a[p, :] = c[:, None] * rp - s[:, None] * rq
             a[q, :] = s[:, None] * rp + c[:, None] * rq
-            for m in (a, v) if want_vectors else (a,):
+            for m in (a, v):
                 cp = m[:, p]
                 cq = m[:, q] * w
                 m[:, p] = c * cp - s * cq
@@ -183,7 +183,7 @@ def hermitian_eigh(a: np.ndarray, want_vectors: bool = True) -> Spectrum:
         raise RuntimeError("jacobi iteration did not converge within the sweep limit")
     w = np.diagonal(a).real.copy()
     order = np.argsort(w, kind="stable")
-    return Spectrum(w[order], v[:, order] if want_vectors else None)
+    return Spectrum(w[order], v[:, order])
 
 
 def sturm_count(t: SymTridiag, x):

@@ -385,12 +385,16 @@ class PovmValidation:
 
     ``min_effect_eigenvalue`` is a lower bound on the lowest eigenvalue of
     every effect: exactly 0 for factored storage, and for dense storage
-    lambda_min(E_0) minus the largest Frobenius gap between an effect and
-    the covariant transport of E_0 (see :func:`validate_povm`).
-    ``kernel`` is K_0 (r, dim) with E_0 = K_0^dagger K_0: the generator, or
-    sqrt(L) W^dagger over the eigenpairs (W, L) of a dense E_0 that
-    :func:`retained_eigenvalues` keeps; None when E_0 has no positive
-    eigenvalue or one below -1e-8 times the largest, whatever the tolerance.
+    lambda_min(H_0) minus the largest Frobenius gap between an effect and
+    the covariant transport of H_0, the Hermitian part of E_0 (see
+    :func:`validate_povm`).  A dense E_0 whose anti-Hermitian part has an
+    entry above the tolerance is not positive: the field is then minus that
+    entry, and there is no kernel.
+    ``kernel`` is K_0 (r, dim) with H_0 = K_0^dagger K_0 up to the
+    tolerance: the generator, or sqrt(L) W^dagger over the eigenpairs (W, L)
+    of H_0 that :func:`retained_eigenvalues` keeps, those above rounding
+    and above the tolerance.  None when H_0 has no such eigenvalue or one
+    below -1e-8 times the largest, whatever the tolerance.
     """
 
     completeness_residual: float
@@ -432,9 +436,14 @@ class PovmValidation:
         return not self.failed_axioms
 
 
-def retained_eigenvalues(w: np.ndarray) -> np.ndarray:
-    """Mask of the ascending eigenvalues w of E_0 that are not exact zeros: above 1e-12 of the largest."""
-    return w > 1e-12 * w[-1]
+def retained_eigenvalues(w: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """Mask of the ascending eigenvalues w of E_0 that are not zeros.
+
+    Exact zeros are those at most 1e-12 of the largest, where rounding puts
+    them; with a ``floor``, the input error a validation tolerates, the
+    eigenvalues at or below it are zeros within that tolerance too.
+    """
+    return w > max(1e-12 * w[-1], floor)
 
 
 def validate_povm(povm: CovariantPOVM, tol: float = 1e-10, seed: int = 0) -> PovmValidation:
@@ -442,13 +451,17 @@ def validate_povm(povm: CovariantPOVM, tol: float = 1e-10, seed: int = 0) -> Pov
     and additivity.
 
     Positivity of factored storage is structural (a Gram matrix cannot have
-    a negative eigenvalue), so it reports 0.  A dense family pays for one
-    eigendecomposition, that of effect 0: every other effect is compared
-    with the transport P^k E_0 P^-k of it, P = diag(exp(i*E*tau)), and the
-    largest Frobenius gap delta bounds how far the lowest eigenvalue can
-    move (Weyl's inequality).  The reported minimum is lambda_min(E_0) -
+    a negative eigenvalue), so it reports 0.  A dense family first measures
+    the anti-Hermitian part (E_0 - E_0^dagger)/2 of effect 0: with an entry
+    above ``tol``, E_0 is not positive, and the reported minimum is minus
+    that entry.  Otherwise it pays for one eigendecomposition, that of the
+    Hermitian part H_0 = (E_0 + E_0^dagger)/2, which is E_0 itself for
+    Hermitian input: every effect is compared with the transport
+    P^k H_0 P^-k, P = diag(exp(i*E*tau)), and the largest Frobenius gap
+    delta bounds how far the lowest eigenvalue can move (Weyl's inequality
+    on the Hermitian parts).  The reported minimum is lambda_min(H_0) -
     delta, a lower bound on the lowest eigenvalue of every effect.  The
-    eigenvectors give the report's K_0, so nothing factors E_0 again.
+    eigenvectors give the report's K_0, so nothing factors H_0 again.
 
     Additivity is probed with seeded random disjoint bin sets A and B whose
     union is a proper part of the lattice (for n >= 3): P(A u B) computed
@@ -475,14 +488,20 @@ def validate_povm(povm: CovariantPOVM, tol: float = 1e-10, seed: int = 0) -> Pov
     if povm.generator is not None:
         min_eig, kernel = 0.0, povm.generator
     else:
-        steps = povm.transport(np.ones((1, dim)))[:, 0]  # row k: the diagonal of conj(P^k)
-        drift = steps.conj()[:, :, None] * povm.dense[0] * steps[:, None, :]
-        drift -= povm.dense
-        sp = hermitian_eigh(povm.dense[0])
-        w, keep = sp.eigenvalues, retained_eigenvalues(sp.eigenvalues)
-        min_eig = float(w[0]) - float(np.max(np.linalg.norm(drift, axis=(1, 2))))
-        positive = w[-1] > 0.0 and w[0] >= -1e-8 * w[-1]
-        kernel = np.sqrt(w[keep])[:, None] * sp.eigenvectors[:, keep].conj().T if positive else None
+        e0 = povm.dense[0]
+        skew = 0.5 * float(np.max(np.abs(e0 - e0.conj().T)))
+        if skew > tol:
+            min_eig, kernel = -skew, None
+        else:
+            herm = 0.5 * (e0 + e0.conj().T)
+            steps = povm.transport(np.ones((1, dim)))[:, 0]  # row k: the diagonal of conj(P^k)
+            drift = steps.conj()[:, :, None] * herm * steps[:, None, :]
+            drift -= povm.dense
+            sp = hermitian_eigh(herm)
+            w, keep = sp.eigenvalues, retained_eigenvalues(sp.eigenvalues, tol)
+            min_eig = float(w[0]) - float(np.max(np.linalg.norm(drift, axis=(1, 2))))
+            positive = keep.any() and w[0] >= -1e-8 * w[-1]
+            kernel = np.sqrt(w[keep])[:, None] * sp.eigenvectors[:, keep].conj().T if positive else None
 
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

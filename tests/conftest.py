@@ -4,6 +4,8 @@ Everything heavy is session-scoped so the expensive builds (dilations, the
 reference minimal state, the default models) happen once per run.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,28 @@ from timepovm.model import (
     vector_generated_povm,
 )
 from timepovm.variational import minimal_state
+
+
+def _whole_document_text(povm) -> str:
+    # the observable writer before it streamed: all effects as Python
+    # floats in one document and one json.dumps
+    doc = {
+        "n_bins": povm.n_bins,
+        "dim": povm.dim,
+        "tau": float(povm.lattice.tau),
+        "energies": [float(e) for e in povm.grid.energies],
+        "effects": [
+            {"re": m.real.tolist(), "im": m.imag.tolist()} for m in map(povm.effect, range(povm.n_bins))
+        ],
+        "label": povm.label,
+    }
+    return json.dumps(doc) + "\n"
+
+
+@pytest.fixture(scope="session")
+def whole_document_text():
+    """Oracle for ``save_povm``: the text of the file, built as one document."""
+    return _whole_document_text
 
 
 @pytest.fixture(scope="session")

@@ -350,6 +350,26 @@ def test_dilate_refuses_a_negative_effect_inside_a_loose_tolerance(tmp_path, cap
     assert recs[-1] == {"error": "axiom-violated", "axiom": "positivity"}
 
 
+@pytest.mark.parametrize("bump, code", [(1e-11, 0), (1e-6, 1)])
+def test_dilate_measures_the_anti_hermitian_part_of_effect_0(bump, code, tmp_path, capsys):
+    # inside the 1e-10 tolerance the Hermitian part of effect 0 is dilated;
+    # beyond it effect 0 is not positive, and the validation line says so
+    path = tmp_path / "sharp8.json"
+    save_povm(build_sharp_time_povm(centered_grid(8)), path)
+    doc = json.loads(path.read_text())
+    doc["effects"][0]["im"][0][1] += bump
+    path.write_text(json.dumps(doc) + "\n")
+    assert main(["dilate", str(path)]) == code
+    _, recs = records(capsys)
+    verdict = find(recs, validation="axioms")
+    if code == 0:
+        assert verdict["pass"] == "true"
+        assert recs[-1] == {"summary": "dilate", "checks": "6", "failures": "0"}
+    else:
+        assert float(verdict["min_effect_eigenvalue"]) == pytest.approx(-bump / 2, rel=1e-6)
+        assert recs[-1]["error"] == "axiom-violated"
+
+
 def test_numerical_breakdown_is_one_record_exit_one(tmp_path, capsys, monkeypatch):
     def breakdown(*args, **kwargs):
         raise RuntimeError("jacobi iteration did not converge within the sweep limit")
@@ -479,9 +499,9 @@ def test_dilate_needs_few_eigensolves(n, tmp_path, capsys, monkeypatch):
     calls = []
     eigh = linalg.hermitian_eigh
 
-    def counted(a, want_vectors=True):
+    def counted(a):
         calls.append(a.shape)
-        return eigh(a, want_vectors)
+        return eigh(a)
 
     for module in (linalg, model, dilation):
         monkeypatch.setattr(module, "hermitian_eigh", counted)

@@ -1,11 +1,14 @@
 """Serialization round-trips and the diagnostics for malformed files."""
 
+import dataclasses
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from timepovm import formats
 from timepovm.formats import (
     PovmFormatError,
     atomic_write_text,
@@ -16,7 +19,7 @@ from timepovm.formats import (
     save_povm,
     save_state_table,
 )
-from timepovm.model import EnergyGrid, build_sharp_time_povm, validate_povm
+from timepovm.model import CovariantPOVM, EnergyGrid, TimeLattice, build_sharp_time_povm, validate_povm
 from timepovm.uncertainty import BoundReport
 
 
@@ -57,6 +60,77 @@ def test_halfline_round_trip_keeps_flag(halfline64, tmp_path):
     assert loaded.dim == halfline64.dim
     for k in (0, halfline64.n_bins // 2, halfline64.n_bins - 1):
         assert np.array_equal(loaded.effect(k), halfline64.effect(k))
+
+
+@pytest.mark.parametrize("family", ["sharp64", "halfline64", "vector64"])
+def test_save_povm_streams_the_whole_document_bytes(family, request, tmp_path, whole_document_text):
+    povm = request.getfixturevalue(family)
+    path = tmp_path / "povm.json"
+    save_povm(povm, path)
+    assert path.read_bytes() == whole_document_text(povm).encode()
+
+
+def test_save_povm_writes_every_number_as_json_does(tmp_path, whole_document_text):
+    # each value at both signs: zeros, infinities, NaN (json drops its sign),
+    # the smallest and a larger subnormal, and the exponent forms repr picks
+    nan_payload = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+    values = [0.0, np.inf, np.nan, nan_payload, 5e-324, 1e-310, 1e-05, 1e16, 0.1, 1.0, 2.5e-7, 123456789.0]
+    signed = np.array(values + [np.copysign(v, -1.0) for v in values])
+    rng = np.random.default_rng(5)
+    # two bins of 4 x 4, re and im: 64 entries
+    entries = np.concatenate([signed, rng.choice(signed, 64 - signed.size)])
+    dense = np.empty((2, 4, 4), dtype=complex)
+    dense.real.flat, dense.imag.flat = entries[:32], entries[32:]
+    povm = CovariantPOVM(EnergyGrid(4, 0.7, offset=-1.4), TimeLattice(2, 1.0), dense=dense)
+    path = tmp_path / "specials.json"
+    save_povm(povm, path)
+    assert path.read_text() == whole_document_text(povm)
+    # the dense effect(k) is a one-term sum, which turns -0.0 into 0.0, so
+    # the signed zeros are checked on the matrix texts themselves
+    texts = [formats._json_matrix_pair(m) for m in dense]
+    assert texts == [(json.dumps(m.real.tolist()), json.dumps(m.imag.tolist())) for m in dense]
+    text = " ".join(t for pair in texts for t in pair)
+    for shown in ("-0.0", "-Infinity", "NaN", "5e-324", "-1e-310", "1e-05", "-1e+16", "-2.5e-07"):
+        assert shown in text, shown
+    assert "-NaN" not in text
+
+
+def test_save_povm_escapes_the_label_as_json_does(tmp_path, whole_document_text):
+    label = 'say "t" \\ back\\slash, café – 時間 \U0001d4af\n'
+    povm = dataclasses.replace(build_sharp_time_povm(EnergyGrid(4, 0.7, offset=-1.4)), label=label)
+    path = tmp_path / "label.json"
+    save_povm(povm, path)
+    assert path.read_bytes() == whole_document_text(povm).encode()
+    assert load_povm(path).label == label
+
+
+def test_save_povm_failing_mid_stream_keeps_the_old_file(tmp_path, monkeypatch):
+    povm = build_sharp_time_povm(EnergyGrid(8, 0.7, offset=-4 * 0.7))
+    target = tmp_path / "povm.json"
+    target.write_text("old\n")
+    effect = CovariantPOVM.effect
+
+    def failing(self, k):
+        if k == 5:
+            raise RuntimeError("effect 5 is unavailable")
+        return effect(self, k)
+
+    monkeypatch.setattr(CovariantPOVM, "effect", failing)
+    with pytest.raises(RuntimeError, match="effect 5"):
+        save_povm(povm, target)
+    assert target.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["povm.json"]
+
+
+def test_save_povm_holds_one_bin_at_a_time(vector64, tmp_path):
+    # the whole document would hold 2 * 64^3 Python floats, about 40 MB
+    tracemalloc.start()
+    try:
+        save_povm(vector64, tmp_path / "vector.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, peak
 
 
 def test_load_missing_and_empty(tmp_path):

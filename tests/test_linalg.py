@@ -46,13 +46,16 @@ def test_hermitian_eigh_real_symmetric_path():
     assert np.all(np.diff(sp.eigenvalues) >= 0.0)
 
 
-def test_hermitian_eigh_values_only_agrees_with_full():
+def test_hermitian_eigh_of_the_hermitian_part_is_bit_identical():
+    # validate_povm diagonalizes (E_0 + E_0^dagger)/2; for Hermitian input
+    # that is E_0 bit for bit, so neither the spectrum nor the kernel moves
     rng = np.random.default_rng(7)
     a = random_hermitian(rng, 10)
-    full = hermitian_eigh(a)
-    vals = hermitian_eigh(a, want_vectors=False)
-    assert vals.eigenvectors is None
-    assert np.allclose(full.eigenvalues, vals.eigenvalues, atol=1e-13)
+    part = 0.5 * (a + a.conj().T)
+    assert part.tobytes() == a.tobytes()
+    full, again = hermitian_eigh(a), hermitian_eigh(part)
+    assert full.eigenvalues.tobytes() == again.eigenvalues.tobytes()
+    assert full.eigenvectors.tobytes() == again.eigenvectors.tobytes()
 
 
 def test_hermitian_eigh_handles_tight_clusters():

@@ -69,7 +69,7 @@ def test_hermitian_eigh_rank_one_gram(seed, n, scale):
     k = scale * (rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n)))
     a = k.conj().T @ k
     check_eigh(a)
-    top = hermitian_eigh(a, want_vectors=False).eigenvalues[-1]
+    top = hermitian_eigh(a).eigenvalues[-1]
     assert abs(top - float(np.sum(np.abs(k) ** 2))) <= 1e-12 * n * float(np.max(np.abs(a)))
 
 
@@ -247,6 +247,16 @@ def test_save_povm_round_trip_is_bit_identical(seed, n, de, offset_steps, kind):
     assert (loaded.n_bins, loaded.dim, loaded.lattice.tau) == (povm.n_bins, povm.dim, povm.lattice.tau)
     for k in range(n):
         assert np.array_equal(loaded.effect(k), povm.effect(k)), k
+
+
+@properties
+@given(seeds, st.integers(2, 12), st.floats(0.2, 1.5), offsets, kinds)
+def test_save_povm_streams_the_whole_document_bytes(whole_document_text, seed, n, de, offset_steps, kind):
+    povm = covariant_family(kind, n, de, offset_steps, np.random.default_rng(seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "povm.json"
+        save_povm(povm, path)
+        assert path.read_bytes() == whole_document_text(povm).encode()
 
 
 @properties
