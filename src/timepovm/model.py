@@ -392,9 +392,10 @@ class PovmValidation:
     entry, and there is no kernel.
     ``kernel`` is K_0 (r, dim) with H_0 = K_0^dagger K_0 up to the
     tolerance: the generator, or sqrt(L) W^dagger over the eigenpairs (W, L)
-    of H_0 that :func:`retained_eigenvalues` keeps, those above rounding
-    and above the tolerance.  None when H_0 has no such eigenvalue or one
-    below -1e-8 times the largest, whatever the tolerance.
+    of H_0 that :func:`retained_eigenvalues` keeps: those above rounding
+    and above dim times the largest anti-Hermitian entry of E_0, the most
+    that noise of that size moves an eigenvalue.  None when H_0 has no such
+    eigenvalue or one below -1e-8 times the largest, whatever the tolerance.
     """
 
     completeness_residual: float
@@ -440,8 +441,8 @@ def retained_eigenvalues(w: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """Mask of the ascending eigenvalues w of E_0 that are not zeros.
 
     Exact zeros are those at most 1e-12 of the largest, where rounding puts
-    them; with a ``floor``, the input error a validation tolerates, the
-    eigenvalues at or below it are zeros within that tolerance too.
+    them; with a ``floor``, the size of the noise the input shows, the
+    eigenvalues at or below it are zeros of that noise too.
     """
     return w > max(1e-12 * w[-1], floor)
 
@@ -461,7 +462,9 @@ def validate_povm(povm: CovariantPOVM, tol: float = 1e-10, seed: int = 0) -> Pov
     delta bounds how far the lowest eigenvalue can move (Weyl's inequality
     on the Hermitian parts).  The reported minimum is lambda_min(H_0) -
     delta, a lower bound on the lowest eigenvalue of every effect.  The
-    eigenvectors give the report's K_0, so nothing factors H_0 again.
+    eigenvectors give the report's K_0, so nothing factors H_0 again; an
+    eigenvalue within dim times the largest anti-Hermitian entry, the most
+    noise of that size can move one, counts as a zero.
 
     Additivity is probed with seeded random disjoint bin sets A and B whose
     union is a proper part of the lattice (for n >= 3): P(A u B) computed
@@ -498,7 +501,9 @@ def validate_povm(povm: CovariantPOVM, tol: float = 1e-10, seed: int = 0) -> Pov
             drift = steps.conj()[:, :, None] * herm * steps[:, None, :]
             drift -= povm.dense
             sp = hermitian_eigh(herm)
-            w, keep = sp.eigenvalues, retained_eigenvalues(sp.eigenvalues, tol)
+            # noise with entries up to skew moves an eigenvalue by at most
+            # dim * skew; Hermitian input (skew 0) keeps all above rounding
+            w, keep = sp.eigenvalues, retained_eigenvalues(sp.eigenvalues, dim * skew)
             min_eig = float(w[0]) - float(np.max(np.linalg.norm(drift, axis=(1, 2))))
             positive = keep.any() and w[0] >= -1e-8 * w[-1]
             kernel = np.sqrt(w[keep])[:, None] * sp.eigenvectors[:, keep].conj().T if positive else None

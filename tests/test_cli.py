@@ -16,7 +16,7 @@ import pytest
 from timepovm import cli, dilation, linalg, model
 from timepovm.cli import main
 from timepovm.formats import save_povm
-from timepovm.model import CovariantPOVM, build_sharp_time_povm, centered_grid
+from timepovm.model import CovariantPOVM, build_sharp_time_povm, centered_grid, vector_generated_povm
 from timepovm.variational import airy_operator_spectrum
 
 
@@ -368,6 +368,38 @@ def test_dilate_measures_the_anti_hermitian_part_of_effect_0(bump, code, tmp_pat
     else:
         assert float(verdict["min_effect_eigenvalue"]) == pytest.approx(-bump / 2, rel=1e-6)
         assert recs[-1]["error"] == "axiom-violated"
+
+
+def test_dilate_keeps_a_small_eigenvalue_of_a_hermitian_effect_0(tmp_path, capsys):
+    # E_0 = g g^dagger + eps e_3 e_3^dagger, complete because |g_3|^2 is
+    # 1/n - eps: its eigenvalue near eps = 5e-11, inside the 1e-10
+    # tolerance, is part of the family, and without it the compression gap
+    # at (3, 3) is eps per bin of the set
+    n, eps = 64, 5e-11
+    grid = centered_grid(n)
+    vector = vector_generated_povm(grid, np.exp(2j * np.pi * np.random.default_rng(5).random(n)) / 8.0)
+    kernel = np.concatenate([vector.generator, np.sqrt(eps) * np.eye(n)[3:4]])
+    kernel[0, 3] *= np.sqrt(1.0 - n * eps)
+    family = CovariantPOVM(grid, vector.lattice, generator=kernel)
+    path = tmp_path / "small-eigenvalue.json"
+    save_povm(CovariantPOVM(grid, vector.lattice, dense=np.stack([family.effect(k) for k in range(n)])), path)
+    main(["dilate", str(path)])
+    _, recs = records(capsys)
+    assert find(recs, validation="axioms")["pass"] == "true"
+    assert find(recs, dilation="built")["rank"] == str(2 * n)
+    assert float(find(recs, check="compression")["residual"]) < 1e-13
+    # not asserted: imprimitivity and shift-power, whose residuals for this
+    # family (3e-10, 5e-10) grow as the kept eigenvalue shrinks (ROADMAP)
+
+
+def test_dilate_holds_at_a_tolerance_above_every_eigenvalue(tmp_path, capsys):
+    # a tolerance of 1 admits any Hermitian E_0 with eigenvalues up to 1;
+    # none of them is noise, so the kernel keeps them
+    path = tmp_path / "sharp8.json"
+    save_povm(build_sharp_time_povm(centered_grid(8)), path)
+    assert main(["dilate", str(path), "--tolerance-scale", "1e10"]) == 0
+    _, recs = records(capsys)
+    assert recs[-1] == {"summary": "dilate", "checks": "6", "failures": "0"}
 
 
 def test_numerical_breakdown_is_one_record_exit_one(tmp_path, capsys, monkeypatch):
