@@ -7,7 +7,9 @@ not assumed.  States use a plain delimited table that any plotting tool
 can ingest.  All writes go through a sibling temp file and an atomic
 rename, so readers never observe a half-written document.  An observable
 file holds 2 n_bins dim^2 numbers, so it is streamed to that temp file one
-bin at a time, with each distinct magnitude of a bin formatted once.
+bin at a time, with each distinct magnitude of a bin formatted once, and
+read back with each bin turned into float arrays as soon as the parser
+closes it: neither side holds more than one bin's numbers as Python floats.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
 _REQUIRED_FIELDS = ("n_bins", "dim", "tau", "energies", "effects")
 _KNOWN_FIELDS = set(_REQUIRED_FIELDS) | {"label"}
 _NUMBER_TYPES = frozenset((int, float))
+_FLOAT_TYPE = frozenset((float,))
 
 
 class PovmFormatError(ValueError):
@@ -141,20 +144,58 @@ def _want_int(doc: dict, field: str, minimum: int, where: str) -> int:
     return value
 
 
+class _ParsedEffect(dict):
+    """An {"re", "im"} object as the parser hands it on: each part that was
+    a rectangular list of rows of floats is a float array of those rows.
+
+    Its repr is that of the lists it was parsed from, so a message that
+    shows one where a number belongs reads as it would without arrays.
+    """
+
+    def __repr__(self) -> str:
+        return repr({key: p.tolist() if isinstance(p, np.ndarray) else p for key, p in self.items()})
+
+
+def _float_rows(part: object) -> object:
+    """``part`` as a float array if it is a non-empty list of equal-length
+    lists of floats, which is what ``save_povm`` writes; otherwise ``part``
+    itself, for :func:`_want_real_matrix` to check and name what is wrong."""
+    if isinstance(part, list) and part and type(part[0]) is list:
+        width = len(part[0])
+        if all(type(row) is list and len(row) == width and _FLOAT_TYPE.issuperset(map(type, row)) for row in part):
+            return np.array(part, dtype=float)
+    return part
+
+
+def _effect_hook(obj: dict) -> dict:
+    # json calls this as each object closes, so one effect's Python floats
+    # are freed before the parser reads the next
+    if obj.keys() != {"re", "im"}:
+        return obj
+    return _ParsedEffect((key, _float_rows(part)) for key, part in obj.items())
+
+
 def _want_real_matrix(obj: object, dim: int, where: str) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != dim:
+    if not isinstance(obj, (list, np.ndarray)) or len(obj) != dim:
         raise PovmFormatError(f"{where}: expected {dim} rows")
-    out = np.empty((dim, dim))
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != dim:
-            raise PovmFormatError(f"{where} row {i}: expected {dim} numbers")
-        # one C-level scan of the exact types; the per-entry loop only runs
-        # to name the offending entry (bool is a subclass of int, not int)
-        if not _NUMBER_TYPES.issuperset(map(type, row)):
-            for j, value in enumerate(row):
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise PovmFormatError(f"{where} row {i} column {j}: not a number: {value!r}")
-        out[i] = row
+    if isinstance(obj, np.ndarray):
+        # the parser makes arrays only of rows of floats of one length, so
+        # row 0 is the first short row and every entry is a number
+        if obj.shape[1] != dim:
+            raise PovmFormatError(f"{where} row 0: expected {dim} numbers")
+        out = obj
+    else:
+        out = np.empty((dim, dim))
+        for i, row in enumerate(obj):
+            if not isinstance(row, list) or len(row) != dim:
+                raise PovmFormatError(f"{where} row {i}: expected {dim} numbers")
+            # one C-level scan of the exact types; the per-entry loop only runs
+            # to name the offending entry (bool is a subclass of int, not int)
+            if not _NUMBER_TYPES.issuperset(map(type, row)):
+                for j, value in enumerate(row):
+                    if isinstance(value, bool) or not isinstance(value, (int, float)):
+                        raise PovmFormatError(f"{where} row {i} column {j}: not a number: {value!r}")
+            out[i] = row
     if not np.all(np.isfinite(out)):
         raise PovmFormatError(f"{where}: non-finite entries")
     return out
@@ -167,16 +208,22 @@ def load_povm(path: str | os.PathLike) -> CovariantPOVM:
     shapes, finite values, uniform energy spacing.  Whether the effects
     actually form a normalized covariant observable is a separate question
     answered by ``validate_povm`` on the result.
+
+    The file is parsed in one ``json.loads`` call, but each effect's re and
+    im rows become float arrays as soon as the parser closes that effect,
+    so at most one bin's numbers are alive as Python floats.  The arrays
+    are copied bit for bit into the real and imaginary parts of the stored
+    effects, signed zeros included.
     """
     where = str(path)
     try:
         raw = Path(path).read_text()
     except OSError as exc:
         raise PovmFormatError(f"{where}: {exc.strerror or exc}") from None
-    if not raw.strip():
+    if not raw or raw.isspace():
         raise PovmFormatError(f"{where}: empty file")
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, object_hook=_effect_hook)
     except json.JSONDecodeError as exc:
         raise PovmFormatError(f"{where}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     if not isinstance(doc, dict):
@@ -215,9 +262,8 @@ def load_povm(path: str | os.PathLike) -> CovariantPOVM:
     for k, entry in enumerate(raw_effects):
         if not isinstance(entry, dict) or set(entry) != {"re", "im"}:
             raise PovmFormatError(f"{where}: effects[{k}] must be an object with fields re and im")
-        re = _want_real_matrix(entry["re"], dim, f"{where}: effects[{k}].re")
-        im = _want_real_matrix(entry["im"], dim, f"{where}: effects[{k}].im")
-        dense[k] = re + 1j * im
+        dense[k].real = _want_real_matrix(entry["re"], dim, f"{where}: effects[{k}].re")
+        dense[k].imag = _want_real_matrix(entry["im"], dim, f"{where}: effects[{k}].im")
 
     label = doc.get("label", Path(path).name)
     if not isinstance(label, str):

@@ -288,7 +288,9 @@ class CovariantPOVM:
         return None if self.generator is None else self.transport(self.generator)
 
     def effect(self, k: int) -> np.ndarray:
-        return self.sum_effects([int(k) % self.n_bins])
+        """Effect of bin k (mod n_bins); a copy of the stored matrix for dense storage."""
+        k = int(k) % self.n_bins
+        return self.sum_effects([k]) if self.dense is None else self.dense[k].copy()
 
     def sum_effects(self, bins=None) -> np.ndarray:
         """Sum of the effects over ``bins`` (default: all), from one stacked product."""

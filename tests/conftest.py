@@ -5,6 +5,7 @@ reference minimal state, the default models) happen once per run.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +40,19 @@ def _whole_document_text(povm) -> str:
 def whole_document_text():
     """Oracle for ``save_povm``: the text of the file, built as one document."""
     return _whole_document_text
+
+
+def _whole_document_effects(path) -> np.ndarray:
+    # the observable loader's effects before it converted bin by bin: the
+    # whole document as Python floats, and each effect as re + 1j * im
+    doc = json.loads(Path(path).read_text())
+    return np.stack([np.array(e["re"], dtype=float) + 1j * np.array(e["im"], dtype=float) for e in doc["effects"]])
+
+
+@pytest.fixture(scope="session")
+def whole_document_effects():
+    """Oracle for the effects ``load_povm`` reads, from one whole-document parse."""
+    return _whole_document_effects
 
 
 @pytest.fixture(scope="session")

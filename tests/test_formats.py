@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -85,14 +86,30 @@ def test_save_povm_writes_every_number_as_json_does(tmp_path, whole_document_tex
     path = tmp_path / "specials.json"
     save_povm(povm, path)
     assert path.read_text() == whole_document_text(povm)
-    # the dense effect(k) is a one-term sum, which turns -0.0 into 0.0, so
-    # the signed zeros are checked on the matrix texts themselves
     texts = [formats._json_matrix_pair(m) for m in dense]
     assert texts == [(json.dumps(m.real.tolist()), json.dumps(m.imag.tolist())) for m in dense]
     text = " ".join(t for pair in texts for t in pair)
     for shown in ("-0.0", "-Infinity", "NaN", "5e-324", "-1e-310", "1e-05", "-1e+16", "-2.5e-07"):
         assert shown in text, shown
     assert "-NaN" not in text
+
+
+def test_hand_made_file_with_signed_zeros_re_saves_byte_for_byte(tmp_path):
+    # -0.0 in re beside a positive im is what re + 1j * im turned into 0.0
+    rng = np.random.default_rng(3)
+    effects = [
+        {"re": rng.choice([-0.0, 0.0, 0.25, -0.5], (4, 4)).tolist(), "im": rng.choice([-0.0, 0.5], (4, 4)).tolist()}
+        for _ in range(3)
+    ]
+    doc = {"n_bins": 3, "dim": 4, "tau": 0.5, "energies": [-1.5, -0.5, 0.5, 1.5], "effects": effects, "label": "zeros"}
+    text = json.dumps(doc) + "\n"
+    assert text.count("-0.0") > 10
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_text(text)
+    loaded = load_povm(first)
+    assert all(np.array_equal(np.signbit(loaded.effect(k).real), np.signbit(effects[k]["re"])) for k in range(3))
+    save_povm(loaded, second)
+    assert second.read_text() == text
 
 
 def test_save_povm_escapes_the_label_as_json_does(tmp_path, whole_document_text):
@@ -131,6 +148,29 @@ def test_save_povm_holds_one_bin_at_a_time(vector64, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 5e6, peak
+
+
+@pytest.mark.parametrize("family", ["sharp64", "halfline64", "vector64"])
+def test_load_povm_reads_the_bits_of_a_whole_document_parse(family, request, tmp_path, whole_document_effects):
+    path = tmp_path / "povm.json"
+    save_povm(request.getfixturevalue(family), path)
+    assert re.search(rb"-0\.0[],]", path.read_bytes()) is None  # no "-0.0", so no entry may differ
+    loaded = load_povm(path).dense
+    assert np.array_equal(loaded.view(np.uint64), whole_document_effects(path).view(np.uint64))
+
+
+def test_load_povm_holds_one_bin_of_floats_at_a_time(vector64, tmp_path):
+    # the file is 11.7 MB; as one document of Python floats it held 2 * 64^3
+    # of them, and its traced peak was about 32 MB
+    path = tmp_path / "vector.json"
+    save_povm(vector64, path)
+    tracemalloc.start()
+    try:
+        load_povm(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 26e6, peak
 
 
 def test_load_missing_and_empty(tmp_path):
@@ -267,6 +307,75 @@ def test_load_names_the_first_non_number(tmp_path):
         with pytest.raises(PovmFormatError) as err:
             load_povm(rewrite(tmp_path / "bad.json", doc))
         assert str(err.value) == f"{tmp_path / 'bad.json'}: effects[2].im row 3 column 5: not a number: {shown}"
+
+
+def _effects_first(doc):
+    return {"effects": doc.pop("effects"), **doc}
+
+
+def _ragged_first(doc):
+    doc = _effects_first(doc)
+    doc["effects"][1]["re"][2].pop()
+    return doc
+
+
+def _misplaced_effect(where):
+    def edit(doc):
+        effect = {"re": [[1.0, -0.0]], "im": [[0.5, 2.0]]}
+        if where == "energies":
+            doc["energies"][1] = effect
+        else:
+            doc["effects"][0]["re"][0][3] = effect
+        return doc
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_ragged_first, "effects[1].re row 2: expected 4 numbers"),
+        (lambda doc: doc["effects"][0], "missing field n_bins"),
+        (_misplaced_effect("energies"), "energies[1] is not a number: {'re': [[1.0, -0.0]], 'im': [[0.5, 2.0]]}"),
+        (
+            _misplaced_effect("effects"),
+            "effects[0].re row 0 column 3: not a number: {'re': [[1.0, -0.0]], 'im': [[0.5, 2.0]]}",
+        ),
+    ],
+    ids=["ragged-row-before-dim", "only-one-effect", "effect-as-energy", "effect-as-entry"],
+)
+def test_load_messages_do_not_depend_on_when_effects_are_converted(sharp4_file, tmp_path, edit, message):
+    # the parser turns each effect into arrays as it closes, before n_bins
+    # and dim are known; every message must read as for the parsed lists
+    _, path = sharp4_file
+    bad = rewrite(tmp_path / "bad.json", edit(json.loads(path.read_text())))
+    with pytest.raises(PovmFormatError) as err:
+        load_povm(bad)
+    assert str(err.value) == f"{bad}: {message}"
+
+
+def test_load_takes_effects_in_any_place_and_the_last_duplicate(sharp4_file, tmp_path):
+    _, path = sharp4_file
+    text = path.read_text()
+    want = load_povm(path).dense
+    first = rewrite(tmp_path / "first.json", _effects_first(json.loads(text)))
+    assert np.array_equal(load_povm(first).dense, want)
+    # a repeated key keeps its last value, as json.loads does
+    twice = tmp_path / "twice.json"
+    twice.write_text('{"effects": [true, {"re": [[0.0]]}], ' + text[1:])
+    assert np.array_equal(load_povm(twice).dense, want)
+    twice.write_text(text[:-2] + ', "effects": [{"re": [[0.0]], "im": [[0.0]]}]}\n')
+    with pytest.raises(PovmFormatError) as err:
+        load_povm(twice)
+    assert str(err.value) == f"{twice}: field effects must hold 4 entries"
+
+
+def test_load_reports_parse_position_in_a_crlf_file(tmp_path):
+    bad = tmp_path / "crlf.json"
+    bad.write_bytes(b'{\r\n  "n_bins": 4,\r\n  "dim": oops\r\n}\r\n')
+    with pytest.raises(PovmFormatError) as err:
+        load_povm(bad)
+    assert str(err.value) == f"{bad}: line 3 column 10: Expecting value"
 
 
 def test_tampered_file_loads_but_fails_validation(sharp4_file, tmp_path):

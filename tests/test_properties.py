@@ -251,6 +251,19 @@ def test_save_povm_round_trip_is_bit_identical(seed, n, de, offset_steps, kind):
 
 @properties
 @given(seeds, st.integers(2, 12), st.floats(0.2, 1.5), offsets, kinds)
+def test_load_povm_reads_the_bits_of_a_whole_document_parse(whole_document_effects, seed, n, de, offset_steps, kind):
+    povm = covariant_family(kind, n, de, offset_steps, np.random.default_rng(seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "povm.json"
+        save_povm(povm, path)
+        got, want = load_povm(path).dense.view(np.uint64), whole_document_effects(path).view(np.uint64)
+    # the one difference: an entry written "-0.0", which re + 1j * im made 0.0
+    moved = got != want
+    assert np.all(want[moved] == 0) and np.all(got[moved] == np.uint64(1 << 63))
+
+
+@properties
+@given(seeds, st.integers(2, 12), st.floats(0.2, 1.5), offsets, kinds)
 def test_save_povm_streams_the_whole_document_bytes(whole_document_text, seed, n, de, offset_steps, kind):
     povm = covariant_family(kind, n, de, offset_steps, np.random.default_rng(seed))
     with tempfile.TemporaryDirectory() as tmp:
