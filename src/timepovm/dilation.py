@@ -77,8 +77,10 @@ def build_dilation(povm: CovariantPOVM, report: PovmValidation | None = None) ->
     that :func:`~timepovm.model.retained_eigenvalues` calls exact zeros drop
     dependent rows.  Block k is those rows moved by
     :meth:`CovariantPOVM.transport`.  The shift is assembled from the blocks
-    and their lifts as K_(k+1) P K_k^dagger / L, so its residuals in the
-    checks measure rounding rather than reading back an identity.
+    with their rows scaled to unit norm, as L^(-1/2) K_(k+1) P K_k^dagger
+    L^(-1/2), so its residuals in the checks measure rounding rather than
+    reading back an identity, and a small kept eigenvalue does not magnify
+    that rounding as dividing by L did.
     """
     if report is None:
         report = validate_povm(povm)
@@ -89,9 +91,10 @@ def build_dilation(povm: CovariantPOVM, report: PovmValidation | None = None) ->
     sp = hermitian_eigh(report.kernel @ report.kernel.conj().T)
     keep = retained_eigenvalues(sp.eigenvalues)
     blocks = povm.transport(sp.eigenvectors[:, keep].conj().T @ report.kernel)
-    lifts = blocks.conj().transpose(0, 2, 1) / sp.eigenvalues[keep]
+    # rows of unit norm, so a small kept eigenvalue scales no rounding up
+    units = blocks / np.sqrt(sp.eigenvalues[keep])[:, None]
     phases = np.exp(1j * povm.grid.energies * povm.lattice.tau)
-    shift = np.roll(blocks, -1, axis=0) @ (phases[:, None] * lifts)
+    shift = np.roll(units, -1, axis=0) @ (phases[:, None] * units.conj().transpose(0, 2, 1))
     return Dilation(povm, blocks, shift, povm.n_bins * (povm.dim - int(keep.sum())))
 
 

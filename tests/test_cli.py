@@ -370,26 +370,50 @@ def test_dilate_measures_the_anti_hermitian_part_of_effect_0(bump, code, tmp_pat
         assert recs[-1]["error"] == "axiom-violated"
 
 
-def test_dilate_keeps_a_small_eigenvalue_of_a_hermitian_effect_0(tmp_path, capsys):
-    # E_0 = g g^dagger + eps e_3 e_3^dagger, complete because |g_3|^2 is
-    # 1/n - eps: its eigenvalue near eps = 5e-11, inside the 1e-10
-    # tolerance, is part of the family, and without it the compression gap
-    # at (3, 3) is eps per bin of the set
-    n, eps = 64, 5e-11
+def small_eigenvalue_file(tmp_path, kind, eps, n=64):
+    # a complete dense family whose E_0 has a second eigenvalue near eps:
+    # "e3" is g g^dagger + eps e_3 e_3^dagger, complete because |g_3|^2 is
+    # 1/n - eps; "mixture" is (1 - eps) g g^dagger + eps h h^dagger of two
+    # vector generators
     grid = centered_grid(n)
-    vector = vector_generated_povm(grid, np.exp(2j * np.pi * np.random.default_rng(5).random(n)) / 8.0)
-    kernel = np.concatenate([vector.generator, np.sqrt(eps) * np.eye(n)[3:4]])
-    kernel[0, 3] *= np.sqrt(1.0 - n * eps)
-    family = CovariantPOVM(grid, vector.lattice, generator=kernel)
-    path = tmp_path / "small-eigenvalue.json"
-    save_povm(CovariantPOVM(grid, vector.lattice, dense=np.stack([family.effect(k) for k in range(n)])), path)
-    main(["dilate", str(path)])
+    g, h = (
+        vector_generated_povm(grid, np.exp(2j * np.pi * np.random.default_rng(seed).random(n)) / np.sqrt(n))
+        for seed in (5, 6)
+    )
+    if kind == "e3":
+        kernel = np.concatenate([g.generator, np.sqrt(eps) * np.eye(n)[3:4]])
+        kernel[0, 3] *= np.sqrt(1.0 - n * eps)
+    else:
+        kernel = np.concatenate([np.sqrt(1.0 - eps) * g.generator, np.sqrt(eps) * h.generator])
+    family = CovariantPOVM(grid, g.lattice, generator=kernel)
+    path = tmp_path / f"{kind}-{eps}.json"
+    save_povm(CovariantPOVM(grid, g.lattice, dense=np.stack([family.effect(k) for k in range(n)])), path)
+    return path
+
+
+def test_dilate_keeps_a_small_eigenvalue_of_a_hermitian_effect_0(tmp_path, capsys):
+    # the eigenvalue near eps = 5e-11, inside the 1e-10 tolerance, is part
+    # of the family, and without it the compression gap at (3, 3) is eps
+    # per bin of the set
+    main(["dilate", str(small_eigenvalue_file(tmp_path, "e3", 5e-11))])
     _, recs = records(capsys)
     assert find(recs, validation="axioms")["pass"] == "true"
-    assert find(recs, dilation="built")["rank"] == str(2 * n)
+    assert find(recs, dilation="built")["rank"] == str(2 * 64)
     assert float(find(recs, check="compression")["residual"]) < 1e-13
-    # not asserted: imprimitivity and shift-power, whose residuals for this
-    # family (3e-10, 5e-10) grow as the kept eigenvalue shrinks (ROADMAP)
+    assert find(recs, check="imprimitivity")["pass"] == "true"
+    assert find(recs, check="shift-power")["pass"] == "true"
+
+
+@pytest.mark.parametrize("kind, eps", [("e3", 1e-9), ("mixture", 1e-9), ("mixture", 5e-11)])
+def test_dilate_passes_every_check_beside_a_small_kept_eigenvalue(kind, eps, tmp_path, capsys):
+    # the shift is built from rows of unit norm; dividing by the small
+    # eigenvalue instead magnified phase rounding past 1e-10 in
+    # shift-power, and at 5e-11 in imprimitivity too
+    assert main(["dilate", str(small_eigenvalue_file(tmp_path, kind, eps))]) == 0
+    _, recs = records(capsys)
+    assert find(recs, dilation="built")["rank"] == str(2 * 64)
+    assert recs[-1] == {"summary": "dilate", "checks": "6", "failures": "0"}
+    assert max(float(r["residual"]) for r in recs if "check" in r) < 1e-13
 
 
 def test_dilate_holds_at_a_tolerance_above_every_eigenvalue(tmp_path, capsys):
