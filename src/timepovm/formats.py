@@ -9,7 +9,8 @@ rename, so readers never observe a half-written document.  An observable
 file holds 2 n_bins dim^2 numbers, so it is streamed to that temp file one
 bin at a time, with each distinct magnitude of a bin formatted once, and
 read back with each bin turned into float arrays as soon as the parser
-closes it: neither side holds more than one bin's numbers as Python floats.
+closes it: for such a file neither side holds more than one bin's numbers
+as Python floats.
 """
 
 from __future__ import annotations
@@ -159,7 +160,11 @@ class _ParsedEffect(dict):
 def _float_rows(part: object) -> object:
     """``part`` as a float array if it is a non-empty list of equal-length
     lists of floats, which is what ``save_povm`` writes; otherwise ``part``
-    itself, for :func:`_want_real_matrix` to check and name what is wrong."""
+    itself, for :func:`_want_real_matrix` to check and name what is wrong.
+
+    Only floats: ``tolist`` gives them back unchanged, which an int in
+    the same array would not be, so :class:`_ParsedEffect` can show them.
+    """
     if isinstance(part, list) and part and type(part[0]) is list:
         width = len(part[0])
         if all(type(row) is list and len(row) == width and _FLOAT_TYPE.issuperset(map(type, row)) for row in part):
@@ -210,10 +215,12 @@ def load_povm(path: str | os.PathLike) -> CovariantPOVM:
     answered by ``validate_povm`` on the result.
 
     The file is parsed in one ``json.loads`` call, but each effect's re and
-    im rows become float arrays as soon as the parser closes that effect,
-    so at most one bin's numbers are alive as Python floats.  The arrays
-    are copied bit for bit into the real and imaginary parts of the stored
-    effects, signed zeros included.
+    im rows of floats become float arrays as soon as the parser closes that
+    effect, so for a file as ``save_povm`` writes it at most one bin's
+    numbers are alive as Python floats.  Parts in any other form are kept
+    as parsed and checked the same way.  The entries are copied bit for bit
+    into the real and imaginary parts of the stored effects, signed zeros
+    included.
     """
     where = str(path)
     try:
