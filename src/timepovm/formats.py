@@ -230,7 +230,9 @@ def load_povm(path: str | os.PathLike) -> CovariantPOVM:
     if not raw or raw.isspace():
         raise PovmFormatError(f"{where}: empty file")
     try:
-        doc = json.loads(raw, object_hook=_effect_hook)
+        # an integer of over 308 characters may leave the float range: read as
+        # inf, as 1e400 is, its field is refused as non-finite, not overflowed
+        doc = json.loads(raw, object_hook=_effect_hook, parse_int=lambda t: int(t) if len(t) <= 308 else float(t))
     except json.JSONDecodeError as exc:
         raise PovmFormatError(f"{where}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     if not isinstance(doc, dict):

@@ -231,11 +231,11 @@ class CovariantPOVM:
     K_k^dagger K_k with K_k = K_0 conj(P^k), P = diag(exp(i*E*tau)).  Every
     constructor in this module produces this form; it needs dim <= n_bins
     and the lattice conjugate to the grid (n*tau*de = 2*pi), which is what
-    makes the occurrence amplitudes one DFT of K_0 * psi.  ``kernels``
-    derives the (n, r, dim) stack of all K_k from it on request.  ``dense``
-    holds explicit effect matrices and is reserved for observables read
-    back from files, where positivity is a claim to be checked rather than
-    a construction.
+    makes the occurrence amplitudes one DFT of K_0 * psi.  ``dense`` holds
+    explicit effect matrices, shape (n_bins, dim, dim), and is reserved for
+    observables read back from files, where positivity is a claim to be
+    checked rather than a construction; :func:`validate_povm` reads such a
+    table one bin at a time.
     """
 
     grid: EnergyGrid
@@ -258,15 +258,9 @@ class CovariantPOVM:
             if abs(turn - 1.0) > 1e-12:
                 raise ValueError(f"generator storage needs n*tau*de = 2*pi; got {turn!r} * 2*pi")
             return
-        store = self.dense
-        if store.ndim != 3 or store.shape[0] != self.lattice.n:
-            raise ValueError(
-                f"storage must be (n_bins, ., dim) with n_bins={self.lattice.n}, got {store.shape}"
-            )
-        if store.shape[-1] != self.grid.n:
-            raise ValueError(f"effect dimension {store.shape[-1]} does not match grid size {self.grid.n}")
-        if store.shape[1] != store.shape[2]:
-            raise ValueError("dense effects must be square matrices")
+        want = (self.lattice.n, self.grid.n, self.grid.n)
+        if self.dense.shape != want:
+            raise ValueError(f"dense effects must be (n_bins, dim, dim) = {want}, got {self.dense.shape}")
 
     @property
     def n_bins(self) -> int:
@@ -282,22 +276,17 @@ class CovariantPOVM:
         steps = np.exp(-1j * np.outer(bins * self.lattice.tau, self.grid.energies))
         return kernel[np.newaxis] * steps[:, np.newaxis, :]
 
-    @property
-    def kernels(self) -> np.ndarray | None:
-        """Per-bin kernels (n, r, dim) derived from the generator; None for dense storage."""
-        return None if self.generator is None else self.transport(self.generator)
-
     def effect(self, k: int) -> np.ndarray:
         """Effect of bin k (mod n_bins); a copy of the stored matrix for dense storage."""
         k = int(k) % self.n_bins
         return self.sum_effects([k]) if self.dense is None else self.dense[k].copy()
 
-    def sum_effects(self, bins=None) -> np.ndarray:
-        """Sum of the effects over ``bins`` (default: all), from one stacked product."""
+    def sum_effects(self, bins) -> np.ndarray:
+        """Sum of the effects over ``bins``, from one stacked product."""
         if self.generator is not None:
             flat = self.transport(self.generator, bins).reshape(-1, self.dim)
             return flat.conj().T @ flat
-        return (self.dense if bins is None else self.dense[bins]).sum(axis=0)
+        return self.dense[bins].sum(axis=0)
 
     def occurrence_probabilities(self, state: StateVector) -> np.ndarray:
         """psi^dagger E_k psi for every bin k, unclipped.
@@ -388,10 +377,10 @@ class PovmValidation:
     ``min_effect_eigenvalue`` is a lower bound on the lowest eigenvalue of
     every effect: exactly 0 for factored storage, and for dense storage
     lambda_min(H_0) minus the largest Frobenius gap between an effect and
-    the covariant transport of H_0, the Hermitian part of E_0 (see
-    :func:`validate_povm`).  A dense E_0 whose anti-Hermitian part has an
-    entry above the tolerance is not positive: the field is then minus that
-    entry, and there is no kernel.
+    the covariant transport of H_0, the Hermitian part of E_0, both taken
+    in the one pass of :func:`validate_povm` over the bins.  A dense E_0
+    whose anti-Hermitian part has an entry above the tolerance is not
+    positive: the field is then minus that entry, and there is no kernel.
     ``kernel`` is K_0 (r, dim) with H_0 = K_0^dagger K_0 up to the
     tolerance: the generator, or sqrt(L) W^dagger over the eigenpairs (W, L)
     of H_0 that :func:`retained_eigenvalues` keeps: those above rounding
@@ -459,14 +448,14 @@ def validate_povm(povm: CovariantPOVM, tol: float = 1e-10, seed: int = 0) -> Pov
     above ``tol``, E_0 is not positive, and the reported minimum is minus
     that entry.  Otherwise it pays for one eigendecomposition, that of the
     Hermitian part H_0 = (E_0 + E_0^dagger)/2, which is E_0 itself for
-    Hermitian input: every effect is compared with the transport
-    P^k H_0 P^-k, P = diag(exp(i*E*tau)), and the largest Frobenius gap
-    delta bounds how far the lowest eigenvalue can move (Weyl's inequality
-    on the Hermitian parts).  The reported minimum is lambda_min(H_0) -
-    delta, a lower bound on the lowest eigenvalue of every effect.  The
-    eigenvectors give the report's K_0, so nothing factors H_0 again; an
+    Hermitian input; its eigenvectors give the report's K_0, and an
     eigenvalue within dim times the largest anti-Hermitian entry, the most
-    noise of that size can move one, counts as a zero.
+    noise of that size can move one, counts as a zero.  One pass over the
+    bins then reads each effect E_k once: into the sum that completeness
+    compares with I, against E_(k+1) after one covariance step P E_k P^-1,
+    P = diag(exp(i*E*tau)), and, with H_0 factored, against P^k H_0 P^-k,
+    whose largest Frobenius gap delta bounds how far the lowest eigenvalue
+    can move (Weyl): the reported minimum is lambda_min(H_0) - delta.
 
     Additivity is probed with seeded random disjoint bin sets A and B whose
     union is a proper part of the lattice (for n >= 3): P(A u B) computed
@@ -479,36 +468,39 @@ def validate_povm(povm: CovariantPOVM, tol: float = 1e-10, seed: int = 0) -> Pov
     bin order, phase or normalization in either.
     """
     n, dim = povm.n_bins, povm.dim
-    completeness = float(np.max(np.abs(povm.sum_effects() - np.eye(dim))))
-
-    phases = np.exp(1j * povm.grid.energies * povm.lattice.tau)
-    cov = 0.0
-    first = prev = povm.effect(0)
-    for k in range(n):
-        shifted = (phases[:, None] * prev) * phases.conj()[None, :]
-        nxt = first if k == n - 1 else povm.effect(k + 1)
-        cov = max(cov, float(np.max(np.abs(shifted - nxt))))
-        prev = nxt
-
+    energies, tau = povm.grid.energies, povm.lattice.tau
+    first = effect = povm.effect(0)
     if povm.generator is not None:
-        min_eig, kernel = 0.0, povm.generator
+        min_eig, kernel, herm = 0.0, povm.generator, None
     else:
-        e0 = povm.dense[0]
-        skew = 0.5 * float(np.max(np.abs(e0 - e0.conj().T)))
+        skew = 0.5 * float(np.max(np.abs(first - first.conj().T)))
         if skew > tol:
-            min_eig, kernel = -skew, None
+            min_eig, kernel, herm = -skew, None, None
         else:
-            herm = 0.5 * (e0 + e0.conj().T)
-            steps = povm.transport(np.ones((1, dim)))[:, 0]  # row k: the diagonal of conj(P^k)
-            drift = steps.conj()[:, :, None] * herm * steps[:, None, :]
-            drift -= povm.dense
+            herm = 0.5 * (first + first.conj().T)
             sp = hermitian_eigh(herm)
             # noise with entries up to skew moves an eigenvalue by at most
             # dim * skew; Hermitian input (skew 0) keeps all above rounding
             w, keep = sp.eigenvalues, retained_eigenvalues(sp.eigenvalues, dim * skew)
-            min_eig = float(w[0]) - float(np.max(np.linalg.norm(drift, axis=(1, 2))))
+            min_eig = float(w[0])
             positive = keep.any() and w[0] >= -1e-8 * w[-1]
             kernel = np.sqrt(w[keep])[:, None] * sp.eigenvectors[:, keep].conj().T if positive else None
+
+    phases = np.exp(1j * energies * tau)
+    total = np.zeros((dim, dim), dtype=complex)
+    cov = drift = 0.0
+    for k in range(n):
+        total += effect
+        if herm is not None:
+            step = np.exp(-1j * ((k * tau) * energies))  # the diagonal of conj(P^k)
+            gap = step.conj()[:, None] * herm * step - effect
+            drift = max(drift, float(np.linalg.norm(gap, axis=(0, 1))))
+        nxt = first if k == n - 1 else povm.effect(k + 1)
+        shifted = (phases[:, None] * effect) * phases.conj()[None, :]
+        cov = max(cov, float(np.max(np.abs(shifted - nxt))))
+        effect = nxt
+    completeness = float(np.max(np.abs(total - np.eye(dim))))
+    min_eig -= drift  # 0 unless H_0 was factored
 
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

@@ -207,8 +207,8 @@ def ccr_residual(povm: CovariantPOVM, state: StateVector) -> float:
     if povm.generator is None or povm.generator.shape[0] != 1:
         raise ValueError("commutator check needs a rank-one factored observable")
     # the stencil needs the true phase of every bin amplitude, which the
-    # derived kernels carry and the DFT in occurrence_probabilities drops
-    a = povm.kernels[:, 0, :] @ state.amplitudes
+    # transported kernels carry and the DFT in occurrence_probabilities drops
+    a = povm.transport(povm.generator)[:, 0, :] @ state.amplitudes
     edge_mass = float(np.sum(np.abs(a[:2]) ** 2) + np.sum(np.abs(a[-2:]) ** 2))
     if edge_mass > _CCR_EDGE_LIMIT:
         raise ValueError(

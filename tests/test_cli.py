@@ -141,6 +141,16 @@ def test_dilate_stdout_is_unchanged(family, fixtures64, capsys, monkeypatch):
     assert capsys.readouterr().out == want
 
 
+@pytest.mark.parametrize("family", ["sharp", "halfline", "vector"])
+def test_dilate_away_from_seed_zero_is_unchanged(family, fixtures64, capsys, monkeypatch):
+    # another seed draws other additivity bin sets, compression bin sets and
+    # occurrence states; every printed digit stays pinned
+    want = (Path(__file__).parent / "golden" / f"dilate-{family}-n64-seed3.txt").read_text()
+    monkeypatch.chdir(fixtures64)
+    assert main(["dilate", f"{family}-povm.json", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_dilate_tampered_file_fails_cleanly(tmp_path, capsys):
     out = tmp_path / "fx"
     assert main(["emit-fixtures", "--n", "8", "--h", "5e-3", "--out", str(out)]) == 0
@@ -163,6 +173,36 @@ def test_dilate_malformed_input_exits_two(tmp_path, capsys):
     assert recs[-1]["error"] == "input"
     assert main(["dilate", str(tmp_path / "absent.json")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "place, digits",
+    [("effect", 401), ("energies", 401), ("tau", 401), ("effect", 5000)],
+)
+def test_dilate_refuses_an_integer_past_the_float_range(place, digits, tmp_path, capsys):
+    # 401 digits overflow a float where the value is converted; 5000 pass
+    # int()'s own digit limit, which json.loads hits first
+    grid = centered_grid(4)
+    doc = {
+        "n_bins": 4,
+        "dim": 4,
+        "tau": 2 * np.pi / (4 * grid.de),
+        "energies": grid.energies.tolist(),
+        "effects": [{"re": np.eye(4).tolist(), "im": np.zeros((4, 4)).tolist()} for _ in range(4)],
+    }
+    if place == "effect":
+        doc["effects"][0]["re"][1][1] = "HUGE"
+    elif place == "energies":
+        doc["energies"][1] = "HUGE"
+    else:
+        doc["tau"] = "HUGE"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc).replace('"HUGE"', "9" * digits))
+    assert main(["dilate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error=input detail=" + str(path)), lines
 
 
 def test_bounds_fullline_gaussian_saturates(capsys):

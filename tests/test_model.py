@@ -1,5 +1,7 @@
 """Grids, lattices, observables, state factories, and the axiom validator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -59,7 +61,7 @@ def test_fourier_map_is_unitary():
 
 
 def test_sharp_effects_are_rank_one_projections_summing_to_identity(sharp16):
-    total = sharp16.sum_effects()
+    total = sharp16.sum_effects(range(16))
     assert np.max(np.abs(total - np.eye(16))) <= 1e-13
     e0 = sharp16.effect(0)
     assert np.max(np.abs(e0 @ e0 - e0)) <= 1e-13
@@ -97,7 +99,7 @@ def test_halfline_povm_structure(halfline64):
     assert halfline64.dim == 32
     assert halfline64.grid.halfline
     assert halfline64.grid.offset == 0.0
-    total = halfline64.sum_effects()
+    total = halfline64.sum_effects(range(64))
     assert np.max(np.abs(total - np.eye(32))) <= 1e-13
     v = validate_povm(halfline64)
     assert v.passed
@@ -163,8 +165,8 @@ def test_additivity_probe_catches_a_misordered_occurrence_path(sharp16, monkeypa
 
 @pytest.mark.parametrize("storage", ["generator", "dense"])
 def test_validate_povm_builds_each_effect_once(sharp64, storage, monkeypatch):
-    # covariance walks the n effects once; completeness and additivity come
-    # from stacked sums, not per-bin copies (8 rounds of n copies before)
+    # one pass walks the n effects once; additivity comes from stacked
+    # sums, not per-bin copies (8 rounds of n copies before)
     povm = sharp64
     if storage == "dense":
         dense = np.stack([sharp64.effect(k) for k in range(64)])
@@ -179,6 +181,20 @@ def test_validate_povm_builds_each_effect_once(sharp64, storage, monkeypatch):
     monkeypatch.setattr(CovariantPOVM, "effect", counted)
     assert validate_povm(povm).passed
     assert len(calls) <= povm.n_bins + 1
+
+
+def test_validate_povm_holds_no_stack_of_the_table(vector64):
+    # the table is 4.2 MB; a transport drift built for all bins at once
+    # took the traced peak to 8.8 MB
+    dense = np.stack([vector64.effect(k) for k in range(64)])
+    povm = CovariantPOVM(vector64.grid, vector64.lattice, dense=dense)
+    tracemalloc.start()
+    try:
+        assert validate_povm(povm).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6, peak
 
 
 def test_validate_povm_flags_negative_effect(sharp16):
@@ -205,6 +221,78 @@ def test_validation_carries_the_generating_kernel(sharp16, monkeypatch):
     dense[0] -= 1e-7 * np.eye(16)
     v = validate_povm(CovariantPOVM(sharp16.grid, sharp16.lattice, dense=dense), tol=1e-6)
     assert v.positive and v.kernel is None
+
+
+def stacked_validation(povm, tol=1e-10, seed=0):
+    # every field of validate_povm on a dense table, each from one stacked
+    # expression over all bins: the reference that the one pass over the
+    # bins must match bit for bit
+    dense, n, dim = povm.dense, povm.n_bins, povm.dim
+    energies, tau = povm.grid.energies, povm.lattice.tau
+    completeness = float(np.max(np.abs(dense.sum(axis=0) - np.eye(dim))))
+    phases = np.exp(1j * energies * tau)
+    moved = (phases[:, None] * dense) * phases.conj()
+    covariance = float(np.max(np.abs(moved - np.roll(dense, -1, axis=0))))
+    e0 = dense[0]
+    skew = 0.5 * float(np.max(np.abs(e0 - e0.conj().T)))
+    min_eig, kernel = -skew, None
+    if skew <= tol:
+        herm = 0.5 * (e0 + e0.conj().T)
+        steps = np.exp(-1j * np.outer(np.arange(n) * tau, energies))
+        drift = steps.conj()[:, :, None] * herm * steps[:, None, :] - dense
+        sp = model.hermitian_eigh(herm)
+        w, keep = sp.eigenvalues, model.retained_eigenvalues(sp.eigenvalues, dim * skew)
+        min_eig = float(w[0]) - float(np.max(np.linalg.norm(drift, axis=(1, 2))))
+        if keep.any() and w[0] >= -1e-8 * w[-1]:
+            kernel = np.sqrt(w[keep])[:, None] * sp.eigenvectors[:, keep].conj().T
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    psi /= np.linalg.norm(psi)
+    probs = np.real(np.einsum("i,kij,j->k", psi.conj(), dense, psi))
+    additivity = 0.0
+    for _ in range(8):
+        picks = rng.permutation(n)
+        i, j = np.sort(rng.choice(np.arange(1, max(n, 3)), size=2, replace=False))
+        p_union = float(np.real(np.vdot(psi, dense[picks[:j]].sum(axis=0) @ psi)))
+        additivity = max(additivity, abs(p_union - float(probs[picks[:i]].sum()) - float(probs[picks[i:j]].sum())))
+    return (completeness, covariance, min_eig, additivity, tol), kernel
+
+
+def _tampered_tables():
+    rng = np.random.default_rng(16)
+    families = {
+        "sharp": default_fullline_model(16),
+        "halfline": default_halfline_model(16, 0.3),
+        "vector": vector_generated_povm(centered_grid(16), np.exp(2j * np.pi * rng.random(16)) / 4.0),
+    }
+    for name, family in families.items():
+        exact = np.stack([family.effect(k) for k in range(family.n_bins)])
+        for eps in (1e-14, 1e-12, 1e-10, 1e-8):
+            noise = eps * (rng.standard_normal(exact.shape) + 1j * rng.standard_normal(exact.shape))
+            yield pytest.param(family, exact + 0.5 * (noise + noise.conj().transpose(0, 2, 1)), id=f"{name}-{eps:g}")
+    # an anti-Hermitian entry in E_0 of the last (vector) table, below the
+    # tolerance: the kept spectrum is floored at dim times its size
+    skewed = exact.copy()
+    skewed[0, 1, 2] += 1e-12
+    skewed[0, 2, 1] -= 1e-12
+    yield pytest.param(family, skewed, id="vector-skew-1e-12")
+
+
+@pytest.mark.parametrize("family, table", _tampered_tables())
+def test_validation_reads_the_table_bin_by_bin_to_the_last_bit(family, table):
+    povm = CovariantPOVM(family.grid, family.lattice, dense=table)
+    got = validate_povm(povm)
+    fields, kernel = stacked_validation(povm)
+    assert (
+        got.completeness_residual,
+        got.covariance_residual,
+        got.min_effect_eigenvalue,
+        got.additivity_residual,
+        got.tolerance,
+    ) == fields
+    assert (got.kernel is None) == (kernel is None)
+    if kernel is not None:
+        assert got.kernel.shape == kernel.shape and got.kernel.tobytes() == kernel.tobytes()
 
 
 def test_min_effect_eigenvalue_bounds_every_effect(sharp16):

@@ -219,9 +219,9 @@ def test_occurrence_fft_matches_dense_kernels_and_numpy_fft(seed, n, de, offset_
     povm = covariant_family(kind, n, de, offset_steps, rng)
     state = random_smooth_state(povm.grid, seed % 1000)
     got = povm.occurrence_probabilities(state)
-    # oracles: the derived kernel stack times the state, and numpy's FFT of
-    # the zero-padded K_0 * psi
-    dense = np.sum(np.abs(povm.kernels @ state.amplitudes) ** 2, axis=1)
+    # oracles: the transported kernel stack times the state, and numpy's FFT
+    # of the zero-padded K_0 * psi
+    dense = np.sum(np.abs(povm.transport(povm.generator) @ state.amplitudes) ** 2, axis=1)
     padded = np.zeros((povm.generator.shape[0], n), dtype=complex)
     padded[:, : povm.dim] = povm.generator * state.amplitudes
     spectrum = np.fft.fft(padded, axis=-1)
