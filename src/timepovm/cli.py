@@ -232,7 +232,7 @@ def cmd_airy_certify(args: argparse.Namespace) -> int:
     # tolerances widen with h^2 so coarse grids still certify at their own
     # attainable precision; at the reference spacing 1e-3 the extra term is
     # far below the printed-precision targets
-    eigs = airy_operator_spectrum(h, L, 1.0, 3)
+    eigs = airy_operator_spectrum(h, L, 3)
     zeros = [airy_zero(i) for i in (1, 2, 3)]
     for i, (ev, ref) in enumerate(zip(eigs, zeros), start=1):
         rep.emit({"airy_level": i, "eigenvalue": float(ev), "airy_zero": ref, "error": float(ev - ref)})

@@ -112,8 +112,8 @@ def check_compression(dilation: Dilation, bin_sets=None, count: int = 100, seed:
 
     For every tested bin set B the sharp measure projects onto the blocks
     of B, so its compression is the sum of blocks[k]^dagger blocks[k] over
-    B; that is compared against the sum of the model's effects over B (one
-    stacked sum of the dense effects, or K_B^dagger K_B of the kernels
+    B; that is compared against the sum of the model's effects over B (the
+    dense effects added in place, or K_B^dagger K_B of the kernels
     derived from the generator), which never touches the blocks.  With no
     explicit ``bin_sets`` a seeded collection of random subsets is used.
     """

@@ -310,7 +310,7 @@ def load_state_table(path: str | os.PathLike) -> GridState:
     if abs(x[0] - h) > 1e-9 * h:
         raise PovmFormatError(f"{where}: first node must sit one spacing inside the wall at 0")
     try:
-        return GridState(values, float(h), float(x[-1] + h))
+        return GridState(values, float(h))
     except ValueError as exc:
         raise PovmFormatError(f"{where}: {exc}") from None
 
@@ -331,7 +331,7 @@ def format_record(record: Mapping[str, object]) -> str:
     return " ".join(parts)
 
 
-def bound_record(report, n: int | None = None) -> dict:
+def bound_record(report, n: int) -> dict:
     """Flatten a bound check into an ordered record for one report line."""
     rec = {
         "bound": report.name,
@@ -339,10 +339,9 @@ def bound_record(report, n: int | None = None) -> dict:
         "rhs": float(report.rhs),
         "margin": float(report.margin),
         "pass": bool(report.passed),
+        "n": int(n),
+        "reliable": bool(report.reliable),
     }
-    if n is not None:
-        rec["n"] = int(n)
-    rec["reliable"] = bool(report.reliable)
     for key in sorted(report.context):
         rec[key] = report.context[key]
     return rec

@@ -282,11 +282,14 @@ class CovariantPOVM:
         return self.sum_effects([k]) if self.dense is None else self.dense[k].copy()
 
     def sum_effects(self, bins) -> np.ndarray:
-        """Sum of the effects over ``bins``, from one stacked product."""
+        """Sum of the effects over ``bins``, dense ones added in the order given."""
         if self.generator is not None:
             flat = self.transport(self.generator, bins).reshape(-1, self.dim)
             return flat.conj().T @ flat
-        return self.dense[bins].sum(axis=0)
+        total = np.zeros((self.dim, self.dim), dtype=self.dense.dtype)
+        for k in bins:
+            total += self.dense[k]
+        return total
 
     def occurrence_probabilities(self, state: StateVector) -> np.ndarray:
         """psi^dagger E_k psi for every bin k, unclipped.
@@ -459,7 +462,7 @@ def validate_povm(povm: CovariantPOVM, tol: float = 1e-10, seed: int = 0) -> Pov
 
     Additivity is probed with seeded random disjoint bin sets A and B whose
     union is a proper part of the lattice (for n >= 3): P(A u B) computed
-    from the union effect, one stacked sum, is compared against P(A) + P(B)
+    from the union effect, one ``sum_effects``, is compared against P(A) + P(B)
     summed from ``occurrence_probabilities``, all on one random state.  A
     family indexed by bins is additive by construction, so the probe cannot
     find a non-additive one; what it detects is disagreement between the

@@ -47,8 +47,6 @@ __all__ = [
 
 # random starts advanced together by the descent route of the minimizers
 _RESTARTS = 8
-# grid points evaluated at once by the identity scan, over all pairs of a chunk
-_SCAN_CHUNK = 1 << 16
 
 
 class DomainTooSmallError(ValueError):
@@ -70,14 +68,13 @@ class GridState:
 
     values: np.ndarray
     h: float
-    L: float
 
     def __post_init__(self):
         v = np.asarray(self.values)
         if v.ndim != 1 or v.size < 2:
             raise ValueError("grid state needs a one-dimensional vector of at least two nodes")
-        if not (self.h > 0.0 and self.L > 0.0):
-            raise ValueError("spacing and length must be positive")
+        if not self.h > 0.0:
+            raise ValueError("spacing must be positive")
         nrm = math.sqrt(self.h) * float(np.linalg.norm(v))
         if abs(nrm - 1.0) > 1e-12:
             raise ValueError(f"state is not unit norm: |norm - 1| = {abs(nrm - 1.0):.3e}")
@@ -87,12 +84,17 @@ class GridState:
     def nodes(self) -> np.ndarray:
         return self.h * np.arange(1, self.values.size + 1)
 
+    @property
+    def L(self) -> float:
+        """Position of the far wall, one spacing past the last node."""
+        return self.h * (self.values.size + 1)
 
-def _as_state(raw: np.ndarray, h: float, L: float) -> GridState:
+
+def _as_state(raw: np.ndarray, h: float) -> GridState:
     nrm = math.sqrt(h) * float(np.linalg.norm(raw))
     if nrm == 0.0 or not np.isfinite(nrm):
         raise ValueError("state vanished or overflowed during normalization")
-    return GridState(raw / nrm, h, L)
+    return GridState(raw / nrm, h)
 
 
 def dirichlet_operator(h: float, L: float, slope: float = 1.0) -> SymTridiag:
@@ -113,58 +115,49 @@ def dirichlet_operator(h: float, L: float, slope: float = 1.0) -> SymTridiag:
     return SymTridiag(2.0 / h**2 + slope * x, np.full(m - 1, -1.0 / h**2))
 
 
-def _zero_estimate(k: int) -> float:
-    if k <= 20:
-        return airy_zero(k)
-    return (3.0 * math.pi * (4 * k - 1) / 8.0) ** (2.0 / 3.0)
-
-
-def required_length(k: int, slope: float = 1.0) -> float:
-    """Smallest domain length accepted for the k lowest eigenvalues."""
-    # turning point sits at zero_k / slope^(1/3); the decay margin scales the same way
-    return (2.0 * _zero_estimate(k) + 5.0) / slope ** (1.0 / 3.0)
+def required_length(k: int) -> float:
+    """Smallest domain length accepted for the k lowest eigenvalues, k in 1..20."""
+    # the turning point sits at the k-th Airy zero; the eigenfunction decays past it
+    return 2.0 * airy_zero(k) + 5.0
 
 
 @lru_cache(maxsize=64)
-def airy_operator_spectrum(h: float, L: float, slope: float = 1.0, k: int = 1) -> tuple:
-    """k lowest eigenvalues of the linear-potential Dirichlet operator.
+def airy_operator_spectrum(h: float, L: float, k: int = 1) -> tuple:
+    """k lowest eigenvalues of the unit-slope Dirichlet operator, k in 1..20.
 
-    For unit slope these converge to the zeros of the decaying Airy
-    function at rate h^2; general slopes scale the whole spectrum by
-    slope^(2/3).  The far wall at L must clear the classical turning
-    region, otherwise the request is rejected with the required length.
-    h above 1e-2 is accepted but leaves visible h^2 bias in the third
-    decimal; callers wanting certified digits should stay at or below it.
+    These converge to the zeros of the decaying Airy function at rate h^2.
+    The far wall at L must clear the classical turning region, otherwise
+    the request is rejected with the required length.  h above 1e-2 is
+    accepted but leaves visible h^2 bias in the third decimal; callers
+    wanting certified digits should stay at or below it.
     """
-    if slope <= 0.0:
-        raise ValueError(f"slope must be positive, got {slope}")
-    if k < 1:
-        raise ValueError("need at least one eigenvalue")
-    need = required_length(k, slope)
+    if not 1 <= k <= 20:
+        raise ValueError(f"need k in 1..20, the tabulated Airy zeros, got k={k!r}")
+    need = required_length(k)
     if L < need:
         raise DomainTooSmallError(
             f"domain length {L} cannot hold {k} eigenfunctions; need L >= {need:.2f}", need
         )
-    if k < 3 and L >= required_length(3, slope):
+    if k < 3 and L >= required_length(3):
         # shared multisection passes make three targets cost no more than
         # one, and the cached triple then serves every shorter request
-        return airy_operator_spectrum(h, L, slope, 3)[:k]
-    op = dirichlet_operator(h, L, slope)
+        return airy_operator_spectrum(h, L, 3)[:k]
+    op = dirichlet_operator(h, L)
     return tuple(float(w) for w in tridiag_lowest_eigs(op, k))
 
 
-def _ground_state(op: SymTridiag, lam: float, h: float, L: float) -> GridState:
+def _ground_state(op: SymTridiag, lam: float, h: float) -> GridState:
     """Normalized eigenvector of op at its lowest eigenvalue lam, positive sign."""
     vec = tridiag_eigenvector(op, lam)
     if float(vec.sum()) < 0.0:
         vec = -vec
-    return _as_state(vec, h, L)
+    return _as_state(vec, h)
 
 
 def minimal_state(h: float, L: float) -> GridState:
     """Normalized ground state of the unit-slope operator, positive sign."""
-    lam = airy_operator_spectrum(h, L, 1.0, 1)[0]
-    return _ground_state(dirichlet_operator(h, L, 1.0), lam, h, L)
+    lam = airy_operator_spectrum(h, L, 1)[0]
+    return _ground_state(dirichlet_operator(h, L), lam, h)
 
 
 def _kinetic(values: np.ndarray, h: float) -> float:
@@ -206,7 +199,7 @@ def scaling_transform(state: GridState, mu: float) -> GridState:
     """
     if not (mu > 0.0 and np.isfinite(mu)):
         raise ValueError(f"scale factor must be positive and finite, got {mu}")
-    return GridState(math.sqrt(mu) * np.asarray(state.values), state.h / mu, state.L / mu)
+    return GridState(math.sqrt(mu) * np.asarray(state.values), state.h / mu)
 
 
 def _virial_rescale(state: GridState, p: int) -> GridState:
@@ -219,7 +212,6 @@ def _virial_rescale(state: GridState, p: int) -> GridState:
 class MinimizationResult:
     value: float
     minimizer: GridState
-    method: str
     converged: bool
     iterations: int
 
@@ -304,7 +296,7 @@ def _descent(h: float, L: float, p: int, seed: int, max_iter: int):
         if not active.any():
             break
     j = int(np.argmin(best))
-    state = _virial_rescale(_as_state(phi[:, j], h, L), p)
+    state = _virial_rescale(_as_state(phi[:, j], h), p)
     return float(best[j]), state, iters, iters < max_iter
 
 
@@ -312,11 +304,11 @@ def _minimize(p: int, h, L, method, seed, max_iter, spectral) -> MinimizationRes
     """Either route for the weight x^p; spectral() gives (infimum, ground state)."""
     if method == "spectral":
         value, ground = spectral()
-        return MinimizationResult(value, _virial_rescale(ground, p), "spectral", True, 0)
+        return MinimizationResult(value, _virial_rescale(ground, p), True, 0)
     if method != "descent":
         raise ValueError(f"unknown method {method!r}; expected 'spectral' or 'descent'")
     val, state, iters, conv = _descent(h, L, p, seed, max_iter)
-    return MinimizationResult(val, state, "descent", conv, iters)
+    return MinimizationResult(val, state, conv, iters)
 
 
 def minimize_product(
@@ -337,7 +329,7 @@ def minimize_product(
     """
 
     def spectral():
-        lam = airy_operator_spectrum(h, L, 1.0, 1)[0]
+        lam = airy_operator_spectrum(h, L, 1)[0]
         return 4.0 / 27.0 * lam**3, minimal_state(h, L)
 
     return _minimize(1, h, L, method, seed, max_iter, spectral)
@@ -362,7 +354,7 @@ def minimize_combined(
         x = h * np.arange(1, op.n + 1)
         osc = SymTridiag(op.diag + x**2, op.offdiag)
         e0 = float(tridiag_lowest_eigs(osc, 1)[0])
-        return (e0 / 2.0) ** 2, _ground_state(osc, e0, h, L)
+        return (e0 / 2.0) ** 2, _ground_state(osc, e0, h)
 
     return _minimize(2, h, L, method, seed, max_iter, spectral)
 
@@ -428,24 +420,18 @@ def verify_min_identity_chain(
     normal = np.all((ends >= np.finfo(float).tiny) & (ends <= np.finfo(float).max), axis=1)
     if not normal.all():
         raise refused(int(np.argmin(normal)))
-    worst_floor = 0.0
-    worst_arg = 0.0
-    rows = max(1, _SCAN_CHUNK // window.size)
-    for lo in range(0, a_all.size, rows):
-        chunk = slice(lo, lo + rows)
-        lam = arg[chunk, None] * window
-        t = a_all[chunk, None] + lam * b_all[chunk, None]
-        with np.errstate(over="ignore"):
-            f = (4.0 / 27.0) * (t * t * t) / lam**2
-        at = np.argmin(f, axis=1)[:, None]
-        f_min = np.take_along_axis(f, at, axis=1)[:, 0]
-        finite = np.isfinite(f_min)
-        if not finite.all():
-            raise refused(lo + int(np.argmin(finite)))
-        worst_floor = max(worst_floor, float(np.max(inf_val[chunk] - f_min)))
-        lam_star = np.take_along_axis(lam, at, axis=1)[:, 0]
-        for ratio in (lam_star / arg[chunk]).tolist():
-            # offset in decades, same unit as the scan grid spacing
-            worst_arg = max(worst_arg, abs(math.log10(ratio)))
+    lam = arg[:, None] * window
+    t = a_all[:, None] + lam * b_all[:, None]
+    with np.errstate(over="ignore"):
+        f = (4.0 / 27.0) * (t * t * t) / lam**2
+    at = np.argmin(f, axis=1)[:, None]
+    f_min = np.take_along_axis(f, at, axis=1)[:, 0]
+    finite = np.isfinite(f_min)
+    if not finite.all():
+        raise refused(int(np.argmin(finite)))
+    worst_floor = float(np.max(inf_val - f_min, initial=0.0))
+    lam_star = np.take_along_axis(lam, at, axis=1)[:, 0]
+    # offset in decades, same unit as the scan grid spacing
+    worst_arg = max((abs(math.log10(ratio)) for ratio in (lam_star / arg).tolist()), default=0.0)
     ok = worst_floor <= 1e-12 and worst_arg <= log_step * (1.0 + 1e-9)
     return IdentityChainReport(int(a_arr.size), worst_floor, worst_arg, log_step, ok)

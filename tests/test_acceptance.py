@@ -227,7 +227,7 @@ def test_criterion_10_ccr_residual_convergence():
 def test_criterion_11_eigenvalue_convergence_order():
     errors = {}
     for h in (2e-3, 1e-3):
-        eigs = airy_operator_spectrum(h, 20.0, 1.0, 3)
+        eigs = airy_operator_spectrum(h, 20.0, 3)
         errors[h] = [abs(ev - airy_zero(k)) for k, ev in enumerate(eigs, start=1)]
     ratios = [errors[2e-3][i] / errors[1e-3][i] for i in range(3)]
     ok = all(3.5 <= r <= 4.5 for r in ratios)

@@ -452,8 +452,8 @@ def test_bound_record_order_and_content():
     assert rec["bound"] == "spread-spread"
     assert rec["pass"] is True
     assert abs(rec["margin"] - 1e-4) <= 1e-12
-    rec = bound_record(report)
-    assert "n" not in rec
+    with pytest.raises(TypeError):
+        bound_record(report)
 
 
 def test_atomic_write_leaves_no_temp(tmp_path):

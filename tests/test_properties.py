@@ -278,7 +278,7 @@ def test_state_table_round_trip_is_bit_identical(seed, size, h, spread):
     # magnitudes spanning up to 10^-spread exercise the exponent range
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal(size) * 10.0 ** -rng.integers(0, spread + 1, size)
-    state = GridState(raw / (np.sqrt(h) * np.linalg.norm(raw)), h, h * (size + 1))
+    state = GridState(raw / (np.sqrt(h) * np.linalg.norm(raw)), h)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "state.txt"
         save_state_table(state, path)

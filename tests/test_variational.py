@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from timepovm.linalg import SymTridiag
+from timepovm.linalg import SymTridiag, tridiag_lowest_eigs
 from timepovm.special import airy_ai, airy_zero, min_product_identity
 from timepovm.variational import (
     DomainTooSmallError,
@@ -26,10 +26,10 @@ from timepovm.variational import (
 )
 
 
-def unit_state(values, h, L):
+def unit_state(values, h):
     v = np.asarray(values, dtype=float)
     v = v / (np.sqrt(h) * np.linalg.norm(v))
-    return GridState(v, h, L)
+    return GridState(v, h)
 
 
 def test_dirichlet_operator_entries():
@@ -40,37 +40,35 @@ def test_dirichlet_operator_entries():
     assert np.allclose(op.offdiag, -np.full(4, 1.0 / 0.25))
 
 
-def test_required_length_grows_with_level_and_slope():
+def test_required_length_grows_with_level():
     assert required_length(1) < required_length(5)
-    # stronger slope compresses the eigenfunctions toward the wall
-    assert required_length(1, slope=8.0) < required_length(1, slope=1.0)
 
 
 def test_spectrum_matches_airy_zeros():
-    eigs = airy_operator_spectrum(1e-3, 20.0, 1.0, 3)
+    eigs = airy_operator_spectrum(1e-3, 20.0, 3)
     for k, ev in enumerate(eigs, start=1):
         assert abs(ev - airy_zero(k)) <= 1e-6, k
 
 
 def test_spectrum_slope_scaling():
     lam = 8.0
-    e_scaled = airy_operator_spectrum(1e-3, 10.0, lam, 1)[0]
+    e_scaled = tridiag_lowest_eigs(dirichlet_operator(1e-3, 10.0, lam), 1)[0]
     assert abs(e_scaled - lam ** (2.0 / 3.0) * airy_zero(1)) <= 2e-5
 
 
 def test_ground_level_is_served_from_the_three_level_spectrum():
-    three = airy_operator_spectrum(2e-3, 17.0, 1.0, 3)
-    assert airy_operator_spectrum(2e-3, 17.0, 1.0, 1) == three[:1]
-    assert airy_operator_spectrum(2e-3, 17.0, 1.0, 2) == three[:2]
+    three = airy_operator_spectrum(2e-3, 17.0, 3)
+    assert airy_operator_spectrum(2e-3, 17.0, 1) == three[:1]
+    assert airy_operator_spectrum(2e-3, 17.0, 2) == three[:2]
 
 
 def test_ground_level_on_a_domain_too_short_for_three_levels():
     L = 12.0
     assert required_length(1) <= L < required_length(3)
-    (lam,) = airy_operator_spectrum(2e-3, L, 1.0, 1)
+    (lam,) = airy_operator_spectrum(2e-3, L, 1)
     assert abs(lam - airy_zero(1)) <= 2e-6
     with pytest.raises(DomainTooSmallError):
-        airy_operator_spectrum(2e-3, L, 1.0, 3)
+        airy_operator_spectrum(2e-3, L, 3)
 
 
 def test_overflowing_grid_is_value_error():
@@ -85,8 +83,14 @@ def test_overflowing_grid_is_value_error():
 
 def test_spectrum_rejects_short_domain():
     with pytest.raises(DomainTooSmallError) as err:
-        airy_operator_spectrum(1e-3, 3.0, 1.0, 3)
+        airy_operator_spectrum(1e-3, 3.0, 3)
     assert err.value.required_length > 3.0
+
+
+@pytest.mark.parametrize("k", [0, 21])
+def test_spectrum_refuses_levels_past_the_airy_zero_table(k):
+    with pytest.raises(ValueError, match=r"1\.\.20"):
+        airy_operator_spectrum(1e-3, 50.0, k)
 
 
 def test_operator_conjugation_is_exact_grid_identity():
@@ -114,7 +118,7 @@ def test_sine_mode_functional_values():
     h = 1e-4
     m = int(round(1.0 / h)) - 1
     x = h * np.arange(1, m + 1)
-    st = unit_state(np.sin(np.pi * x), h, 1.0)
+    st = unit_state(np.sin(np.pi * x), h)
     kin, pos, prod = product_functional(st)
     assert abs(kin - np.pi**2) <= 1e-3
     assert abs(pos - 0.5) <= 1e-12
@@ -123,7 +127,7 @@ def test_sine_mode_functional_values():
 
 def test_grid_state_requires_unit_norm():
     with pytest.raises(ValueError):
-        GridState(np.ones(9), 0.1, 1.0)
+        GridState(np.ones(9), 0.1)
 
 
 def test_scaling_transform_inverts_and_preserves_product(reference_minimal_state):
@@ -152,7 +156,7 @@ def test_combined_functional_on_oscillator_ground_state():
     h, L = 5e-4, 12.0
     m = int(round(L / h)) - 1
     x = h * np.arange(1, m + 1)
-    st = unit_state(x * np.exp(-0.5 * x**2), h, L)
+    st = unit_state(x * np.exp(-0.5 * x**2), h)
     kin, sec, prod = combined_functional(st)
     assert abs(kin - 1.5) <= 1e-5
     assert abs(sec - 1.5) <= 1e-8
@@ -170,7 +174,7 @@ def test_minimize_product_routes_agree():
 
 def test_minimize_product_spectral_value(reference_minimal_state):
     res = minimize_product(1e-3, 20.0, method="spectral")
-    lam = airy_operator_spectrum(1e-3, 20.0, 1.0, 1)[0]
+    lam = airy_operator_spectrum(1e-3, 20.0, 1)[0]
     assert abs(res.value - 4.0 / 27.0 * lam**3) <= 1e-12
     kin, pos, prod = product_functional(res.minimizer)
     assert abs(prod - res.value) <= 1e-9
@@ -258,6 +262,15 @@ def test_identity_window_matches_full_scan(seed, scan_points):
     a = 10.0 ** rng.uniform(-2.0, 2.0, 10**4)
     b = 10.0 ** rng.uniform(-2.0, 2.0, 10**4)
     assert verify_min_identity_chain(a, b, scan_points) == full_scan_identity_chain(a, b, scan_points)
+
+
+def test_identity_scan_over_many_pairs_matches_full_scan():
+    # at 10 000 scan points the window holds two, so 33 000 pairs is a
+    # (33 000 x 2) pass, past 2**16 evaluated points
+    rng = np.random.default_rng(5)
+    a = 10.0 ** rng.uniform(-2.0, 2.0, 33000)
+    b = 10.0 ** rng.uniform(-2.0, 2.0, 33000)
+    assert verify_min_identity_chain(a, b) == full_scan_identity_chain(a, b, 10000)
 
 
 @pytest.mark.parametrize(
