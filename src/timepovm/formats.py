@@ -7,20 +7,23 @@ not assumed.  States use a plain delimited table that any plotting tool
 can ingest.  All writes go through a sibling temp file and an atomic
 rename, so readers never observe a half-written document.  An observable
 file holds 2 n_bins dim^2 numbers, so it is streamed to that temp file one
-bin at a time, with each distinct magnitude of a bin formatted once, and
-read back with each bin turned into float arrays as soon as the parser
-closes it: for such a file neither side holds more than one bin's numbers
-as Python floats.
+bin at a time, with each distinct magnitude of a bin formatted once.  It is
+read back as UTF-8 text through a fixed window, one effect decoded at a
+time, with each bin turned into float arrays as soon as the parser closes
+it: neither side holds the file's text, or more than one bin's numbers as
+Python floats.
 """
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
-from typing import Iterator, Mapping, TextIO
+from typing import BinaryIO, Iterator, Mapping, TextIO
 
 import numpy as np
 
@@ -206,6 +209,176 @@ def _want_real_matrix(obj: object, dim: int, where: str) -> np.ndarray:
     return out
 
 
+_WINDOW = 1 << 18  # bytes of an observable file read per step
+_SPACE = re.compile(r"[ \t\n\r]*")  # the whitespace json skips
+_ANY_SPACE = re.compile(r"\s*")  # what str.isspace takes; a file of only this is empty
+
+
+def _parse_int(text: str) -> int | float:
+    # an integer of over 308 characters may leave the float range: read as
+    # inf, as 1e400 is, its field is refused as non-finite, not overflowed
+    return int(text) if len(text) <= 308 else float(text)
+
+
+class _Window:
+    """An observable file as UTF-8 text, read a window at a time.
+
+    ``text[pos:]`` is what is not yet parsed.  The text before ``pos`` is
+    dropped as more is read, with its newlines counted, so the lines and
+    columns in messages are those of the whole file.
+    """
+
+    def __init__(self, handle: BinaryIO, where: str):
+        self._handle = handle
+        self._where = where
+        self._decoder = codecs.getincrementaldecoder("utf-8")()
+        self._fed = 0  # bytes handed to the decoder
+        self._dropped = 0  # characters dropped from the front of text
+        self._lines = 0  # newlines among them
+        self._line_end = -1  # character offset of the last of them
+        self.text = ""
+        self.pos = 0
+        self._read()
+
+    def _chunk(self) -> str:
+        # the text of the next window, "" at the end of the file
+        while True:
+            data = self._handle.read(_WINDOW)
+            try:
+                text = self._decoder.decode(data, final=not data)
+            except UnicodeDecodeError as exc:
+                # exc.start counts from the bytes the decoder still held
+                offset = self._fed - len(self._decoder.getstate()[0]) + exc.start
+                raise PovmFormatError(f"{self._where}: byte {offset} is not UTF-8: {exc.reason}") from None
+            self._fed += len(data)
+            if text or not data:
+                return text
+
+    def _read(self, size: int = 1, stop: str = "") -> bool:
+        """Read on until ``size`` more characters and a window holding
+        ``stop`` are in, joining the windows once; False at the end of the file."""
+        parts, got = [self.text[self.pos :]], 0
+        while chunk := self._chunk():
+            parts.append(chunk)
+            got += len(chunk)
+            if got >= size and stop in chunk:
+                break
+        if not got:
+            return False
+        last = self.text.rfind("\n", 0, self.pos)
+        if last >= 0:
+            self._lines += self.text.count("\n", 0, last + 1)
+            self._line_end = self._dropped + last
+        self._dropped += self.pos
+        self.text, self.pos = "".join(parts), 0
+        return True
+
+    def skip(self, space: re.Pattern = _SPACE) -> str:
+        """Move past ``space``; the next character, or "" at the end of the file."""
+        while True:
+            self.pos = space.match(self.text, self.pos).end()
+            if self.pos < len(self.text):
+                return self.text[self.pos]
+            if not self._read():
+                return ""
+
+    def expect(self, char: str, message: str) -> None:
+        if self.skip() != char:
+            raise self.error(message)
+        self.pos += 1
+
+    def value(self, decode) -> object:
+        """The JSON value after the whitespace at ``pos``, by ``decode``.
+
+        A number never holds a brace, so an object is decoded once a "}"
+        is in.  A value that fails, or ends within two characters of the
+        edge, is decoded again with more text: a number, keyword or string
+        may carry on past the edge, and a number stops short of a "." or
+        "e+" whose digits are not in yet.
+        """
+        if self.skip() == "{" and self.text.find("}", self.pos) < 0:
+            self._read(stop="}")
+        while True:
+            try:
+                value, end = decode(self.text, self.pos)
+            except json.JSONDecodeError as exc:
+                # read as much again as is held, so a long value is decoded
+                # a logarithmic number of times
+                if self._read(len(self.text) - self.pos):
+                    continue
+                raise self.error(exc.msg, exc.pos) from None
+            if end + 2 < len(self.text) or not self._read():
+                self.pos = end
+                return value
+
+    def error(self, message: str, pos: int | None = None) -> PovmFormatError:
+        """``message`` at ``pos`` (default: the parse position), as json places it."""
+        pos = self.pos if pos is None else pos
+        line = self._lines + self.text.count("\n", 0, pos) + 1
+        start = self.text.rfind("\n", 0, pos)
+        column = pos - start if start >= 0 else self._dropped + pos - self._line_end
+        return PovmFormatError(f"{self._where}: line {line} column {column}: {message}")
+
+
+def _read_effects(text: _Window, decode) -> list:
+    # json's array scanner, by hand, so each effect is decoded on its own
+    effects = []
+    text.pos += 1
+    if text.skip() != "]":
+        while True:
+            effects.append(text.value(decode))
+            if text.skip() != ",":
+                break
+            text.pos += 1
+    text.expect("]", "Expecting ',' delimiter")
+    return effects
+
+
+def _read_document(handle: BinaryIO, where: str) -> object:
+    """What ``json.loads`` makes of the file, with its messages, read a
+    window at a time.
+
+    Only the outer object and its effects array are walked here; every
+    other value, each effect included, goes to one decoder.
+    """
+    text = _Window(handle, where)
+    decode = json.JSONDecoder(object_hook=_effect_hook, parse_int=_parse_int).raw_decode
+    if text.text.startswith("\ufeff"):
+        raise text.error("Unexpected UTF-8 BOM (decode using utf-8-sig)")
+    first = text.skip()
+    if first.isspace():
+        # space that json does not skip: the file is empty if that is all
+        refused = text.error("Expecting value")
+        if not text.skip(_ANY_SPACE):
+            raise PovmFormatError(f"{where}: empty file")
+        raise refused
+    if not first:
+        raise PovmFormatError(f"{where}: empty file")
+    if first != "{":
+        doc = text.value(decode)
+    else:
+        doc = {}
+        text.pos += 1
+        if text.skip() != "}":
+            while True:
+                if text.skip() != '"':
+                    raise text.error("Expecting property name enclosed in double quotes")
+                key = text.value(decode)
+                text.expect(":", "Expecting ':' delimiter")
+                # a repeated key keeps its last value, as in json
+                if key == "effects" and text.skip() == "[":
+                    doc[key] = _read_effects(text, decode)
+                else:
+                    doc[key] = text.value(decode)
+                if text.skip() != ",":
+                    break
+                text.pos += 1
+        text.expect("}", "Expecting ',' delimiter")
+    if text.skip():
+        raise text.error("Extra data")
+    return doc
+
+
 def load_povm(path: str | os.PathLike) -> CovariantPOVM:
     """Parse an observable file into dense-effect form.
 
@@ -214,27 +387,22 @@ def load_povm(path: str | os.PathLike) -> CovariantPOVM:
     actually form a normalized covariant observable is a separate question
     answered by ``validate_povm`` on the result.
 
-    The file is parsed in one ``json.loads`` call, but each effect's re and
-    im rows of floats become float arrays as soon as the parser closes that
-    effect, so for a file as ``save_povm`` writes it at most one bin's
-    numbers are alive as Python floats.  Parts in any other form are kept
-    as parsed and checked the same way.  The entries are copied bit for bit
-    into the real and imaginary parts of the stored effects, signed zeros
-    included.
+    The file is read as UTF-8 text through a window of 256 KiB and parsed
+    as it is read, as ``json.loads`` would parse it, with its messages and
+    the line and column in the file.  Each effect is decoded on its own,
+    and its re and im rows of floats become float arrays as soon as the
+    parser closes it, so neither the file's text nor more than one bin's
+    numbers as Python floats are held at once.  Parts in any other form
+    are kept as parsed and checked the same way.  The entries are copied
+    bit for bit into the real and imaginary parts of the stored effects,
+    signed zeros included.
     """
     where = str(path)
     try:
-        raw = Path(path).read_text()
+        with open(path, "rb") as handle:
+            doc = _read_document(handle, where)
     except OSError as exc:
         raise PovmFormatError(f"{where}: {exc.strerror or exc}") from None
-    if not raw or raw.isspace():
-        raise PovmFormatError(f"{where}: empty file")
-    try:
-        # an integer of over 308 characters may leave the float range: read as
-        # inf, as 1e400 is, its field is refused as non-finite, not overflowed
-        doc = json.loads(raw, object_hook=_effect_hook, parse_int=lambda t: int(t) if len(t) <= 308 else float(t))
-    except json.JSONDecodeError as exc:
-        raise PovmFormatError(f"{where}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise PovmFormatError(f"{where}: top level must be an object, got {type(doc).__name__}")
     for field in _REQUIRED_FIELDS:

@@ -55,6 +55,22 @@ def whole_document_effects():
     return _whole_document_effects
 
 
+def _whole_document_parts(path) -> tuple[np.ndarray, str]:
+    # the same parse, with each part copied into its own half of the
+    # effects, so an entry written "-0.0" keeps its sign; and the label
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    effects = np.empty((len(doc["effects"]), doc["dim"], doc["dim"]), dtype=complex)
+    for k, entry in enumerate(doc["effects"]):
+        effects[k].real, effects[k].imag = entry["re"], entry["im"]
+    return effects, doc["label"]
+
+
+@pytest.fixture(scope="session")
+def whole_document_parts():
+    """``whole_document_effects`` with signed zeros kept, and the label."""
+    return _whole_document_parts
+
+
 @pytest.fixture(scope="session")
 def sharp16():
     return default_fullline_model(16)

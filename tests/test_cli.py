@@ -205,6 +205,34 @@ def test_dilate_refuses_an_integer_past_the_float_range(place, digits, tmp_path,
     assert len(lines) == 1 and lines[0].startswith("error=input detail=" + str(path)), lines
 
 
+
+def _sharp8_bytes(tmp_path):
+    path = tmp_path / "sharp8.json"
+    save_povm(build_sharp_time_povm(centered_grid(8)), path)
+    return path.read_bytes()
+
+
+def test_dilate_names_the_file_and_byte_it_cannot_read_as_utf8(tmp_path, capsys):
+    text = _sharp8_bytes(tmp_path)
+    cut = text.index(b"0.0", text.index(b'"effects"'))
+    path = tmp_path / "stray.json"
+    path.write_bytes(text[:cut] + b"\xff" + text[cut:])
+    assert main(["dilate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [f"error=input detail={path}: byte {cut} is not UTF-8: invalid start byte"]
+
+
+def test_dilate_refuses_a_byte_order_mark_as_json_does(tmp_path, capsys):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + _sharp8_bytes(tmp_path))
+    assert main(["dilate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        f"error=input detail={path}: line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+    ]
+
 def test_bounds_fullline_gaussian_saturates(capsys):
     assert main(["bounds"]) == 0
     _, recs = records(capsys)

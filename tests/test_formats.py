@@ -4,7 +4,10 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,7 +164,9 @@ def test_load_povm_reads_the_bits_of_a_whole_document_parse(family, request, tmp
 
 def test_load_povm_holds_one_bin_of_floats_at_a_time(vector64, tmp_path):
     # the file is 11.7 MB; as one document of Python floats it held 2 * 64^3
-    # of them, and its traced peak was about 32 MB
+    # of them, and its traced peak was about 32 MB; read whole as bytes and
+    # text, 23 MB.  What is left is the parsed effects and the dense copy,
+    # 4.2 MB each.
     path = tmp_path / "vector.json"
     save_povm(vector64, path)
     tracemalloc.start()
@@ -170,7 +175,134 @@ def test_load_povm_holds_one_bin_of_floats_at_a_time(vector64, tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 26e6, peak
+    assert peak < 10e6, peak
+
+
+@pytest.mark.parametrize("window", [1, 7, 64])
+def test_load_povm_reads_the_same_through_any_window(window, sharp4_file, tmp_path, monkeypatch, whole_document_parts):
+    # every value then starts or ends at an edge of the window, and numbers
+    # are cut between their digits, a "." and an exponent
+    _, path = sharp4_file
+    text = path.read_text()
+    signed = tmp_path / "signed.json"
+    signed.write_text(text.replace("0.0,", "-0.0,", 5).replace('"label": "', '"label": "\\u03c4 \u00e9 '))
+    assert re.search(r"-0\.0,", signed.read_text())
+    monkeypatch.setattr(formats, "_WINDOW", window)
+    for file in (path, signed):
+        loaded = load_povm(file)
+        want, label = whole_document_parts(file)
+        assert np.array_equal(loaded.dense.view(np.uint64), want.view(np.uint64))
+        assert loaded.label == label
+
+
+def test_load_povm_reads_utf8_whatever_the_locale(sharp4_file, tmp_path):
+    # under the C locale, without locale coercion or UTF-8 mode, the
+    # locale's encoding is ASCII
+    _, path = sharp4_file
+    named = tmp_path / "named.json"
+    named.write_text(path.read_text().replace('"label": "', '"label": "\u03c4 \u00e9 '), encoding="utf-8")
+    src = str(Path(formats.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys; from timepovm.formats import load_povm; print(ascii(load_povm(sys.argv[1]).label))"
+    run = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-c", code, str(named)], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.startswith("'\\u03c4 \\xe9 "), run.stdout
+
+
+@pytest.fixture(scope="module")
+def vector64_text(vector64, tmp_path_factory):
+    # the n = 64 vector file with each effect on a line of its own, so a
+    # fault in effect 40 sits on line 41, some 7 MB into the file
+    path = tmp_path_factory.mktemp("vector") / "vector.json"
+    save_povm(vector64, path)
+    text = path.read_text().replace('}, {"re": ', '},\n{"re": ')
+    assert text.count("\n") == 64
+    return text
+
+
+def _effect_40(text):
+    return [m.start() for m in re.finditer(r'\{"re": ', text)][40]
+
+
+def _fault(text, name):
+    """The file with the fault ``name``, and the offset the fault sits at."""
+    start = _effect_40(text)
+    if name == "stray-byte":
+        cut = text.index(", ", start)
+        return text[:cut] + "@" + text[cut:], cut
+    if name == "missing-comma":
+        cut = text.rindex(",", 0, start)
+        return text[:cut] + text[cut + 1 :], cut
+    if name == "cut-mid-number":
+        cut = text.index(".", start) + 2
+        return text[:cut], cut
+    if name == "cut-mid-keyword":
+        cut = text.index("[[", start) + 2
+        return text[:cut] + "nul", cut
+    if name == "cut-mid-string":
+        cut = text.index('"im"', start) + 2
+        return text[:cut], cut
+    if name == "extra-data":
+        return text + '{"n_bins": 2}\n', len(text)
+    if name == "non-object":
+        # what json skips, then the document as the one entry of a list
+        return "\n" * formats._WINDOW + "[" + text + "]\n", formats._WINDOW
+    if name == "whitespace-only":
+        # with one character that str.isspace takes and json does not skip
+        return " \r\n\t" * formats._WINDOW + "\x0c\n", 4 * formats._WINDOW
+    raise AssertionError(name)
+
+
+def _whole_document_message(path):
+    # what the loader said when it parsed the file in one json.loads call
+    text = path.read_text()
+    if text.isspace():
+        return f"{path}: empty file"
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        return f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
+    return f"{path}: top level must be an object, got {type(doc).__name__}"
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "stray-byte",
+        "missing-comma",
+        "cut-mid-number",
+        "cut-mid-keyword",
+        "cut-mid-string",
+        "extra-data",
+        "non-object",
+        "whitespace-only",
+    ],
+)
+def test_load_povm_reports_a_fault_past_the_first_window_as_json_does(name, vector64_text, tmp_path):
+    text, offset = _fault(vector64_text, name)
+    assert offset >= formats._WINDOW
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    with pytest.raises(PovmFormatError) as err:
+        load_povm(bad)
+    assert str(err.value) == _whole_document_message(bad)
+
+
+def test_load_povm_keeps_the_last_of_two_effects_arrays(vector64_text, tmp_path, whole_document_parts):
+    # as json does, wherever the arrays are and whatever the first holds
+    twice = tmp_path / "twice.json"
+    twice.write_text('{"effects": [true, {"re": [[0.0]]}], ' + vector64_text[1:])
+    want, _ = whole_document_parts(twice)
+    assert np.array_equal(load_povm(twice).dense.view(np.uint64), want.view(np.uint64))
+    start = _effect_40(vector64_text)
+    effect = vector64_text[start : vector64_text.index("},", start) + 1]
+    twice.write_text(vector64_text[:-2] + ', "effects": [' + effect + "]}\n")
+    with pytest.raises(PovmFormatError) as err:
+        load_povm(twice)
+    assert str(err.value) == f"{twice}: field effects must hold 64 entries"
 
 
 def test_load_missing_and_empty(tmp_path):

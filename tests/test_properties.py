@@ -11,10 +11,11 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timepovm import dilation, model
+from timepovm import dilation, formats, model
 from timepovm.formats import load_povm, load_state_table, save_povm, save_state_table
 from timepovm.linalg import SymTridiag, hermitian_eigh, sturm_count, tridiag_lowest_eigs
 from timepovm.model import (
@@ -247,6 +248,24 @@ def test_save_povm_round_trip_is_bit_identical(seed, n, de, offset_steps, kind):
     assert (loaded.n_bins, loaded.dim, loaded.lattice.tau) == (povm.n_bins, povm.dim, povm.lattice.tau)
     for k in range(n):
         assert np.array_equal(loaded.effect(k), povm.effect(k)), k
+
+
+@pytest.mark.parametrize("window", [1, 7, 64])
+@properties
+@given(seeds, st.integers(2, 12), st.floats(0.2, 1.5), offsets, kinds)
+def test_load_povm_reads_a_whole_document_through_any_window(
+    whole_document_parts, window, seed, n, de, offset_steps, kind
+):
+    # the families of the round trip, read a few characters at a time
+    povm = covariant_family(kind, n, de, offset_steps, np.random.default_rng(seed))
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        path = Path(tmp) / "povm.json"
+        save_povm(povm, path)
+        patch.setattr(formats, "_WINDOW", window)
+        loaded = load_povm(path)
+        want, label = whole_document_parts(path)
+    assert np.array_equal(loaded.dense.view(np.uint64), want.view(np.uint64))
+    assert loaded.label == label == povm.label
 
 
 @properties
