@@ -403,6 +403,9 @@ def load_povm(path: str | os.PathLike) -> CovariantPOVM:
             doc = _read_document(handle, where)
     except OSError as exc:
         raise PovmFormatError(f"{where}: {exc.strerror or exc}") from None
+    except RecursionError:
+        # json's scanner recurses once per nested array or object
+        raise PovmFormatError(f"{where}: values nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise PovmFormatError(f"{where}: top level must be an object, got {type(doc).__name__}")
     for field in _REQUIRED_FIELDS:

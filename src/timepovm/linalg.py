@@ -247,25 +247,30 @@ def _sturm_pass(t: SymTridiag, xs: np.ndarray, retire_at: int = 0) -> np.ndarray
     x = xs
     keep_to = xs.size
     # the loop runs once per row, so every step works in place on
-    # preallocated buffers with plain float coefficients
+    # preallocated buffers with plain float coefficients, taken a settle
+    # stride of rows at a time
     b2 = t.offdiag * t.offdiag
     absb = np.abs(t.offdiag)
-    diag = t.diag
     floor = _settle_floor(t)
     shifted = np.empty_like(xs)
-    tiny = np.empty(xs.shape, dtype=bool)
-    for i in range(1, t.n):
-        # d = (diag[i] - x) - b2[i-1] / d, tiny pivots replaced by -_PIVMIN
-        np.subtract(diag.item(i), x, out=shifted)
-        np.divide(b2.item(i - 1), d, out=d)
-        np.subtract(shifted, d, out=d)
-        np.less(np.abs(d, out=shifted), _PIVMIN, out=tiny)
-        np.copyto(d, -_PIVMIN, where=tiny)
-        count += d < 0
-        if i % _SETTLE_STRIDE or i == t.n - 1:
-            continue
+    # row r of block marks the probes whose pivot counts as negative at the
+    # r-th row of the stride
+    block = np.empty((_SETTLE_STRIDE, xs.size), dtype=bool)
+    for start in range(1, t.n, _SETTLE_STRIDE):
+        stop = min(start + _SETTLE_STRIDE, t.n)
+        for a_i, b2_i, negative in zip(t.diag[start:stop].tolist(), b2[start - 1 : stop - 1].tolist(), block):
+            # d = (a_i - x) - b2_i / d; a pivot below _PIVMIN counts as
+            # negative, and one below it in magnitude becomes -_PIVMIN
+            np.subtract(a_i, x, out=shifted)
+            np.divide(b2_i, d, out=d)
+            np.subtract(shifted, d, out=d)
+            np.less(d, _PIVMIN, out=negative)
+            np.minimum(d, -_PIVMIN, out=d, where=negative)
+        count += block[: stop - start].sum(axis=0)
+        if stop == t.n:
+            break
         counts[live] = count
-        stay = (d <= absb.item(i)) | ~(x < floor.item(i + 1))
+        stay = (d <= absb.item(stop - 1)) | ~(x < floor.item(stop))
         if retire_at:
             reached = np.flatnonzero(counts >= retire_at)
             if reached.size:
@@ -275,7 +280,7 @@ def _sturm_pass(t: SymTridiag, xs: np.ndarray, retire_at: int = 0) -> np.ndarray
             break
         if not stay.all():
             live, x, d, count = live[stay], x[stay], d[stay], count[stay]
-            shifted, tiny = shifted[: live.size], tiny[: live.size]
+            shifted, block = shifted[: live.size], block[:, : live.size]
     counts[live] = count
     return counts[:keep_to]
 
@@ -384,7 +389,11 @@ class TridiagFactor:
     of that elimination is a vectorized slice operation.  Repeated solves
     against many right-hand sides therefore stay in numpy even for very
     long diagonals, where the Thomas recurrence would crawl through a
-    Python loop.  There is no pivoting, so the matrix should be positive
+    Python loop.  A solve runs in the storage of its output, on strided
+    views (Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7, 1970): the
+    reduced systems live in the even rows, every 2^j-th row at level j,
+    and back substitution overwrites the odd rows, so nothing is copied or
+    interleaved.  There is no pivoting, so the matrix should be positive
     (semi)definite: a preconditioner, or the matrix shifted by its lowest
     eigenvalue for inverse iteration.  Pivots (and the final 2x2
     determinant) smaller than 1e-290 in magnitude are clamped to 1e-290
@@ -407,42 +416,57 @@ class TridiagFactor:
             nd[: e_r.size] -= e_r * r_ratio
             nd[1 : 1 + e_l.size] -= e_l * l_ratio
             ne = -r_ratio[: e_l.size] * e_l
-            self._levels.append((d_odd, e_r, e_l, r_ratio, l_ratio))
+            # stored as columns, to broadcast over a block of right-hand sides
+            self._levels.append(tuple(v[:, None] for v in (d_odd, e_r, e_l, r_ratio, l_ratio)))
             d, e = nd, ne
         self._base_d = d
         self._base_e = e
         self._base_pivot = _clamp_pivots(d[:1] if d.size == 1 else d[:1] * d[1:] - e * e)[0]
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve against one vector or a (n, cols) block of right-hand sides."""
-        b = np.asarray(rhs, dtype=float)
-        squeeze = b.ndim == 1
-        if squeeze:
-            b = b[:, None]
-        stack = []
-        for d_odd, e_r, e_l, r_ratio, l_ratio in self._levels:
-            b_odd = b[1::2]
-            stack.append(b_odd)
-            nb = b[0::2].copy()
-            nb[: r_ratio.size] -= r_ratio[:, None] * b_odd
-            nb[1 : 1 + l_ratio.size] -= l_ratio[:, None] * b_odd[: l_ratio.size]
-            b = nb
+    def solve(self, rhs: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None):
+        """Solve against one vector or a (n, cols) block of right-hand sides.
+
+        The solution is written into out, which is returned; out may be rhs
+        itself.  With out=None, rhs is copied and the copy is returned, so
+        rhs is left untouched.  scratch, an array of at least n // 2 rows
+        shaped like out beyond its first axis and not overlapping it, holds
+        the products of each level; without it one is allocated.  The
+        elementwise operations are those of an allocating solve, so the
+        result is the same to the last bit wherever it is written.
+        """
+        if out is None:
+            out = np.array(rhs, dtype=float)
+        elif out is not rhs:
+            out[...] = rhs
+        b = out[:, None] if out.ndim == 1 else out
+        if scratch is None:
+            scratch = np.empty((b.shape[0] // 2,) + b.shape[1:])
+        elif scratch.ndim == 1:
+            scratch = scratch[:, None]
+        # the system of level j lives in every 2^j-th row of out; its odd
+        # rows keep their right-hand side until back substitution
+        views = []
+        for _, _, _, r_ratio, l_ratio in self._levels:
+            views.append(b)
+            odd = b[1::2]
+            b = b[0::2]
+            n_r, n_l = r_ratio.shape[0], l_ratio.shape[0]
+            b[:n_r] -= np.multiply(r_ratio, odd, out=scratch[:n_r])
+            b[1 : 1 + n_l] -= np.multiply(l_ratio, odd[:n_l], out=scratch[:n_l])
         pivot = self._base_pivot
         if self._base_d.size == 1:
-            x = b / pivot
+            b /= pivot
         else:
             x0 = (self._base_d[1] * b[0] - self._base_e[0] * b[1]) / pivot
-            x1 = (self._base_d[0] * b[1] - self._base_e[0] * b[0]) / pivot
-            x = np.stack([x0, x1])
-        for (d_odd, e_r, e_l, _, _), b_odd in zip(reversed(self._levels), reversed(stack)):
-            odd = b_odd - e_r[:, None] * x[: e_r.size]
-            odd[: e_l.size] -= e_l[:, None] * x[1 : 1 + e_l.size]
-            odd /= d_odd[:, None]
-            full = np.empty((e_r.size + x.shape[0],) + x.shape[1:])
-            full[0::2] = x
-            full[1::2] = odd
-            x = full
-        return x[:, 0] if squeeze else x
+            b[1] = (self._base_d[0] * b[1] - self._base_e[0] * b[0]) / pivot
+            b[0] = x0
+        for (d_odd, e_r, e_l, _, _), b in zip(reversed(self._levels), reversed(views)):
+            x, odd = b[0::2], b[1::2]
+            n_r, n_l = e_r.shape[0], e_l.shape[0]
+            odd -= np.multiply(e_r, x[:n_r], out=scratch[:n_r])
+            odd[:n_l] -= np.multiply(e_l, x[1 : 1 + n_l], out=scratch[:n_l])
+            odd /= d_odd
+        return out
 
 
 def tridiag_eigenvector(t: SymTridiag, eigenvalue: float) -> np.ndarray:
@@ -454,8 +478,9 @@ def tridiag_eigenvector(t: SymTridiag, eigenvalue: float) -> np.ndarray:
     """
     x = np.random.default_rng(0).standard_normal(t.n)
     factor = TridiagFactor(t, shift=eigenvalue)
+    scratch = np.empty(t.n // 2)
     for _ in range(3):
-        x = factor.solve(x)
+        factor.solve(x, out=x, scratch=scratch)
         peak = float(np.max(np.abs(x)))
         if not 0.0 < peak < np.inf:
             raise RuntimeError("inverse iteration collapsed to the zero vector or overflowed")

@@ -216,17 +216,26 @@ class MinimizationResult:
     iterations: int
 
 
-def _moment_batch(phi: np.ndarray, h: float, w: np.ndarray, action: np.ndarray, scratch: np.ndarray):
-    """Kinetic and weighted moment per column; the second-difference action
-    goes into action, and scratch (same shape) is overwritten."""
-    # tridiagonal action of the second-difference operator, batched
-    np.multiply(phi, 2.0, out=action)
-    action[0] -= phi[1]
-    action[-1] -= phi[-2]
-    action[1:-1] -= phi[:-2]
-    action[1:-1] -= phi[2:]
-    action /= h * h
-    kin = h * np.sum(np.multiply(phi, action, out=scratch), axis=0)
+def _second_difference(phi: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    """Batched action of the Dirichlet second-difference operator, into out."""
+    np.multiply(phi, 2.0, out=out)
+    out[0] -= phi[1]
+    out[-1] -= phi[-2]
+    out[1:-1] -= phi[:-2]
+    out[1:-1] -= phi[2:]
+    out /= h * h
+    return out
+
+
+def _column_norms(phi: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(phi, axis=0, keepdims=True), summed in scratch."""
+    return np.sqrt(np.add.reduce(np.multiply(phi, phi, out=scratch), axis=0, keepdims=True))
+
+
+def _moment_batch(phi: np.ndarray, h: float, w: np.ndarray, scratch: np.ndarray):
+    """Kinetic and weighted moment per column; scratch (same shape) is overwritten."""
+    action = _second_difference(phi, h, scratch)
+    kin = h * np.sum(np.multiply(action, phi, out=action), axis=0)
     np.square(phi, out=scratch)
     scratch *= w[:, None]
     mom = h * np.sum(scratch, axis=0)
@@ -242,7 +251,12 @@ def _descent(h: float, L: float, p: int, seed: int, max_iter: int):
     together; each column owns its step size, halved on any non-decrease and
     grown gently on success.  A column stops improving when its relative
     decrease falls below 1e-12; the batch stops when every column has.
-    Returns (value, virial-rescaled best state, iterations, converged).
+    Three (m x restarts) buffers hold the whole iteration: the accepted
+    states, the gradient that the in-place solve turns into the trial, and
+    a scratch.  The accepted states' second-difference action is
+    recomputed at the top of each iteration rather than kept; it is the
+    same to the last bit.  Returns (value, virial-rescaled best state,
+    iterations, converged).
     """
     base = dirichlet_operator(h, L, 0.0)
     m = base.n
@@ -253,40 +267,38 @@ def _descent(h: float, L: float, p: int, seed: int, max_iter: int):
 
     # smoothed noise: random but not adversarially rough, pulled toward the
     # origin where both minimizers concentrate
-    phi = prec.solve(rng.standard_normal((m, _RESTARTS)))
-    phi /= math.sqrt(h) * np.linalg.norm(phi, axis=0, keepdims=True)
-    # phi's action, kinetic and moment are kept from the batch that accepted
-    # each column, so every iteration runs one moment batch, on the trial;
-    # the gradient and trial-action buffers lend each other scratch space
-    action = np.empty_like(phi)
+    phi = rng.standard_normal((m, _RESTARTS))
     g = np.empty_like(phi)
-    trial_action = np.empty_like(phi)
-    kin, mom = _moment_batch(phi, h, w, action, g)
+    scratch = np.empty_like(phi)
+    prec.solve(phi, out=phi, scratch=scratch)
+    phi /= math.sqrt(h) * _column_norms(phi, scratch)
+    # kinetic and moment are kept from the batch that accepted each column
+    kin, mom = _moment_batch(phi, h, w, scratch)
     best = kin * mom**q
     step = np.full(_RESTARTS, 1.0)
     active = np.ones(_RESTARTS, dtype=bool)
     iters = 0
     for iters in range(1, max_iter + 1):
         # d/dphi of kin * mom^q, both factors being quadratic forms
-        np.multiply(action, 2.0, out=g)
+        _second_difference(phi, h, g)
+        g *= 2.0
         g *= (mom**q)[None, :]
-        scratch = np.multiply(w[:, None], phi, out=trial_action)
+        np.multiply(w[:, None], phi, out=scratch)
         scratch *= ((2.0 * q * kin) * mom ** (q - 1))[None, :]
         g += scratch
         # project out the radial component in the h-weighted metric
         radial = h * np.sum(np.multiply(phi, g, out=scratch), axis=0, keepdims=True)
         g -= np.multiply(phi, radial, out=scratch)
-        trial = prec.solve(g)
-        trial *= step[None, :]
-        np.subtract(phi, trial, out=trial)
-        trial /= math.sqrt(h) * np.linalg.norm(trial, axis=0, keepdims=True)
-        kin_t, mom_t = _moment_batch(trial, h, w, trial_action, g)
+        # g becomes the trial state
+        prec.solve(g, out=g, scratch=scratch)
+        g *= step[None, :]
+        np.subtract(phi, g, out=g)
+        g /= math.sqrt(h) * _column_norms(g, scratch)
+        kin_t, mom_t = _moment_batch(g, h, w, scratch)
         val = kin_t * mom_t**q
         improved = val < best
         rel = np.where(improved, (best - val) / np.maximum(np.abs(best), 1e-300), 0.0)
-        np.copyto(phi, trial, where=improved[None, :])
-        np.copyto(action, trial_action, where=improved[None, :])
-        del trial  # freed before the next solve allocates its successor
+        np.copyto(phi, g, where=improved[None, :])
         kin = np.where(improved, kin_t, kin)
         mom = np.where(improved, mom_t, mom)
         best = np.where(improved, val, best)

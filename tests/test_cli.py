@@ -506,6 +506,29 @@ def test_numerical_breakdown_is_one_record_exit_one(tmp_path, capsys, monkeypatc
     assert recs[-1] == {"error": "numerical", "detail": "jacobi iteration did not converge within the sweep limit"}
 
 
+@pytest.mark.parametrize("field", ["n_bins", "effects"])
+def test_dilate_refuses_deep_nesting_as_input(field, tmp_path, capsys):
+    # json recurses once per nesting level; its RecursionError is a
+    # RuntimeError, which must not pass for a numerical breakdown
+    path = tmp_path / "deep.json"
+    path.write_text('{"%s": %s}' % (field, "[" * 100_000 + "]" * 100_000))
+    assert main(["dilate", str(path)]) == 2
+    _, recs = records(capsys)
+    assert recs[-1] == {"error": "input", "detail": f"{path}: values nested too deeply to parse"}
+
+
+def test_eigensolver_breakdown_is_still_numerical(tmp_path, capsys, monkeypatch):
+    def breakdown(*args, **kwargs):
+        raise RuntimeError("jacobi iteration did not converge within the sweep limit")
+
+    path = tmp_path / "sharp8.json"
+    save_povm(build_sharp_time_povm(centered_grid(8)), path)
+    monkeypatch.setattr(dilation, "hermitian_eigh", breakdown)
+    assert main(["dilate", str(path)]) == 1
+    _, recs = records(capsys)
+    assert recs[-1] == {"error": "numerical", "detail": "jacobi iteration did not converge within the sweep limit"}
+
+
 def test_written_files_honour_the_umask(tmp_path, capsys):
     old = os.umask(0o022)
     try:

@@ -141,6 +141,55 @@ def test_ladder_rung_retirement_leaves_eigenvalues_bit_identical(monkeypatch):
     assert kept == [24, 23]
 
 
+def full_row_counts(t, xs):
+    """Sturm counts by the plain recurrence over every row, no early exit."""
+    d = t.diag[0] - xs
+    d = np.where(np.abs(d) < 1e-290, -1e-290, d)
+    count = (d < 0).astype(np.int64)
+    for i in range(1, t.n):
+        d = (t.diag[i] - xs) - (t.offdiag[i - 1] * t.offdiag[i - 1]) / d
+        d = np.where(np.abs(d) < 1e-290, -1e-290, d)
+        count += d < 0
+    return count
+
+
+def sturm_fixtures(rng):
+    # random, integer (exact eigenvalues and zero pivots), zero-diagonal and
+    # Airy-like bands; the probes take in every diagonal entry and zero
+    for trial in range(300):
+        n = int(rng.integers(1, 160))
+        kind = trial % 4
+        if kind == 0:
+            d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+        elif kind == 1:
+            d, e = rng.integers(-3, 4, n).astype(float), rng.integers(-2, 3, n - 1).astype(float)
+        elif kind == 2:
+            d, e = np.zeros(n), rng.standard_normal(n - 1) * (rng.random(n - 1) < 0.7)
+        else:
+            h = 10.0 / (n + 1)
+            d, e = 2.0 / h**2 + h * np.arange(1, n + 1), np.full(n - 1, -1.0 / h**2)
+        radius = 2.0 * np.max(np.abs(e), initial=0.0)
+        grid = np.linspace(d.min() - radius - 1.0, d.max() + radius + 1.0, 41)
+        yield SymTridiag(d, e), np.sort(np.r_[grid, np.round(grid), d, 0.0])
+
+
+@pytest.mark.parametrize("retire_at", [0, 1, 3])
+def test_sturm_pass_matches_the_full_row_loop(retire_at):
+    for t, xs in sturm_fixtures(np.random.default_rng(19)):
+        want = full_row_counts(t, xs)
+        got = linalg._sturm_pass(t, xs, retire_at)
+        # a retiring pass keeps a prefix that ends at a probe counting at
+        # least retire_at, and at least up to the first such probe
+        assert np.array_equal(got, want[: got.size])
+        if retire_at and got.size < xs.size:
+            assert want[got.size - 1] >= retire_at
+        if not retire_at:
+            assert got.size == xs.size
+        else:
+            reach = np.flatnonzero(want >= retire_at)
+            assert got.size >= (reach[0] + 1 if reach.size else xs.size)
+
+
 def test_tridiag_lowest_eigs_matches_dense_oracle():
     rng = np.random.default_rng(12)
     t = random_tridiag(rng, 60)
@@ -229,6 +278,124 @@ def test_cyclic_reduction_factor_block_and_shift():
     shifted = TridiagFactor(t, shift=0.7).solve(block[:, 0])
     ref_s = np.linalg.solve(t.dense() - 0.7 * np.eye(123), block[:, 0])
     assert np.max(np.abs(shifted - ref_s)) <= 1e-10
+
+
+class AllocatingFactor:
+    """Cyclic reduction that copies the even rows at every level and
+    interleaves a fresh array at every back-substitution level: the
+    oracle for the in-place solve."""
+
+    def __init__(self, t, shift=0.0):
+        d = np.asarray(t.diag, dtype=float) - shift
+        e = np.asarray(t.offdiag, dtype=float)
+        clamp = lambda v: np.where(np.abs(v) < 1e-290, 1e-290, v)  # noqa: E731
+        self.levels = []
+        while d.size > 2:
+            d_odd = clamp(d[1::2])
+            e_r, e_l = e[0::2], e[1::2]
+            r_ratio, l_ratio = e_r / d_odd, e_l / d_odd[: e_l.size]
+            nd = d[0::2].copy()
+            nd[: e_r.size] -= e_r * r_ratio
+            nd[1 : 1 + e_l.size] -= e_l * l_ratio
+            self.levels.append((d_odd, e_r, e_l, r_ratio, l_ratio))
+            d, e = nd, -r_ratio[: e_l.size] * e_l
+        self.d, self.e = d, e
+        self.pivot = clamp(d[:1] if d.size == 1 else d[:1] * d[1:] - e * e)[0]
+
+    def solve(self, rhs):
+        b = np.asarray(rhs, dtype=float)
+        squeeze = b.ndim == 1
+        if squeeze:
+            b = b[:, None]
+        stack = []
+        for _, _, _, r_ratio, l_ratio in self.levels:
+            b_odd = b[1::2]
+            stack.append(b_odd)
+            nb = b[0::2].copy()
+            nb[: r_ratio.size] -= r_ratio[:, None] * b_odd
+            nb[1 : 1 + l_ratio.size] -= l_ratio[:, None] * b_odd[: l_ratio.size]
+            b = nb
+        if self.d.size == 1:
+            x = b / self.pivot
+        else:
+            x0 = (self.d[1] * b[0] - self.e[0] * b[1]) / self.pivot
+            x1 = (self.d[0] * b[1] - self.e[0] * b[0]) / self.pivot
+            x = np.stack([x0, x1])
+        for (d_odd, e_r, e_l, _, _), b_odd in zip(reversed(self.levels), reversed(stack)):
+            odd = b_odd - e_r[:, None] * x[: e_r.size]
+            odd[: e_l.size] -= e_l[:, None] * x[1 : 1 + e_l.size]
+            odd /= d_odd[:, None]
+            full = np.empty((e_r.size + x.shape[0],) + x.shape[1:])
+            full[0::2] = x
+            full[1::2] = odd
+            x = full
+        return x[:, 0] if squeeze else x
+
+
+def solve_every_way(fac, b):
+    """The solutions of fac for rhs b with out=None, out=rhs, a separate
+    out and a borrowed scratch taller than n // 2."""
+    kept = b.copy()
+    fresh = fac.solve(b)
+    assert fresh is not b and np.array_equal(b, kept)
+    own = b.copy()
+    assert fac.solve(own, out=own) is own
+    out = np.full_like(b, np.nan)
+    assert fac.solve(b, out=out) is out
+    assert np.array_equal(b, kept)
+    borrowed = b.copy()
+    scratch = np.full((b.shape[0] // 2 + 3,) + b.shape[1:], np.nan)
+    assert fac.solve(borrowed, out=borrowed, scratch=scratch) is borrowed
+    return fresh, own, out, borrowed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 1000, 1001])
+@pytest.mark.parametrize("cols", [None, 1, 3, 8])
+def test_in_place_solve_is_bit_identical_to_the_allocating_solve(n, cols):
+    rng = np.random.default_rng(7 * n + (cols or 0))
+    t = random_tridiag(rng, n, definite=True)
+    b = rng.standard_normal(n if cols is None else (n, cols))
+    for shift in (0.0, 0.3):
+        want = AllocatingFactor(t, shift).solve(b)
+        for got in solve_every_way(TridiagFactor(t, shift), b):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, k", [(5, 1), (9, 2), (33, 4)])
+def test_in_place_solve_at_an_exact_eigenvalue_is_bit_identical(n, k):
+    # row k is decoupled, so d_k is an eigenvalue; at that shift its zero
+    # pivot is clamped at level 0, 1 or 2 of the reduction
+    d = np.arange(1.0, n + 1.0)
+    e = np.full(n - 1, 0.5)
+    e[k - 1 : k + 1] = 0.0
+    t = SymTridiag(d, e)
+    b = np.random.default_rng(n).standard_normal((n, 3))
+    want = AllocatingFactor(t, d[k]).solve(b)
+    assert np.max(np.abs(want)) > 1e200
+    for got in solve_every_way(TridiagFactor(t, shift=d[k]), b):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_in_place_block_solve_allocates_nothing_that_grows_with_the_block():
+    # numpy's buffered ufunc loops take up to getbufsize() elements per
+    # operand, three operands at most, on strided views; past those the
+    # solve allocates under 1% of the block
+    import tracemalloc
+
+    t = dirichlet_operator(1e-3, 20.0)
+    fac = TridiagFactor(t, shift=-1.0)
+    block = np.random.default_rng(3).standard_normal((t.n, 8))
+    scratch = np.empty((t.n // 2, 8))
+    fac.solve(block, out=block, scratch=scratch)
+    tracemalloc.start()
+    try:
+        fac.solve(block, out=block, scratch=scratch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ufunc_buffers = 3 * np.getbufsize() * block.itemsize
+    assert peak - ufunc_buffers < 0.01 * block.nbytes
 
 
 def test_symtridiag_dense_and_matvec_agree():
