@@ -7,7 +7,8 @@ check fails, and 2 on usage or input errors.  A numerical breakdown (an
 eigensolver that does not converge) prints one ``error=numerical`` record
 instead of a summary and returns 1.  A request too large to allocate
 (grid rows, energy bins, fixture bins past a fixed limit) is refused with
-one ``error=config`` record and exit 2 before anything is built.  All
+one ``error=config`` record and exit 2 before anything is built; a file
+that cannot be written gives one ``error=io`` record and exit 2.  All
 randomness is seeded, so every published number is reproducible from the
 command line that made it.
 """
@@ -410,11 +411,7 @@ def cmd_emit_fixtures(args: argparse.Namespace) -> int:
     _refuse_oversized("fixture bins (--n)", args.n, _MAX_FIXTURE_BINS)
     _refuse_oversized_grid(args.h, args.domain_l)
     out_dir = Path(args.out or "fixtures")
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(format_record({"error": "io", "detail": str(exc)}))
-        return 2
+    out_dir.mkdir(parents=True, exist_ok=True)
     n = args.n
     rep = _Report("emit-fixtures")
 
@@ -425,21 +422,17 @@ def cmd_emit_fixtures(args: argparse.Namespace) -> int:
     vector = vector_generated_povm(sharp.grid, generator)
     table_state = minimal_state(args.h, args.domain_l)
 
-    try:
-        for name, povm in (
-            ("sharp-povm.json", sharp),
-            ("halfline-povm.json", half),
-            ("vector-povm.json", vector),
-        ):
-            path = out_dir / name
-            save_povm(povm, path)
-            rep.emit({"fixture": str(path), "n_bins": povm.n_bins, "dim": povm.dim})
-        path = out_dir / "minimal-state.txt"
-        save_state_table(table_state, path)
-        rep.emit({"fixture": str(path), "rows": table_state.values.size})
-    except OSError as exc:
-        print(format_record({"error": "io", "detail": str(exc)}))
-        return 2
+    for name, povm in (
+        ("sharp-povm.json", sharp),
+        ("halfline-povm.json", half),
+        ("vector-povm.json", vector),
+    ):
+        path = out_dir / name
+        save_povm(povm, path)
+        rep.emit({"fixture": str(path), "n_bins": povm.n_bins, "dim": povm.dim})
+    path = out_dir / "minimal-state.txt"
+    save_state_table(table_state, path)
+    rep.emit({"fixture": str(path), "rows": table_state.values.size})
     return rep.close()
 
 
@@ -463,8 +456,11 @@ def main(argv: list[str] | None = None) -> int:
     except DomainTooSmallError as exc:
         print(format_record({"error": "domain", "detail": str(exc), "required_length": exc.required_length}))
         return 2
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(format_record({"error": "config", "detail": str(exc)}))
+        return 2
+    except OSError as exc:
+        print(format_record({"error": "io", "detail": str(exc)}))
         return 2
     except RuntimeError as exc:
         print(format_record({"error": "numerical", "detail": str(exc)}))

@@ -59,13 +59,18 @@ class PovmFormatError(ValueError):
 def _atomic_file(path: str | os.PathLike) -> Iterator[TextIO]:
     """A text handle on a sibling temp file that replaces ``path`` when the
     block ends, after an fsync; if the block raises, the temp file is removed
-    and ``path`` keeps its old content.
+    and ``path`` keeps its old content.  A temp file that cannot be made or
+    cannot replace ``path`` raises an ``OSError`` that names ``path``, not
+    the temp file's random name.
 
     The file gets the mode a plain ``open`` would give it (0o666 under the
     process umask), not the owner-only mode of the temp file.
     """
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(target)) from None
     # reading the umask means setting it; put the old value straight back
     umask = os.umask(0)
     os.umask(umask)
@@ -75,7 +80,10 @@ def _atomic_file(path: str | os.PathLike) -> Iterator[TextIO]:
             handle.flush()
             os.fchmod(handle.fileno(), 0o666 & ~umask)
             os.fsync(handle.fileno())
-        os.replace(tmp, target)
+        try:
+            os.replace(tmp, target)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(target)) from None
     except BaseException:
         try:
             os.unlink(tmp)

@@ -158,44 +158,39 @@ def fourier_map(grid: EnergyGrid, rows=None) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _radix2_plan(m: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Bit-reversal permutation and per-stage twiddles of a length-m FFT."""
-    bits = m.bit_length() - 1
-    idx = np.arange(m)
-    rev = np.zeros(m, dtype=np.intp)
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    roots = np.exp(-2j * np.pi * np.arange(m // 2) / m)
-    twiddles = tuple(roots[:: m // (2 << s)] for s in range(bits))
-    for a in (rev, *twiddles):
-        a.flags.writeable = False
-    return rev, twiddles
+def _twiddles(h: int) -> np.ndarray:
+    """Column exp(-2*pi*i*k/(2h)), k = 0..h-1, of the stage that builds length-2h transforms."""
+    w = np.exp(-2j * np.pi * np.arange(h) / (2 * h))[:, None]
+    w.flags.writeable = False
+    return w
 
 
-def _fft_pow2(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 FFT along the last axis; its length is a power of two."""
-    lead, m = x.shape[:-1], x.shape[-1]
-    rev, twiddles = _radix2_plan(m)
-    a = x[..., rev]
-    for w in twiddles:
-        # stage s merges pairs of length-h transforms (h = w.size) into
-        # length-2h ones: X[k] = E[k] + w^k O[k], X[k + h] = E[k] - w^k O[k]
-        a = a.reshape(*lead, m // (2 * w.size), 2, w.size)
-        even, odd = a[..., 0, :], a[..., 1, :] * w
-        a = np.stack((even + odd, even - odd), axis=-2)
-    return a.reshape(*lead, m)
+def _fft_pow2(x: np.ndarray, m: int) -> np.ndarray:
+    """Radix-2 FFT along the last axis of x zero-padded to length m, a power of two.
+
+    Decimation in time by reshapes, so no bit-reversal permutation: in the
+    (h, m/h) view column c is the length-h transform of x[c::m/h], from
+    h = 1 on, and a stage merges columns c (E) and c + m/(2h) (O) into
+    X[k] = E[k] + w^k O[k], X[k + h] = E[k] - w^k O[k], w = exp(-2*pi*i/(2h)).
+    """
+    lead = x.shape[:-1]
+    a = np.zeros(lead + (1, m), dtype=complex)
+    a[..., 0, : x.shape[-1]] = x
+    for h in (1 << s for s in range(m.bit_length() - 1)):
+        half = m // (2 * h)
+        even, odd = a[..., :half], a[..., half:] * _twiddles(h)
+        a = np.concatenate((even + odd, even - odd), axis=-2)
+    return a.reshape(lead + (m,))
 
 
 @lru_cache(maxsize=None)
 def _bluestein_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Chirp b_j = exp(i*pi*j^2/n) and the transform of its wrapped copy."""
-    m = 1 << (2 * n - 2).bit_length()  # smallest power of two >= 2n - 1
+    """Chirp b_j = exp(i*pi*j^2/n) and the length-m transform of its wrapped
+    copy b_0..b_{n-1}, zeros, b_{n-1}..b_1, m the smallest power of two >= 2n - 1."""
+    m = 1 << (2 * n - 2).bit_length()
     j = np.arange(n)
     chirp = np.exp(1j * np.pi * ((j * j) % (2 * n)) / n)
-    wrapped = np.zeros(m, dtype=complex)
-    wrapped[:n] = chirp
-    wrapped[m - n + 1 :] = chirp[:0:-1]
-    kernel = _fft_pow2(wrapped)
+    kernel = _fft_pow2(np.concatenate((chirp, np.zeros(m - 2 * n + 1), chirp[:0:-1])), m)
     for a in (chirp, kernel):
         a.flags.writeable = False
     return chirp, kernel
@@ -204,21 +199,17 @@ def _bluestein_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _dft(x: np.ndarray, n: int) -> np.ndarray:
     """X[..., k] = sum_j x[..., j] exp(-2*pi*i*j*k/n), k = 0..n-1, for x of length <= n.
 
-    x is zero-padded to n.  Powers of two go straight to the radix-2
-    transform; other n through Bluestein's chirp-z, jk = (j^2 + k^2 -
-    (k-j)^2)/2, which turns the transform into a circular convolution of
-    power-of-two length.
+    Powers of two go straight to the radix-2 transform, which pads x to n;
+    other n through Bluestein's chirp-z, jk = (j^2 + k^2 - (k-j)^2)/2, which
+    turns the transform into a circular convolution of the chirped x,
+    padded by the same transform, with the wrapped chirp.
     """
-    lead, dim = x.shape[:-1], x.shape[-1]
     if n & (n - 1) == 0:
-        padded = np.zeros(lead + (n,), dtype=complex)
-        padded[..., :dim] = x
-        return _fft_pow2(padded)
+        return _fft_pow2(x, n)
     chirp, kernel = _bluestein_plan(n)
-    padded = np.zeros(lead + (kernel.size,), dtype=complex)
-    padded[..., :dim] = x * chirp[:dim].conj()
+    m = kernel.size
     # circular convolution with the chirp; the inverse FFT as conj(F(conj))/m
-    conv = _fft_pow2(np.conj(_fft_pow2(padded) * kernel)).conj() / kernel.size
+    conv = _fft_pow2(np.conj(_fft_pow2(x * chirp[: x.shape[-1]].conj(), m) * kernel), m).conj() / m
     return conv[..., :n] * chirp.conj()
 
 

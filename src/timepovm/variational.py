@@ -146,18 +146,14 @@ def airy_operator_spectrum(h: float, L: float, k: int = 1) -> tuple:
     return tuple(float(w) for w in tridiag_lowest_eigs(op, k))
 
 
-def _ground_state(op: SymTridiag, lam: float, h: float) -> GridState:
-    """Normalized eigenvector of op at its lowest eigenvalue lam, positive sign."""
-    vec = tridiag_eigenvector(op, lam)
-    if float(vec.sum()) < 0.0:
-        vec = -vec
-    return _as_state(vec, h)
-
-
 def minimal_state(h: float, L: float) -> GridState:
-    """Normalized ground state of the unit-slope operator, positive sign."""
+    """Normalized ground state of the unit-slope operator, positive sign.
+
+    ``tridiag_eigenvector`` makes the largest entry positive, and the ground
+    state of a Jacobi matrix with negative off-diagonals has one sign.
+    """
     lam = airy_operator_spectrum(h, L, 1)[0]
-    return _ground_state(dirichlet_operator(h, L), lam, h)
+    return _as_state(tridiag_eigenvector(dirichlet_operator(h, L), lam), h)
 
 
 def _kinetic(values: np.ndarray, h: float) -> float:
@@ -366,7 +362,7 @@ def minimize_combined(
         x = h * np.arange(1, op.n + 1)
         osc = SymTridiag(op.diag + x**2, op.offdiag)
         e0 = float(tridiag_lowest_eigs(osc, 1)[0])
-        return (e0 / 2.0) ** 2, _ground_state(osc, e0, h)
+        return (e0 / 2.0) ** 2, _as_state(tridiag_eigenvector(osc, e0), h)
 
     return _minimize(2, h, L, method, seed, max_iter, spectral)
 

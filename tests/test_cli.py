@@ -360,6 +360,22 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["airy-certify", "--h", "abc"], "not a number: 'abc'"),
+        (["airy-certify", "--h", "-1"], "must be positive and finite: -1"),
+        (["bounds", "--seed", "x"], "not an integer: 'x'"),
+    ],
+    ids=["h-not-a-number", "h-negative", "seed-not-an-integer"],
+)
+def test_bad_option_values_exit_two_with_nothing_on_stdout(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
@@ -386,6 +402,40 @@ def test_report_file_matches_stdout(tmp_path, capsys):
     assert main(["bounds", "--out", str(target)]) == 0
     out = capsys.readouterr().out
     assert target.read_text() == out
+
+
+def failed_write_record(capsys, argv, asked):
+    # one error=io record, exit 2, naming the file asked for and no temp file
+    assert main(argv) == 2
+    out, recs = records(capsys)
+    assert [ln for ln in out.splitlines() if ln.startswith("error=")] == [out.splitlines()[-1]]
+    assert recs[-1]["error"] == "io", out
+    assert recs[-1]["detail"].endswith(f": {str(asked)!r}"), out
+    assert ".tmp" not in out
+    return recs
+
+
+def test_a_report_that_cannot_replace_a_directory_names_it(tmp_path, capsys):
+    target = tmp_path / "DIR"
+    target.mkdir()
+    recs = failed_write_record(capsys, ["bounds", "--n", "64", "--out", str(target)], target)
+    # the report was printed before the write failed
+    assert recs[-2] == {"summary": "bounds", "checks": "2", "failures": "0"}
+    assert list(tmp_path.iterdir()) == [target] and not any(target.iterdir())
+
+
+def test_a_report_in_a_missing_directory_names_it(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    failed_write_record(capsys, ["bounds", "--n", "64", "--out", str(target)], target)
+
+
+def test_a_fixture_that_cannot_replace_a_directory_names_it(tmp_path, capsys):
+    blocked = tmp_path / "sharp-povm.json"
+    blocked.mkdir()
+    argv = ["emit-fixtures", "--n", "8", "--h", "0.05", "--domain-l", "10", "--out", str(tmp_path)]
+    recs = failed_write_record(capsys, argv, blocked)
+    assert len(recs) == 1
+    assert list(tmp_path.iterdir()) == [blocked] and not any(blocked.iterdir())
 
 
 def indefinite_file(tmp_path, size):

@@ -441,6 +441,20 @@ def test_load_names_the_first_non_number(tmp_path):
         assert str(err.value) == f"{tmp_path / 'bad.json'}: effects[2].im row 3 column 5: not a number: {shown}"
 
 
+def test_a_short_row_gives_one_message_from_array_or_list_rows(sharp4_file, tmp_path):
+    # rows of floats all one short parse to an array, a short row 0 alone
+    # keeps the rows as lists; both read as row 0 being short
+    _, path = sharp4_file
+    for short in (4, 1):
+        doc = json.loads(path.read_text())
+        for row in doc["effects"][2]["im"][:short]:
+            row.pop()
+        bad = rewrite(tmp_path / f"short{short}.json", doc)
+        with pytest.raises(PovmFormatError) as err:
+            load_povm(bad)
+        assert str(err.value) == f"{bad}: effects[2].im row 0: expected 4 numbers"
+
+
 def _effects_first(doc):
     return {"effects": doc.pop("effects"), **doc}
 

@@ -405,3 +405,72 @@ def test_occurrence_probabilities_normalized(sharp16):
     with pytest.raises(ValueError):
         other = gaussian_state(centered_grid(32), 0.0, 1.0)
         sharp16.occurrence_probabilities(other)
+
+
+# The bit-identity oracle: the textbook iterative radix-2 FFT, a gather in
+# bit-reversed order and then stages that merge adjacent blocks of length h.
+# Its butterflies are the ones `_fft_pow2` does, in the same order.
+def oracle_fft_pow2(x):
+    lead, m = x.shape[:-1], x.shape[-1]
+    bits = m.bit_length() - 1
+    idx = np.arange(m)
+    rev = np.zeros(m, dtype=np.intp)
+    for b in range(bits):
+        rev |= ((idx >> b) & 1) << (bits - 1 - b)
+    roots = np.exp(-2j * np.pi * np.arange(m // 2) / m)
+    a = x[..., rev]
+    for w in (roots[:: m // (2 << s)] for s in range(bits)):
+        a = a.reshape(*lead, m // (2 * w.size), 2, w.size)
+        even, odd = a[..., 0, :], a[..., 1, :] * w
+        a = np.stack((even + odd, even - odd), axis=-2)
+    return a.reshape(*lead, m)
+
+
+def oracle_dft(x, n):
+    lead, dim = x.shape[:-1], x.shape[-1]
+    m = 1 << (2 * n - 2).bit_length()
+    j = np.arange(n)
+    chirp = np.exp(1j * np.pi * ((j * j) % (2 * n)) / n)
+    wrapped = np.zeros(m, dtype=complex)
+    wrapped[:n] = chirp
+    wrapped[m - n + 1 :] = chirp[:0:-1]
+    kernel = oracle_fft_pow2(wrapped)
+    padded = np.zeros(lead + (m,), dtype=complex)
+    padded[..., :dim] = x * chirp[:dim].conj()
+    conv = oracle_fft_pow2(np.conj(oracle_fft_pow2(padded) * kernel)).conj() / m
+    return conv[..., :n] * chirp.conj()
+
+
+def signed_zero_input(rng, shape):
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    flat = x.reshape(-1)
+    flat[::3] = 0.0
+    flat[1::5] = complex(-0.0, -0.0)
+    flat[2::7] = complex(-0.0, 0.0)
+    flat[4::11] = complex(0.0, -0.0)
+    return x
+
+
+def same_bits(a, b):
+    # float equality would take -0.0 for 0.0
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (3,), (2, 2)], ids=str)
+def test_fft_pow2_is_bit_identical_to_the_bit_reversal_fft(lead):
+    rng = np.random.default_rng(len(lead))
+    for m in (1 << s for s in range(14)):
+        for dim in sorted({m, max(1, m // 2)}):
+            x = signed_zero_input(rng, lead + (dim,))
+            padded = np.zeros(lead + (m,), dtype=complex)
+            padded[..., :dim] = x
+            assert same_bits(model._fft_pow2(x, m), oracle_fft_pow2(padded)), (m, dim)
+
+
+@pytest.mark.parametrize("n", [3, 12, 1000, 4093])
+def test_dft_is_bit_identical_to_the_bit_reversal_bluestein(n):
+    rng = np.random.default_rng(n)
+    for dim in (1, n // 2, n):
+        for lead in ((1,), (3,)):
+            x = signed_zero_input(rng, lead + (dim,))
+            assert same_bits(model._dft(x, n), oracle_dft(x, n)), (dim, lead)

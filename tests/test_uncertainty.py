@@ -48,6 +48,23 @@ def test_negative_occurrence_probability_is_rejected(sharp16):
         occurrence_distribution(indefinite, state)
 
 
+def test_total_mass_drift_is_renormalized_or_refused(sharp16):
+    # a dense table scaled by 1 + eps moves every probability's total by eps:
+    # between 1e-10 and 1e-8 it is rounding to renormalize, above 1e-8 a
+    # broken observable
+    dense = np.stack([sharp16.effect(k) for k in range(16)])
+    state = random_smooth_state(sharp16.grid, 3)
+    scaled = CovariantPOVM(sharp16.grid, sharp16.lattice, dense=dense * (1.0 + 3e-9))
+    raw = scaled.occurrence_probabilities(state)
+    assert 2e-9 <= raw.sum() - 1.0 <= 4e-9
+    dist = occurrence_distribution(scaled, state)
+    assert np.array_equal(dist.probabilities, raw / raw.sum())
+    assert abs(dist.probabilities.sum() - 1.0) <= 1e-15
+    broken = CovariantPOVM(sharp16.grid, sharp16.lattice, dense=dense * (1.0 + 3e-8))
+    with pytest.raises(ValueError, match="not normalized"):
+        occurrence_distribution(broken, state)
+
+
 def test_gaussian_time_spread_is_reciprocal(fullline_model):
     # minimum-uncertainty profile: time std must be 1/(2 * energy std)
     for width in (0.7, 1.0, 1.4):

@@ -114,6 +114,16 @@ def test_minimal_state_profile(reference_minimal_state):
     assert np.max(np.abs(st.values - sampled)) <= 1e-5
 
 
+@pytest.mark.parametrize("h, L", [(1e-3, 20.0), (5e-3, 17.0), (0.1, 20.0)])
+def test_spectral_ground_states_are_positive_without_a_sign_flip(h, L):
+    # the eigenvector's largest entry is made positive, and these ground
+    # states have one sign, so their sum is positive too
+    for st in (minimal_state(h, L), minimize_combined(h, L, method="spectral").minimizer):
+        v = st.values
+        assert v[np.argmax(np.abs(v))] > 0.0
+        assert float(v.sum()) > 0.0
+
+
 def test_sine_mode_functional_values():
     h = 1e-4
     m = int(round(1.0 / h)) - 1
