@@ -9,9 +9,11 @@ rename, so readers never observe a half-written document.  An observable
 file holds 2 n_bins dim^2 numbers, so it is streamed to that temp file one
 bin at a time, with each distinct magnitude of a bin formatted once.  It is
 read back as UTF-8 text through a fixed window, one effect decoded at a
-time, with each bin turned into float arrays as soon as the parser closes
-it: neither side holds the file's text, or more than one bin's numbers as
-Python floats.
+time, and the effect's rows of numbers become float arrays before the next
+is read: neither side holds the file's text, or more than one bin's numbers
+as Python floats.  The loader allocates the dense table only once every
+check has passed, so refusing a file costs memory in proportion to the
+file, not to the table it declares.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ __all__ = [
 _REQUIRED_FIELDS = ("n_bins", "dim", "tau", "energies", "effects")
 _KNOWN_FIELDS = set(_REQUIRED_FIELDS) | {"label"}
 _NUMBER_TYPES = frozenset((int, float))
-_FLOAT_TYPE = frozenset((float,))
 
 
 class PovmFormatError(ValueError):
@@ -156,65 +157,45 @@ def _want_int(doc: dict, field: str, minimum: int, where: str) -> int:
     return value
 
 
-class _ParsedEffect(dict):
-    """An {"re", "im"} object as the parser hands it on: each part that was
-    a rectangular list of rows of floats is a float array of those rows.
-
-    Its repr is that of the lists it was parsed from, so a message that
-    shows one where a number belongs reads as it would without arrays.
-    """
-
-    def __repr__(self) -> str:
-        return repr({key: p.tolist() if isinstance(p, np.ndarray) else p for key, p in self.items()})
-
-
 def _float_rows(part: object) -> object:
     """``part`` as a float array if it is a non-empty list of equal-length
-    lists of floats, which is what ``save_povm`` writes; otherwise ``part``
-    itself, for :func:`_want_real_matrix` to check and name what is wrong.
-
-    Only floats: ``tolist`` gives them back unchanged, which an int in
-    the same array would not be, so :class:`_ParsedEffect` can show them.
+    lists of numbers (int or float, not bool), which is what ``save_povm``
+    writes; otherwise ``part`` as parsed, for :func:`_want_real_matrix` to
+    name what is wrong with it.
     """
     if isinstance(part, list) and part and type(part[0]) is list:
         width = len(part[0])
-        if all(type(row) is list and len(row) == width and _FLOAT_TYPE.issuperset(map(type, row)) for row in part):
+        if all(type(row) is list and len(row) == width and _NUMBER_TYPES.issuperset(map(type, row)) for row in part):
             return np.array(part, dtype=float)
     return part
 
 
-def _effect_hook(obj: dict) -> dict:
-    # json calls this as each object closes, so one effect's Python floats
-    # are freed before the parser reads the next
-    if obj.keys() != {"re", "im"}:
-        return obj
-    return _ParsedEffect((key, _float_rows(part)) for key, part in obj.items())
+def _want_real_matrix(part: object, dim: int, where: str) -> np.ndarray:
+    """An effect part checked as dim rows of dim finite numbers.
 
-
-def _want_real_matrix(obj: object, dim: int, where: str) -> np.ndarray:
-    if not isinstance(obj, (list, np.ndarray)) or len(obj) != dim:
+    The reader makes a float array of every part that holds rows of numbers
+    of one length, so an array only needs its shape and finiteness checked.
+    Any other part holds a fault: its rows are walked, in order, only to
+    name the first one, and nothing is built from them.
+    """
+    if not isinstance(part, (list, np.ndarray)) or len(part) != dim:
         raise PovmFormatError(f"{where}: expected {dim} rows")
-    if isinstance(obj, np.ndarray):
-        # the parser makes arrays only of rows of floats of one length, so
-        # row 0 is the first short row and every entry is a number
-        if obj.shape[1] != dim:
+    if isinstance(part, np.ndarray):
+        # rows of one length: row 0 is the first short one
+        if part.shape[1] != dim:
             raise PovmFormatError(f"{where} row 0: expected {dim} numbers")
-        out = obj
     else:
-        out = np.empty((dim, dim))
-        for i, row in enumerate(obj):
+        for i, row in enumerate(part):
             if not isinstance(row, list) or len(row) != dim:
                 raise PovmFormatError(f"{where} row {i}: expected {dim} numbers")
             # one C-level scan of the exact types; the per-entry loop only runs
             # to name the offending entry (bool is a subclass of int, not int)
             if not _NUMBER_TYPES.issuperset(map(type, row)):
-                for j, value in enumerate(row):
-                    if isinstance(value, bool) or not isinstance(value, (int, float)):
-                        raise PovmFormatError(f"{where} row {i} column {j}: not a number: {value!r}")
-            out[i] = row
-    if not np.all(np.isfinite(out)):
+                j = next(j for j, value in enumerate(row) if type(value) not in _NUMBER_TYPES)
+                raise PovmFormatError(f"{where} row {i} column {j}: not a number: {row[j]!r}")
+    if not np.all(np.isfinite(part)):
         raise PovmFormatError(f"{where}: non-finite entries")
-    return out
+    return part
 
 
 _WINDOW = 1 << 18  # bytes of an observable file read per step
@@ -330,11 +311,15 @@ class _Window:
 
 def _read_effects(text: _Window, decode) -> list:
     # json's array scanner, by hand, so each effect is decoded on its own
+    # and its rows of numbers are arrays before the next one is read
     effects = []
     text.pos += 1
     if text.skip() != "]":
         while True:
-            effects.append(text.value(decode))
+            entry = text.value(decode)
+            if isinstance(entry, dict) and entry.keys() == {"re", "im"}:
+                entry = {key: _float_rows(part) for key, part in entry.items()}
+            effects.append(entry)
             if text.skip() != ",":
                 break
             text.pos += 1
@@ -350,7 +335,7 @@ def _read_document(handle: BinaryIO, where: str) -> object:
     other value, each effect included, goes to one decoder.
     """
     text = _Window(handle, where)
-    decode = json.JSONDecoder(object_hook=_effect_hook, parse_int=_parse_int).raw_decode
+    decode = json.JSONDecoder(parse_int=_parse_int).raw_decode
     if text.text.startswith("\ufeff"):
         raise text.error("Unexpected UTF-8 BOM (decode using utf-8-sig)")
     first = text.skip()
@@ -363,7 +348,9 @@ def _read_document(handle: BinaryIO, where: str) -> object:
     if not first:
         raise PovmFormatError(f"{where}: empty file")
     if first != "{":
-        doc = text.value(decode)
+        # the message names only the value's type, so each object inside
+        # it is dropped as it closes
+        doc = text.value(json.JSONDecoder(object_hook=lambda obj: None, parse_int=_parse_int).raw_decode)
     else:
         doc = {}
         text.pos += 1
@@ -398,12 +385,14 @@ def load_povm(path: str | os.PathLike) -> CovariantPOVM:
     The file is read as UTF-8 text through a window of 256 KiB and parsed
     as it is read, as ``json.loads`` would parse it, with its messages and
     the line and column in the file.  Each effect is decoded on its own,
-    and its re and im rows of floats become float arrays as soon as the
-    parser closes it, so neither the file's text nor more than one bin's
-    numbers as Python floats are held at once.  Parts in any other form
-    are kept as parsed and checked the same way.  The entries are copied
-    bit for bit into the real and imaginary parts of the stored effects,
-    signed zeros included.
+    and its re and im parts, where they are rectangular rows of numbers
+    (ints included), become float arrays before the next effect is read,
+    so neither the file's text nor more than one bin's numbers as Python
+    floats are held at once.  A part in any other form holds a fault; it
+    is kept as parsed, and the message names the first faulty row or
+    entry.  The dense table is allocated after every check has passed,
+    and the entries are copied bit for bit into the real and imaginary
+    parts of the stored effects, signed zeros included.
     """
     where = str(path)
     try:
@@ -437,21 +426,23 @@ def load_povm(path: str | os.PathLike) -> CovariantPOVM:
     energy = np.asarray(energies, dtype=float)
     if not np.all(np.isfinite(energy)):
         raise PovmFormatError(f"{where}: non-finite energies")
-    de = (energy[-1] - energy[0]) / (dim - 1)
+    # a span past the float range gives de = inf, which EnergyGrid names
+    with np.errstate(over="ignore", invalid="ignore"):
+        de = (energy[-1] - energy[0]) / (dim - 1)
+        spread = np.max(np.abs(np.diff(energy) - de))
     if de <= 0.0:
         raise PovmFormatError(f"{where}: energies must increase, got spacing {de}")
-    if np.max(np.abs(np.diff(energy) - de)) > 1e-9 * max(1.0, abs(de)):
+    if spread > 1e-9 * max(1.0, abs(de)):
         raise PovmFormatError(f"{where}: energies are not uniformly spaced")
 
     raw_effects = doc["effects"]
     if not isinstance(raw_effects, list) or len(raw_effects) != n_bins:
         raise PovmFormatError(f"{where}: field effects must hold {n_bins} entries")
-    dense = np.empty((n_bins, dim, dim), dtype=complex)
+    parts = []
     for k, entry in enumerate(raw_effects):
         if not isinstance(entry, dict) or set(entry) != {"re", "im"}:
             raise PovmFormatError(f"{where}: effects[{k}] must be an object with fields re and im")
-        dense[k].real = _want_real_matrix(entry["re"], dim, f"{where}: effects[{k}].re")
-        dense[k].imag = _want_real_matrix(entry["im"], dim, f"{where}: effects[{k}].im")
+        parts.append([_want_real_matrix(entry[key], dim, f"{where}: effects[{k}].{key}") for key in ("re", "im")])
 
     label = doc.get("label", Path(path).name)
     if not isinstance(label, str):
@@ -459,9 +450,14 @@ def load_povm(path: str | os.PathLike) -> CovariantPOVM:
     try:
         grid = EnergyGrid(dim, float(de), offset=float(energy[0]), halfline=bool(energy[0] >= 0.0))
         lattice = TimeLattice(n_bins, float(tau))
-        return CovariantPOVM(grid, lattice, dense=dense, label=label)
     except ValueError as exc:
         raise PovmFormatError(f"{where}: {exc}") from None
+    # allocated only once every check has passed, so refusing a file costs
+    # memory in proportion to the file, not to the table it declares
+    dense = np.empty((n_bins, dim, dim), dtype=complex)
+    for k, (re_part, im_part) in enumerate(parts):
+        dense[k].real, dense[k].imag = re_part, im_part
+    return CovariantPOVM(grid, lattice, dense=dense, label=label)
 
 
 def save_state_table(state: GridState, path: str | os.PathLike) -> None:

@@ -63,7 +63,9 @@ class GridState:
 
     Boundary values are implicitly zero; x_j = (j+1)*h for the stored
     entries.  Norm means the h-weighted one, matching the integral it
-    discretizes.
+    discretizes.  The functionals read the values through their moduli
+    (|difference|^2 in the kinetic term, |value|^2 in the moments), so a
+    global phase changes none of them.
     """
 
     values: np.ndarray
@@ -157,9 +159,10 @@ def minimal_state(h: float, L: float) -> GridState:
 
 
 def _kinetic(values: np.ndarray, h: float) -> float:
-    # edge sum includes both wall edges through the implicit zeros
+    # edge sum includes both wall edges through the implicit zeros; vdot
+    # and abs take the squared moduli of complex values
     core = np.diff(values)
-    return float(core @ core + values[0] ** 2 + values[-1] ** 2) / h
+    return float(np.vdot(core, core).real + abs(values[0]) ** 2 + abs(values[-1]) ** 2) / h
 
 
 def _moments(state: GridState, p: int) -> tuple[float, float]:

@@ -233,6 +233,19 @@ def test_dilate_refuses_a_byte_order_mark_as_json_does(tmp_path, capsys):
         f"error=input detail={path}: line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"
     ]
 
+
+def test_dilate_refuses_a_file_too_large_to_hold_before_allocating_for_it(tmp_path, capsys):
+    # an 889 KB file whose table would be 2 * 100000^2 complex numbers, 298 GiB
+    dim = 100_000
+    doc = {"n_bins": 2, "dim": dim, "tau": 1.0, "energies": [float(j) for j in range(dim)]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(dict(doc, effects=[{"re": [], "im": []}] * 2)))
+    assert main(["dilate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [f"error=input detail={path}: effects[0].re: expected 100000 rows"]
+
+
 def test_bounds_fullline_gaussian_saturates(capsys):
     assert main(["bounds"]) == 0
     _, recs = records(capsys)

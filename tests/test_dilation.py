@@ -1,5 +1,6 @@
 """Dilation construction and its defining residuals on small observables."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -141,6 +142,16 @@ def test_build_dilation_rejects_invalid_family():
     with pytest.raises(ValueError) as err:
         build_dilation(broken)
     assert "completeness" in str(err.value)
+
+
+@pytest.mark.parametrize("kernel", ["none", "zero"])
+def test_build_dilation_refuses_a_passed_report_without_a_kernel(kernel):
+    sharp = build_sharp_time_povm(centered_grid(8))
+    report = model.validate_povm(sharp)
+    assert report.passed
+    bare = dataclasses.replace(report, kernel=None if kernel == "none" else np.zeros_like(report.kernel))
+    with pytest.raises(ValueError, match="no kernel to dilate"):
+        build_dilation(sharp, bare)
 
 
 def test_dense_storage_dilates_identically():

@@ -253,6 +253,12 @@ def _fault(text, name):
     if name == "whitespace-only":
         # with one character that str.isspace takes and json does not skip
         return " \r\n\t" * formats._WINDOW + "\x0c\n", 4 * formats._WINDOW
+    if name == "form-feed-first":
+        # a character json does not skip, before the document
+        return "\n" * formats._WINDOW + "\x0c" + text, formats._WINDOW
+    if name == "trailing-comma":
+        cut = len(text) - 2
+        return text[:cut] + ", }\n", cut + 2
     raise AssertionError(name)
 
 
@@ -279,6 +285,8 @@ def _whole_document_message(path):
         "extra-data",
         "non-object",
         "whitespace-only",
+        "form-feed-first",
+        "trailing-comma",
     ],
 )
 def test_load_povm_reports_a_fault_past_the_first_window_as_json_does(name, vector64_text, tmp_path):
@@ -303,6 +311,54 @@ def test_load_povm_keeps_the_last_of_two_effects_arrays(vector64_text, tmp_path,
     with pytest.raises(PovmFormatError) as err:
         load_povm(twice)
     assert str(err.value) == f"{twice}: field effects must hold 64 entries"
+
+
+@pytest.mark.parametrize(
+    "part, message",
+    [
+        ([], ": expected 4096 rows"),
+        ([[]] * 4096, " row 0: expected 4096 numbers"),
+        ([[None]] + [[]] * 4095, " row 0: expected 4096 numbers"),
+    ],
+    ids=["empty-part", "empty-rows", "null-in-row-0"],
+)
+def test_load_povm_refuses_a_file_before_allocating_for_it(part, message, tmp_path):
+    # a 31-97 KB file whose table would be 2 * 4096^2 complex numbers, 537 MB
+    dim = 4096
+    doc = {"n_bins": 2, "dim": dim, "tau": 1.0, "energies": [float(j) for j in range(dim)]}
+    bad = rewrite(tmp_path / "bad.json", dict(doc, effects=[{"re": part, "im": []}] * 2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(PovmFormatError) as err:
+            load_povm(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"{bad}: effects[0].re{message}"
+    assert peak < 5e6, peak
+
+
+def test_load_povm_refuses_energies_whose_span_overflows_without_a_warning(sharp4_file, tmp_path):
+    # the span is 3e308, past the float range: the spacing is inf, which the
+    # grid refuses, and no overflow is reported on the way
+    _, path = sharp4_file
+    doc = dict(json.loads(path.read_text()), energies=[-1.5e308, -0.5e308, 0.5e308, 1.5e308])
+    bad = rewrite(tmp_path / "span.json", doc)
+    with pytest.raises(PovmFormatError) as err:
+        load_povm(bad)
+    assert str(err.value) == f"{bad}: grid spacing must be positive and finite, got de=inf"
+
+
+def test_integer_entries_load_as_the_floats_they_stand_for(sharp4_file, tmp_path):
+    # a hand-written 0 or 1 is a number like any float, so its part still
+    # becomes one array, with the same bits
+    _, path = sharp4_file
+    ints = tmp_path / "ints.json"
+    ints.write_text(re.sub(r"(?<=[\[ ])([01])\.0(?=[],])", r"\1", path.read_text()))
+    assert "[0, " in ints.read_text()
+    effect = json.loads(ints.read_text())["effects"][0]
+    assert all(isinstance(formats._float_rows(part), np.ndarray) for part in effect.values())
+    assert np.array_equal(load_povm(ints).dense.view(np.uint64), load_povm(path).dense.view(np.uint64))
 
 
 def test_load_missing_and_empty(tmp_path):
@@ -491,7 +547,7 @@ def _misplaced_effect(where):
     ids=["ragged-row-before-dim", "only-one-effect", "effect-as-energy", "effect-as-entry"],
 )
 def test_load_messages_do_not_depend_on_when_effects_are_converted(sharp4_file, tmp_path, edit, message):
-    # the parser turns each effect into arrays as it closes, before n_bins
+    # the reader turns each effect into arrays as it reads it, before n_bins
     # and dim are known; every message must read as for the parsed lists
     _, path = sharp4_file
     bad = rewrite(tmp_path / "bad.json", edit(json.loads(path.read_text())))

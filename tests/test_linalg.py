@@ -91,6 +91,22 @@ def test_hermitian_eigh_rejects_non_square_and_non_hermitian():
         hermitian_eigh(bad)
 
 
+@pytest.mark.parametrize(
+    "diag, offdiag, message",
+    [
+        ([1.0, 2.0], [1.0, 1.0], "got 2 and 2"),
+        ([], [], "got 0 and 0"),
+        ([[1.0, 2.0]], [1.0], "got 2 and 1"),
+        ([1.0, np.inf], [0.5], "must be finite"),
+        ([1.0, 2.0], [np.nan], "must be finite"),
+    ],
+    ids=["long-offdiag", "empty", "two-dimensional", "infinite-diag", "nan-offdiag"],
+)
+def test_sym_tridiag_refuses_mismatched_or_non_finite_bands(diag, offdiag, message):
+    with pytest.raises(ValueError, match=message):
+        SymTridiag(np.array(diag), np.array(offdiag))
+
+
 def random_tridiag(rng, n, definite=False):
     d = rng.standard_normal(n)
     if definite:

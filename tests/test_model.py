@@ -111,6 +111,44 @@ def test_halfline_povm_rejects_degenerate_cutoff():
         build_halfline_povm(g, 7)
 
 
+_GRID4 = EnergyGrid(4, 0.5, offset=-1.0)
+_LATTICE4 = TimeLattice(4, np.pi)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TimeLattice(1, 1.0), "at least two bins"),
+        (lambda: TimeLattice(4, 0.0), "got tau=0.0"),
+        (lambda: TimeLattice(4, np.inf), "got tau=inf"),
+        (lambda: StateVector(_GRID4, np.full(3, 3**-0.5)), r"expected 4 amplitudes, got shape \(3,\)"),
+        (lambda: CovariantPOVM(_GRID4, _LATTICE4, generator=np.full(4, 0.5)), r"generator must be \(r, dim\)"),
+        (lambda: CovariantPOVM(_GRID4, _LATTICE4, generator=np.ones((1, 3))), r"dim=4, got \(1, 3\)"),
+        (lambda: CovariantPOVM(_GRID4, _LATTICE4, dense=np.zeros((4, 3, 3))), r"= \(4, 4, 4\), got \(4, 3, 3\)"),
+        (lambda: build_halfline_povm(EnergyGrid(8, 0.5, halfline=True), 4), "already compressed"),
+        (lambda: build_halfline_povm(EnergyGrid(8, 0.5, offset=-2.0), -1), r"cutoff index -1 outside 0\.\.7"),
+        (lambda: build_halfline_povm(EnergyGrid(8, 0.5, offset=-2.0), 8), r"cutoff index 8 outside 0\.\.7"),
+        (lambda: vector_generated_povm(_GRID4, np.full(3, 0.5)), r"generator must have shape \(4,\), got \(3,\)"),
+    ],
+    ids=[
+        "one-bin",
+        "zero-tau",
+        "infinite-tau",
+        "state-shape",
+        "flat-generator",
+        "narrow-generator",
+        "dense-shape",
+        "halfline-grid",
+        "cutoff-below",
+        "cutoff-past",
+        "vector-generator-shape",
+    ],
+)
+def test_constructors_refuse_bad_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_vector_generated_povm_accepts_flat_and_rejects_skewed():
     g = centered_grid(16)
     rng = np.random.default_rng(1)

@@ -88,6 +88,20 @@ def test_airy_zero_rejects_out_of_range():
         airy_zero(21)
 
 
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        (-25.0, "outside supported window"),
+        ([0.0, 31.0], "outside supported window"),
+        (np.nan, "finite"),
+        ([0.0, np.inf], "finite"),
+    ],
+)
+def test_airy_ai_refuses_arguments_outside_its_window(x, message):
+    with pytest.raises(ValueError, match=message):
+        airy_ai(x)
+
+
 def test_min_product_identity_trivial_pairs():
     value, arg = min_product_identity(1.0, 1.0)
     assert value == 1.0 and arg == 2.0

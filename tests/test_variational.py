@@ -81,6 +81,21 @@ def test_overflowing_grid_is_value_error():
         minimize_product(1e-300, 1e300, method="descent")
 
 
+@pytest.mark.parametrize(
+    "h, L, slope, message",
+    [
+        (0.0, 1.0, 1.0, "positive h"),
+        (np.nan, 1.0, 1.0, "positive h"),
+        (0.1, -1.0, 1.0, "positive L"),
+        (0.1, 1.0, np.inf, "finite slope"),
+        (0.4, 1.0, 1.0, "grid of 1 interior nodes is too coarse"),
+    ],
+)
+def test_dirichlet_operator_refuses_bad_or_too_coarse_input(h, L, slope, message):
+    with pytest.raises(ValueError, match=message):
+        dirichlet_operator(h, L, slope)
+
+
 def test_spectrum_rejects_short_domain():
     with pytest.raises(DomainTooSmallError) as err:
         airy_operator_spectrum(1e-3, 3.0, 3)
@@ -138,6 +153,30 @@ def test_sine_mode_functional_values():
 def test_grid_state_requires_unit_norm():
     with pytest.raises(ValueError):
         GridState(np.ones(9), 0.1)
+
+
+@pytest.mark.parametrize(
+    "values, h, message",
+    [
+        (np.ones(1), 1.0, "at least two nodes"),
+        (np.ones((2, 2)), 0.5, "one-dimensional"),
+        (np.ones(4), 0.0, "spacing must be positive"),
+    ],
+)
+def test_grid_state_refuses_bad_shape_or_spacing(values, h, message):
+    with pytest.raises(ValueError, match=message):
+        GridState(values, h)
+
+
+@pytest.mark.parametrize("phase", [0.7, np.pi / 2, 2.5])
+def test_a_global_phase_changes_neither_functional(phase):
+    # a complex state enters through moduli: the kinetic term sums |d|^2
+    # over the differences, not the real part of d^2
+    h = 0.01
+    st = unit_state(np.sin(np.pi * h * np.arange(1, 99)), h)
+    turned = GridState(np.exp(1j * phase) * st.values, h)
+    for functional in (product_functional, combined_functional):
+        assert np.allclose(functional(turned), functional(st), rtol=1e-12, atol=0.0), functional.__name__
 
 
 def test_scaling_transform_inverts_and_preserves_product(reference_minimal_state):
