@@ -8,7 +8,10 @@ eigensolver that does not converge) prints one ``error=numerical`` record
 instead of a summary and returns 1.  A request too large to allocate
 (grid rows, energy bins, fixture bins past a fixed limit) is refused with
 one ``error=config`` record and exit 2 before anything is built; a file
-that cannot be written gives one ``error=io`` record and exit 2.  All
+that cannot be written gives one ``error=io`` record and exit 2.  The
+``--out`` copy of a report is written only when the run ends with its
+summary; a refused or failed run prints its one error record and leaves an
+existing file as it was, so scripts should read the exit code.  All
 randomness is seeded, so every published number is reproducible from the
 command line that made it.
 """
@@ -116,7 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, run) -> None:
+        p.set_defaults(run=run)
         p.add_argument("--seed", type=_seed, default=0, help="base seed for all randomness")
         p.add_argument("--out", default=None, help="also write the report (or fixtures) here")
         p.add_argument(
@@ -129,11 +133,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("airy-certify", help="end-to-end certification of the bound constants")
     p.add_argument("--h", type=_positive_float, default=1e-3, help="grid spacing")
     p.add_argument("--domain-l", type=_positive_float, default=20.0, help="domain length")
-    common(p)
+    common(p, cmd_airy_certify)
 
     p = sub.add_parser("dilate", help="dilate an observable file and check the axioms")
     p.add_argument("povm", help="observable file to read")
-    common(p)
+    common(p, cmd_dilate)
 
     p = sub.add_parser("bounds", help="certify uncertainty bounds on a model")
     p.add_argument("--model", choices=("fullline", "halfline"), default="fullline")
@@ -150,13 +154,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=_positive_int, default=None, help="energy grid size")
     p.add_argument("--de", type=_positive_float, default=None, help="energy grid spacing")
-    common(p)
+    common(p, cmd_bounds)
 
     p = sub.add_parser("emit-fixtures", help="write canonical observable files and tables")
     p.add_argument("--n", type=_positive_int, default=64, help="bins in the fixture observables")
     p.add_argument("--h", type=_positive_float, default=1e-3, help="spacing of the state table")
     p.add_argument("--domain-l", type=_positive_float, default=20.0, help="domain of the state table")
-    common(p)
+    common(p, cmd_emit_fixtures)
     return parser
 
 
@@ -189,8 +193,10 @@ def _refuse_oversized_grid(h: float, L: float) -> None:
 
 
 class _Report:
-    """Prints records as they arrive and tracks failures; the lines are kept
-    only when out_path asks for a copy in a file, written at close."""
+    """Prints records as they arrive and tracks failures.  close prints the
+    last line, the summary or one error record, and writes the copy that
+    out_path asks for only after a summary, so an error leaves that file as
+    it was; the lines are kept only when there is such a copy."""
 
     def __init__(self, command: str, out_path: str | None = None):
         self.command = command
@@ -212,7 +218,11 @@ class _Report:
                 self.failures += 1
         self._print(record)
 
-    def close(self) -> int:
+    def close(self, error: dict | None = None, code: int = 1) -> int:
+        """The exit code: ``code`` after an error, else 1 if a check failed."""
+        if error is not None:
+            self._print(error)
+            return code
         self._print({"summary": self.command, "checks": self.checks, "failures": self.failures})
         if self.out_path is not None:
             atomic_write_text(self.out_path, "\n".join(self.lines) + "\n")
@@ -226,10 +236,9 @@ def _compare(rep, name: str, value: float, ref: float, tol: float, key: str = "p
     rep.emit({"check": name, "value": value, key: ref, "error": err, **also, "tolerance": tol, "pass": ok})
 
 
-def cmd_airy_certify(args: argparse.Namespace) -> int:
+def cmd_airy_certify(args: argparse.Namespace, rep: _Report) -> None:
     h, L, scale = args.h, args.domain_l, args.tolerance_scale
     _refuse_oversized_grid(h, L)
-    rep = _Report("airy-certify", args.out)
     # tolerances widen with h^2 so coarse grids still certify at their own
     # attainable precision; at the reference spacing 1e-3 the extra term is
     # far below the printed-precision targets
@@ -285,12 +294,10 @@ def cmd_airy_certify(args: argparse.Namespace) -> int:
             "pass": chain.passed,
         }
     )
-    return rep.close()
 
 
-def cmd_dilate(args: argparse.Namespace) -> int:
+def cmd_dilate(args: argparse.Namespace, rep: _Report) -> dict | None:
     povm = load_povm(args.povm)
-    rep = _Report("dilate", args.out)
     scale = args.tolerance_scale
     rep.emit(
         {
@@ -314,8 +321,7 @@ def cmd_dilate(args: argparse.Namespace) -> int:
     )
     failed = verdict.failed_axioms or (() if verdict.kernel is not None else ("positivity",))
     if failed:
-        print(format_record({"error": "axiom-violated", "axiom": failed[0]}))
-        return 1
+        return {"error": "axiom-violated", "axiom": failed[0]}
 
     built = dila.build_dilation(povm, verdict)
     rep.emit({"dilation": "built", "rank": built.rank, "discarded": built.discarded_count})
@@ -331,7 +337,6 @@ def cmd_dilate(args: argparse.Namespace) -> int:
     for name, check, limit in checks:
         residual = check(built)
         rep.emit({"check": name, "residual": residual, "tolerance": limit, "pass": residual <= limit})
-    return rep.close()
 
 
 def _parse_states(spec: str, model: str):
@@ -363,7 +368,7 @@ def _parse_states(spec: str, model: str):
     raise ValueError(f"unknown --states value {spec!r}")
 
 
-def cmd_bounds(args: argparse.Namespace) -> int:
+def cmd_bounds(args: argparse.Namespace, rep: _Report) -> dict | None:
     if args.n is not None:
         _refuse_oversized("energy bins (--n)", args.n, _MAX_BOUNDS_BINS)
     items = _parse_states(args.states, args.model)
@@ -374,7 +379,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         check = "all" if args.model == "halfline" else "time-energy"
     checks = tuple(_BOUNDS) if check == "all" else (check,)
 
-    rep = _Report("bounds", args.out)
     rep.emit(
         {
             "model": args.model,
@@ -400,12 +404,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                         rec = {"saturation": report.name, "error": err, "tolerance": tol, "pass": err <= tol}
                         rep.emit({"state": tag["state"], **rec})
             except ValueError as exc:
-                print(format_record({"error": "bound-not-applicable", "detail": str(exc)}))
-                return 1
-    return rep.close()
+                return {"error": "bound-not-applicable", "detail": str(exc)}
 
 
-def cmd_emit_fixtures(args: argparse.Namespace) -> int:
+def cmd_emit_fixtures(args: argparse.Namespace, rep: _Report) -> None:
     from pathlib import Path
 
     _refuse_oversized("fixture bins (--n)", args.n, _MAX_FIXTURE_BINS)
@@ -413,7 +415,6 @@ def cmd_emit_fixtures(args: argparse.Namespace) -> int:
     out_dir = Path(args.out or "fixtures")
     out_dir.mkdir(parents=True, exist_ok=True)
     n = args.n
-    rep = _Report("emit-fixtures")
 
     sharp = default_fullline_model(n)
     half = default_halfline_model(n, 0.3)
@@ -433,7 +434,6 @@ def cmd_emit_fixtures(args: argparse.Namespace) -> int:
     path = out_dir / "minimal-state.txt"
     save_state_table(table_state, path)
     rep.emit({"fixture": str(path), "rows": table_state.values.size})
-    return rep.close()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -442,29 +442,21 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    handlers = {
-        "airy-certify": cmd_airy_certify,
-        "dilate": cmd_dilate,
-        "bounds": cmd_bounds,
-        "emit-fixtures": cmd_emit_fixtures,
-    }
+    # the --out of emit-fixtures names its fixture directory, not a copy
+    rep = _Report(args.command, None if args.command == "emit-fixtures" else args.out)
     try:
-        return handlers[args.command](args)
+        # a failed --out copy ends in error=io below, and an error is never copied
+        return rep.close(args.run(args, rep))
     except PovmFormatError as exc:
-        print(format_record({"error": "input", "detail": str(exc)}))
-        return 2
+        return rep.close({"error": "input", "detail": str(exc)}, 2)
     except DomainTooSmallError as exc:
-        print(format_record({"error": "domain", "detail": str(exc), "required_length": exc.required_length}))
-        return 2
+        return rep.close({"error": "domain", "detail": str(exc), "required_length": exc.required_length}, 2)
     except ValueError as exc:
-        print(format_record({"error": "config", "detail": str(exc)}))
-        return 2
+        return rep.close({"error": "config", "detail": str(exc)}, 2)
     except OSError as exc:
-        print(format_record({"error": "io", "detail": str(exc)}))
-        return 2
+        return rep.close({"error": "io", "detail": str(exc)}, 2)
     except RuntimeError as exc:
-        print(format_record({"error": "numerical", "detail": str(exc)}))
-        return 1
+        return rep.close({"error": "numerical", "detail": str(exc)})
 
 
 def entrypoint() -> None:

@@ -461,7 +461,13 @@ def load_povm(path: str | os.PathLike) -> CovariantPOVM:
 
 
 def save_state_table(state: GridState, path: str | os.PathLike) -> None:
-    """Write a grid state as a two-column table: node position, value."""
+    """Write a grid state as a two-column table: node position, value.
+
+    The table has no column for an imaginary part, so a complex state is
+    refused before any file is made.
+    """
+    if np.iscomplexobj(state.values):
+        raise ValueError(f"{path}: a state table holds real values; got a complex state")
     lines = ["# x phi"]
     for x, v in zip(state.nodes, state.values):
         lines.append(f"{x:.17e} {v:.17e}")
@@ -480,7 +486,7 @@ def load_state_table(path: str | os.PathLike) -> GridState:
     if x.size < 2:
         raise PovmFormatError(f"{where}: need at least two rows")
     h = (x[-1] - x[0]) / (x.size - 1)
-    if h <= 0.0 or np.max(np.abs(np.diff(x) - h)) > 1e-9 * h:
+    if not (h > 0.0 and np.max(np.abs(np.diff(x) - h)) <= 1e-9 * h):  # NaN nodes fail too
         raise PovmFormatError(f"{where}: nodes are not uniformly spaced")
     if abs(x[0] - h) > 1e-9 * h:
         raise PovmFormatError(f"{where}: first node must sit one spacing inside the wall at 0")

@@ -141,7 +141,7 @@ def hermitian_eigh(a: np.ndarray) -> Spectrum:
     n = a.shape[0]
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
     asym = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if asym > 1e-12 * scale:
+    if not asym <= 1e-12 * scale:  # a NaN or infinite entry makes asym NaN
         raise ValueError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")
     a = (0.5 * (a + a.conj().T)).astype(complex)
     v = np.eye(n, dtype=complex)

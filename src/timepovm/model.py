@@ -128,7 +128,7 @@ class StateVector:
         if amps.shape != (self.grid.n,):
             raise ValueError(f"expected {self.grid.n} amplitudes, got shape {amps.shape}")
         nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > 1e-12:
+        if not abs(nrm - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"state is not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -354,7 +354,7 @@ def vector_generated_povm(grid: EnergyGrid, generator: np.ndarray) -> CovariantP
     target = 1.0 / np.sqrt(grid.n)
     dev = np.abs(np.abs(g) - target)
     j = int(np.argmax(dev))
-    if dev[j] > 1e-12 * target:
+    if not dev[j] <= 1e-12 * target:  # argmax stops at the first NaN, which fails too
         raise ValueError(
             "generator component moduli must all equal 1/sqrt(n); "
             f"component {j} has modulus {np.abs(g[j]):.12e}, expected {target:.12e}"

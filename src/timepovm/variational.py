@@ -78,7 +78,7 @@ class GridState:
         if not self.h > 0.0:
             raise ValueError("spacing must be positive")
         nrm = math.sqrt(self.h) * float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > 1e-12:
+        if not abs(nrm - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"state is not unit norm: |norm - 1| = {abs(nrm - 1.0):.3e}")
         object.__setattr__(self, "values", v)
 

@@ -417,6 +417,41 @@ def test_report_file_matches_stdout(tmp_path, capsys):
     assert target.read_text() == out
 
 
+def tampered_fixture(tmp_path):
+    # an emit-fixtures file whose effect 0 has one entry moved off the family
+    out = tmp_path / "fx"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["emit-fixtures", "--n", "8", "--h", "5e-3", "--out", str(out)]) == 0
+    doc = json.loads((out / "sharp-povm.json").read_text())
+    doc["effects"][0]["re"][0][0] += 0.2
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(doc) + "\n")
+    return str(bad)
+
+
+@pytest.mark.parametrize(
+    "argv, error, code",
+    [
+        (lambda tmp: ["dilate", tampered_fixture(tmp)], "axiom-violated", 1),
+        (lambda tmp: ["bounds", "--de", "1e200", "--n", "4"], "bound-not-applicable", 1),
+        (lambda tmp: ["airy-certify", "--domain-l", "3"], "domain", 2),
+    ],
+    ids=["axiom-violated", "bound-not-applicable", "domain"],
+)
+def test_a_refused_run_leaves_an_existing_out_file_as_it_was(argv, error, code, tmp_path, capsys):
+    # only a run that ends with its summary writes the copy; an error record
+    # is the last line on stdout and the file keeps the previous run's report
+    target = tmp_path / "report.txt"
+    before = b"summary=dilate checks=6 failures=0\n"
+    target.write_bytes(before)
+    assert main(argv(tmp_path) + ["--out", str(target)]) == code
+    out, recs = records(capsys)
+    assert recs[-1]["error"] == error
+    assert "summary=" not in out
+    assert target.read_bytes() == before
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def failed_write_record(capsys, argv, asked):
     # one error=io record, exit 2, naming the file asked for and no temp file
     assert main(argv) == 2

@@ -25,6 +25,7 @@ from timepovm.formats import (
 )
 from timepovm.model import CovariantPOVM, EnergyGrid, TimeLattice, build_sharp_time_povm, validate_povm
 from timepovm.uncertainty import BoundReport
+from timepovm.variational import GridState
 
 
 @pytest.fixture()
@@ -629,6 +630,30 @@ def test_state_table_diagnostics(tmp_path):
     unnormalized.write_text("0.5 3.0\n1.0 3.0\n1.5 3.0\n")
     with pytest.raises(PovmFormatError, match="unit norm"):
         load_state_table(unnormalized)
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [("0.5 1.0\n1.0 nan\n1.5 1.0\n", "not unit norm"), ("0.5 1.0\nnan 0.0\n1.5 1.0\n", "not uniformly spaced")],
+    ids=["value", "node"],
+)
+def test_state_table_refuses_a_nan_row(table, message, tmp_path):
+    path = tmp_path / "nan.dat"
+    path.write_text(table)
+    with pytest.raises(PovmFormatError, match=message):
+        load_state_table(path)
+
+
+def test_save_state_table_refuses_a_complex_state(tmp_path):
+    # the table has one value column, and a complex value written there
+    # would not load back
+    h = 0.1
+    real = np.sin(np.pi * h * np.arange(1, 10))
+    state = GridState(np.exp(0.7j) * real / (np.sqrt(h) * np.linalg.norm(real)), h)
+    path = tmp_path / "complex.dat"
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: a state table holds real values"):
+        save_state_table(state, path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_format_record_rendering():

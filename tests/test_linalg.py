@@ -91,6 +91,16 @@ def test_hermitian_eigh_rejects_non_square_and_non_hermitian():
         hermitian_eigh(bad)
 
 
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_hermitian_eigh_refuses_a_nan_entry(where):
+    # refused as not Hermitian, not left to end in a Jacobi sweep that
+    # cannot converge
+    a = np.eye(3, dtype=complex)
+    a[where] = a[where[::-1]] = np.nan
+    with pytest.raises(ValueError, match="max asymmetry nan"):
+        hermitian_eigh(a)
+
+
 @pytest.mark.parametrize(
     "diag, offdiag, message",
     [

@@ -129,6 +129,8 @@ _LATTICE4 = TimeLattice(4, np.pi)
         (lambda: build_halfline_povm(EnergyGrid(8, 0.5, offset=-2.0), -1), r"cutoff index -1 outside 0\.\.7"),
         (lambda: build_halfline_povm(EnergyGrid(8, 0.5, offset=-2.0), 8), r"cutoff index 8 outside 0\.\.7"),
         (lambda: vector_generated_povm(_GRID4, np.full(3, 0.5)), r"generator must have shape \(4,\), got \(3,\)"),
+        (lambda: StateVector(_GRID4, [np.nan, 0.0, 0.0, 0.0]), r"not normalized: \|norm - 1\| = nan"),
+        (lambda: vector_generated_povm(_GRID4, [0.5, np.nan, 0.5, 0.5]), "component 1 has modulus nan"),
     ],
     ids=[
         "one-bin",
@@ -142,6 +144,8 @@ _LATTICE4 = TimeLattice(4, np.pi)
         "cutoff-below",
         "cutoff-past",
         "vector-generator-shape",
+        "state-nan",
+        "vector-generator-nan",
     ],
 )
 def test_constructors_refuse_bad_input(build, message):

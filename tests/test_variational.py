@@ -161,6 +161,7 @@ def test_grid_state_requires_unit_norm():
         (np.ones(1), 1.0, "at least two nodes"),
         (np.ones((2, 2)), 0.5, "one-dimensional"),
         (np.ones(4), 0.0, "spacing must be positive"),
+        (np.array([np.nan, 1.0, 2.0]), 0.1, r"not unit norm: \|norm - 1\| = nan"),
     ],
 )
 def test_grid_state_refuses_bad_shape_or_spacing(values, h, message):
