@@ -238,6 +238,15 @@ def _sturm_pass(t: SymTridiag, xs: np.ndarray, retire_at: int = 0) -> np.ndarray
     can end below k or below that probe's count.  Only the counts of
     xs[:m + 1] are returned, m the lowest probe that reached k (all of xs
     when none did).
+
+    The rows run a settle stride of 32 at a time.  One outer subtraction
+    gives a_i - x for the whole stride, and each row then takes two ufunc
+    calls, a divide and a subtract, with no clamp.  When no pivot of the
+    stride lies below 1e-290 in magnitude the clamp would have changed
+    none, and the negative pivots are counted in one call.  Otherwise the
+    stride is rerun from its first pivots by the clamped row step, five
+    calls a row.  Only the unclamped rows, which may divide by a zero
+    pivot, run with floating-point warnings silenced.
     """
     counts = np.zeros(xs.size, dtype=np.int64)
     d = t.diag[0] - xs
@@ -253,20 +262,39 @@ def _sturm_pass(t: SymTridiag, xs: np.ndarray, retire_at: int = 0) -> np.ndarray
     absb = np.abs(t.offdiag)
     floor = _settle_floor(t)
     shifted = np.empty_like(xs)
-    # row r of block marks the probes whose pivot counts as negative at the
-    # r-th row of the stride
+    # row r of pivots holds the probes' pivots at the r-th row of the
+    # stride, and row r of block marks those that count as negative
+    pivots = np.empty((_SETTLE_STRIDE, xs.size))
     block = np.empty((_SETTLE_STRIDE, xs.size), dtype=bool)
     for start in range(1, t.n, _SETTLE_STRIDE):
         stop = min(start + _SETTLE_STRIDE, t.n)
-        for a_i, b2_i, negative in zip(t.diag[start:stop].tolist(), b2[start - 1 : stop - 1].tolist(), block):
-            # d = (a_i - x) - b2_i / d; a pivot below _PIVMIN counts as
-            # negative, and one below it in magnitude becomes -_PIVMIN
-            np.subtract(a_i, x, out=shifted)
-            np.divide(b2_i, d, out=d)
-            np.subtract(shifted, d, out=d)
-            np.less(d, _PIVMIN, out=negative)
-            np.minimum(d, -_PIVMIN, out=d, where=negative)
-        count += block[: stop - start].sum(axis=0)
+        rows, negative = pivots[: stop - start], block[: stop - start]
+        # d = (a_i - x) - b2_i / d, unclamped, in two calls a row; a zero
+        # pivot may divide by zero here, and its stride is then rerun
+        np.subtract.outer(t.diag[start:stop], x, out=rows)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            prev = d
+            for b2_i, row in zip(b2[start - 1 : stop - 1].tolist(), rows):
+                np.divide(b2_i, prev, out=shifted)
+                np.subtract(row, shifted, out=row)
+                prev = row
+        if np.any(np.abs(rows) < _PIVMIN):
+            # a pivot the clamp would change: the stride again, row by row
+            # with the clamp, from the pivots it started with
+            for a_i, b2_i, neg in zip(t.diag[start:stop].tolist(), b2[start - 1 : stop - 1].tolist(), negative):
+                # a pivot below _PIVMIN counts as negative, and one below
+                # it in magnitude becomes -_PIVMIN
+                np.subtract(a_i, x, out=shifted)
+                np.divide(b2_i, d, out=d)
+                np.subtract(shifted, d, out=d)
+                np.less(d, _PIVMIN, out=neg)
+                np.minimum(d, -_PIVMIN, out=d, where=neg)
+        else:
+            # no pivot lies within _PIVMIN of zero, so the clamp changes
+            # none and "below _PIVMIN" is "below zero"
+            np.less(rows, 0.0, out=negative)
+            d[...] = prev
+        count += negative.sum(axis=0)
         if stop == t.n:
             break
         counts[live] = count
@@ -280,7 +308,7 @@ def _sturm_pass(t: SymTridiag, xs: np.ndarray, retire_at: int = 0) -> np.ndarray
             break
         if not stay.all():
             live, x, d, count = live[stay], x[stay], d[stay], count[stay]
-            shifted, block = shifted[: live.size], block[:, : live.size]
+            shifted, pivots, block = shifted[: live.size], pivots[:, : live.size], block[:, : live.size]
     counts[live] = count
     return counts[:keep_to]
 
@@ -391,14 +419,16 @@ class TridiagFactor:
     long diagonals, where the Thomas recurrence would crawl through a
     Python loop.  A solve runs in the storage of its output, on strided
     views (Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7, 1970): the
-    reduced systems live in the even rows, every 2^j-th row at level j,
-    and back substitution overwrites the odd rows, so nothing is copied or
-    interleaved.  There is no pivoting, so the matrix should be positive
-    (semi)definite: a preconditioner, or the matrix shifted by its lowest
-    eigenvalue for inverse iteration.  Pivots (and the final 2x2
-    determinant) smaller than 1e-290 in magnitude are clamped to 1e-290
-    instead of failing, which is exactly the near-singular behaviour
-    inverse iteration relies on.
+    reduced systems live in the even entries, every 2^j-th entry at level
+    j, and back substitution overwrites the odd ones, so nothing is copied
+    or interleaved.  The level coefficients are 1-D vectors and a block
+    holds one right-hand side per row, so each step is one ufunc call whose
+    inner loop runs along a whole row.  There is no pivoting, so the
+    matrix should be positive (semi)definite: a preconditioner, or the
+    matrix shifted by its lowest eigenvalue for inverse iteration.  Pivots
+    (and the final 2x2 determinant) smaller than 1e-290 in magnitude are
+    clamped to 1e-290 instead of failing, which is exactly the
+    near-singular behaviour inverse iteration relies on.
     """
 
     def __init__(self, t: SymTridiag, shift: float = 0.0):
@@ -416,55 +446,56 @@ class TridiagFactor:
             nd[: e_r.size] -= e_r * r_ratio
             nd[1 : 1 + e_l.size] -= e_l * l_ratio
             ne = -r_ratio[: e_l.size] * e_l
-            # stored as columns, to broadcast over a block of right-hand sides
-            self._levels.append(tuple(v[:, None] for v in (d_odd, e_r, e_l, r_ratio, l_ratio)))
+            # 1-D, to broadcast along the last axis of a block of right-hand sides
+            self._levels.append((d_odd, e_r, e_l, r_ratio, l_ratio))
             d, e = nd, ne
         self._base_d = d
         self._base_e = e
         self._base_pivot = _clamp_pivots(d[:1] if d.size == 1 else d[:1] * d[1:] - e * e)[0]
 
     def solve(self, rhs: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None):
-        """Solve against one vector or a (n, cols) block of right-hand sides.
+        """Solve against one vector (n,) or a (cols, n) block of right-hand sides.
 
         The solution is written into out, which is returned; out may be rhs
         itself.  With out=None, rhs is copied and the copy is returned, so
-        rhs is left untouched.  scratch, an array of at least n // 2 rows
-        shaped like out beyond its first axis and not overlapping it, holds
-        the products of each level; without it one is allocated.  The
-        elementwise operations are those of an allocating solve, so the
-        result is the same to the last bit wherever it is written.
+        rhs is left untouched.  scratch, an array of at least n // 2 entries
+        along its last axis, shaped like out before it and not overlapping
+        it, holds the products of each level; without it one is allocated.
+        Each right-hand side is a row, so every level runs on strided views
+        of whole rows.  The elementwise operations are those of an
+        allocating solve, so the result is the same to the last bit
+        wherever it is written.
         """
         if out is None:
             out = np.array(rhs, dtype=float)
         elif out is not rhs:
             out[...] = rhs
-        b = out[:, None] if out.ndim == 1 else out
         if scratch is None:
-            scratch = np.empty((b.shape[0] // 2,) + b.shape[1:])
-        elif scratch.ndim == 1:
-            scratch = scratch[:, None]
-        # the system of level j lives in every 2^j-th row of out; its odd
-        # rows keep their right-hand side until back substitution
+            scratch = np.empty(out.shape[:-1] + (out.shape[-1] // 2,))
+        # the system of level j lives in every 2^j-th entry of each row of
+        # out; its odd entries keep their right-hand side until back
+        # substitution
+        b = out
         views = []
         for _, _, _, r_ratio, l_ratio in self._levels:
             views.append(b)
-            odd = b[1::2]
-            b = b[0::2]
-            n_r, n_l = r_ratio.shape[0], l_ratio.shape[0]
-            b[:n_r] -= np.multiply(r_ratio, odd, out=scratch[:n_r])
-            b[1 : 1 + n_l] -= np.multiply(l_ratio, odd[:n_l], out=scratch[:n_l])
+            odd = b[..., 1::2]
+            b = b[..., 0::2]
+            n_r, n_l = r_ratio.size, l_ratio.size
+            b[..., :n_r] -= np.multiply(r_ratio, odd, out=scratch[..., :n_r])
+            b[..., 1 : 1 + n_l] -= np.multiply(l_ratio, odd[..., :n_l], out=scratch[..., :n_l])
         pivot = self._base_pivot
         if self._base_d.size == 1:
             b /= pivot
         else:
-            x0 = (self._base_d[1] * b[0] - self._base_e[0] * b[1]) / pivot
-            b[1] = (self._base_d[0] * b[1] - self._base_e[0] * b[0]) / pivot
-            b[0] = x0
+            x0 = (self._base_d[1] * b[..., 0] - self._base_e[0] * b[..., 1]) / pivot
+            b[..., 1] = (self._base_d[0] * b[..., 1] - self._base_e[0] * b[..., 0]) / pivot
+            b[..., 0] = x0
         for (d_odd, e_r, e_l, _, _), b in zip(reversed(self._levels), reversed(views)):
-            x, odd = b[0::2], b[1::2]
-            n_r, n_l = e_r.shape[0], e_l.shape[0]
-            odd -= np.multiply(e_r, x[:n_r], out=scratch[:n_r])
-            odd[:n_l] -= np.multiply(e_l, x[1 : 1 + n_l], out=scratch[:n_l])
+            x, odd = b[..., 0::2], b[..., 1::2]
+            n_r, n_l = e_r.size, e_l.size
+            odd -= np.multiply(e_r, x[..., :n_r], out=scratch[..., :n_r])
+            odd[..., :n_l] -= np.multiply(e_l, x[..., 1 : 1 + n_l], out=scratch[..., :n_l])
             odd /= d_odd
         return out
 

@@ -216,28 +216,38 @@ class MinimizationResult:
 
 
 def _second_difference(phi: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
-    """Batched action of the Dirichlet second-difference operator, into out."""
+    """Action of the Dirichlet second-difference operator on each row, into out."""
     np.multiply(phi, 2.0, out=out)
-    out[0] -= phi[1]
-    out[-1] -= phi[-2]
-    out[1:-1] -= phi[:-2]
-    out[1:-1] -= phi[2:]
+    out[..., 0] -= phi[..., 1]
+    out[..., -1] -= phi[..., -2]
+    out[..., 1:-1] -= phi[..., :-2]
+    out[..., 1:-1] -= phi[..., 2:]
     out /= h * h
     return out
 
 
-def _column_norms(phi: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(phi, axis=0, keepdims=True), summed in scratch."""
-    return np.sqrt(np.add.reduce(np.multiply(phi, phi, out=scratch), axis=0, keepdims=True))
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Sum of each row of x, added in index order; x is overwritten.
+
+    numpy sums a contiguous row pairwise, which rounds differently from
+    the running sum of the column-layout batch this replaced; the last
+    entry of a running sum keeps those bits.
+    """
+    return np.cumsum(x, axis=1, out=x)[:, -1]
+
+
+def _row_norms(phi: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """2-norm of each row of phi, as a column; scratch is overwritten."""
+    return np.sqrt(_row_sums(np.multiply(phi, phi, out=scratch)))[:, None]
 
 
 def _moment_batch(phi: np.ndarray, h: float, w: np.ndarray, scratch: np.ndarray):
-    """Kinetic and weighted moment per column; scratch (same shape) is overwritten."""
+    """Kinetic and weighted moment per row; scratch (same shape) is overwritten."""
     action = _second_difference(phi, h, scratch)
-    kin = h * np.sum(np.multiply(action, phi, out=action), axis=0)
+    kin = h * _row_sums(np.multiply(action, phi, out=action))
     np.square(phi, out=scratch)
-    scratch *= w[:, None]
-    mom = h * np.sum(scratch, axis=0)
+    scratch *= w
+    mom = h * _row_sums(scratch)
     return kin, mom
 
 
@@ -246,16 +256,19 @@ def _descent(h: float, L: float, p: int, seed: int, max_iter: int):
 
     Steps are preconditioned by (T + x^p + 1)^{-1}, the potential matching
     the functional being minimized; without the potential term the
-    far-field modes converge at a crawl.  All restart columns advance
-    together; each column owns its step size, halved on any non-decrease and
-    grown gently on success.  A column stops improving when its relative
-    decrease falls below 1e-12; the batch stops when every column has.
-    Three (m x restarts) buffers hold the whole iteration: the accepted
-    states, the gradient that the in-place solve turns into the trial, and
-    a scratch.  The accepted states' second-difference action is
-    recomputed at the top of each iteration rather than kept; it is the
-    same to the last bit.  Returns (value, virial-rescaled best state,
-    iterations, converged).
+    far-field modes converge at a crawl.  All restarts advance together;
+    each owns its step size, halved on any non-decrease and grown gently
+    on success.  A restart stops improving when its relative decrease
+    falls below 1e-12; the batch stops when every restart has.  Three
+    (restarts x m) buffers, one contiguous row per restart, hold the whole
+    iteration: the accepted states, the gradient that the in-place solve
+    turns into the trial, and a scratch.  Every batch operation then runs
+    along whole rows, and the sums over a row add in index order.  The
+    accepted states' second-difference action is recomputed at the top of
+    each iteration rather than kept; it is the same to the last bit.  When
+    every trial improves, the state and trial buffers trade places instead
+    of copying.  Returns (value, virial-rescaled best state, iterations,
+    converged).
     """
     base = dirichlet_operator(h, L, 0.0)
     m = base.n
@@ -265,13 +278,16 @@ def _descent(h: float, L: float, p: int, seed: int, max_iter: int):
     q = 2 // p
 
     # smoothed noise: random but not adversarially rough, pulled toward the
-    # origin where both minimizers concentrate
-    phi = rng.standard_normal((m, _RESTARTS))
+    # origin where both minimizers concentrate.  The draw fills an (m x
+    # restarts) view in the order it always has, and each restart's row is
+    # one of its columns
+    phi = np.empty((_RESTARTS, m))
     g = np.empty_like(phi)
     scratch = np.empty_like(phi)
+    np.copyto(phi, rng.standard_normal(out=g.reshape(m, _RESTARTS)).T)
     prec.solve(phi, out=phi, scratch=scratch)
-    phi /= math.sqrt(h) * _column_norms(phi, scratch)
-    # kinetic and moment are kept from the batch that accepted each column
+    phi /= math.sqrt(h) * _row_norms(phi, scratch)
+    # kinetic and moment are kept from the batch that accepted each row
     kin, mom = _moment_batch(phi, h, w, scratch)
     best = kin * mom**q
     step = np.full(_RESTARTS, 1.0)
@@ -281,23 +297,27 @@ def _descent(h: float, L: float, p: int, seed: int, max_iter: int):
         # d/dphi of kin * mom^q, both factors being quadratic forms
         _second_difference(phi, h, g)
         g *= 2.0
-        g *= (mom**q)[None, :]
-        np.multiply(w[:, None], phi, out=scratch)
-        scratch *= ((2.0 * q * kin) * mom ** (q - 1))[None, :]
+        g *= (mom**q)[:, None]
+        np.multiply(w, phi, out=scratch)
+        scratch *= ((2.0 * q * kin) * mom ** (q - 1))[:, None]
         g += scratch
         # project out the radial component in the h-weighted metric
-        radial = h * np.sum(np.multiply(phi, g, out=scratch), axis=0, keepdims=True)
-        g -= np.multiply(phi, radial, out=scratch)
+        radial = h * _row_sums(np.multiply(phi, g, out=scratch))
+        g -= np.multiply(phi, radial[:, None], out=scratch)
         # g becomes the trial state
         prec.solve(g, out=g, scratch=scratch)
-        g *= step[None, :]
+        g *= step[:, None]
         np.subtract(phi, g, out=g)
-        g /= math.sqrt(h) * _column_norms(g, scratch)
+        g /= math.sqrt(h) * _row_norms(g, scratch)
         kin_t, mom_t = _moment_batch(g, h, w, scratch)
         val = kin_t * mom_t**q
         improved = val < best
         rel = np.where(improved, (best - val) / np.maximum(np.abs(best), 1e-300), 0.0)
-        np.copyto(phi, g, where=improved[None, :])
+        if improved.all():
+            phi, g = g, phi
+        else:
+            for j in np.flatnonzero(improved).tolist():
+                phi[j] = g[j]
         kin = np.where(improved, kin_t, kin)
         mom = np.where(improved, mom_t, mom)
         best = np.where(improved, val, best)
@@ -307,7 +327,7 @@ def _descent(h: float, L: float, p: int, seed: int, max_iter: int):
         if not active.any():
             break
     j = int(np.argmin(best))
-    state = _virial_rescale(_as_state(phi[:, j], h), p)
+    state = _virial_rescale(_as_state(phi[j], h), p)
     return float(best[j]), state, iters, iters < max_iter
 
 

@@ -1,5 +1,7 @@
 """Eigensolver and tridiagonal kernels against independent dense oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,23 @@ def test_sturm_pass_matches_the_full_row_loop(retire_at):
             assert got.size >= (reach[0] + 1 if reach.size else xs.size)
 
 
+def test_sturm_pass_reruns_a_stride_that_meets_a_zero_pivot():
+    # at x = 0 the pivots run 2, 1/2, 0 from row 40, inside the second
+    # stride: the two-call rows divide by that zero, and the stride is
+    # rerun with the clamp, which counts the zero as negative
+    d = np.full(100, 3.0)
+    d[40:43] = [2.0, 1.0, 2.0]
+    e = np.zeros(99)
+    e[40:42] = 1.0
+    t = SymTridiag(d, e)
+    xs = np.array([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = linalg._sturm_pass(t, xs)
+    assert np.array_equal(got, full_row_counts(t, xs))
+    assert got[1] == 1
+
+
 def test_tridiag_lowest_eigs_matches_dense_oracle():
     rng = np.random.default_rng(12)
     t = random_tridiag(rng, 60)
@@ -297,12 +316,12 @@ def test_cyclic_reduction_factor_matches_dense_oracle(n):
 def test_cyclic_reduction_factor_block_and_shift():
     rng = np.random.default_rng(55)
     t = random_tridiag(rng, 123, definite=True)
-    block = rng.standard_normal((123, 6))
+    block = rng.standard_normal((6, 123))
     got = TridiagFactor(t).solve(block)
-    ref = np.linalg.solve(t.dense(), block)
+    ref = np.linalg.solve(t.dense(), block.T).T
     assert np.max(np.abs(got - ref)) <= 1e-10
-    shifted = TridiagFactor(t, shift=0.7).solve(block[:, 0])
-    ref_s = np.linalg.solve(t.dense() - 0.7 * np.eye(123), block[:, 0])
+    shifted = TridiagFactor(t, shift=0.7).solve(block[0])
+    ref_s = np.linalg.solve(t.dense() - 0.7 * np.eye(123), block[0])
     assert np.max(np.abs(shifted - ref_s)) <= 1e-10
 
 
@@ -360,7 +379,7 @@ class AllocatingFactor:
 
 def solve_every_way(fac, b):
     """The solutions of fac for rhs b with out=None, out=rhs, a separate
-    out and a borrowed scratch taller than n // 2."""
+    out and a borrowed scratch longer than n // 2 along its last axis."""
     kept = b.copy()
     fresh = fac.solve(b)
     assert fresh is not b and np.array_equal(b, kept)
@@ -370,7 +389,7 @@ def solve_every_way(fac, b):
     assert fac.solve(b, out=out) is out
     assert np.array_equal(b, kept)
     borrowed = b.copy()
-    scratch = np.full((b.shape[0] // 2 + 3,) + b.shape[1:], np.nan)
+    scratch = np.full(b.shape[:-1] + (b.shape[-1] // 2 + 3,), np.nan)
     assert fac.solve(borrowed, out=borrowed, scratch=scratch) is borrowed
     return fresh, own, out, borrowed
 
@@ -380,9 +399,10 @@ def solve_every_way(fac, b):
 def test_in_place_solve_is_bit_identical_to_the_allocating_solve(n, cols):
     rng = np.random.default_rng(7 * n + (cols or 0))
     t = random_tridiag(rng, n, definite=True)
-    b = rng.standard_normal(n if cols is None else (n, cols))
+    b = rng.standard_normal(n if cols is None else (cols, n))
     for shift in (0.0, 0.3):
-        want = AllocatingFactor(t, shift).solve(b)
+        # the oracle solves (n, cols) blocks
+        want = AllocatingFactor(t, shift).solve(b.T).T
         for got in solve_every_way(TridiagFactor(t, shift), b):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
@@ -396,8 +416,8 @@ def test_in_place_solve_at_an_exact_eigenvalue_is_bit_identical(n, k):
     e = np.full(n - 1, 0.5)
     e[k - 1 : k + 1] = 0.0
     t = SymTridiag(d, e)
-    b = np.random.default_rng(n).standard_normal((n, 3))
-    want = AllocatingFactor(t, d[k]).solve(b)
+    b = np.random.default_rng(n).standard_normal((3, n))
+    want = AllocatingFactor(t, d[k]).solve(b.T).T
     assert np.max(np.abs(want)) > 1e200
     for got in solve_every_way(TridiagFactor(t, shift=d[k]), b):
         assert got.tobytes() == want.tobytes()
@@ -411,8 +431,8 @@ def test_in_place_block_solve_allocates_nothing_that_grows_with_the_block():
 
     t = dirichlet_operator(1e-3, 20.0)
     fac = TridiagFactor(t, shift=-1.0)
-    block = np.random.default_rng(3).standard_normal((t.n, 8))
-    scratch = np.empty((t.n // 2, 8))
+    block = np.random.default_rng(3).standard_normal((8, t.n))
+    scratch = np.empty((8, t.n // 2))
     fac.solve(block, out=block, scratch=scratch)
     tracemalloc.start()
     try:

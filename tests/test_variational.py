@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from timepovm import variational
 from timepovm.linalg import SymTridiag, tridiag_lowest_eigs
 from timepovm.special import airy_ai, airy_zero, min_product_identity
 from timepovm.variational import (
@@ -355,6 +356,99 @@ def test_descent_holds_few_batch_arrays():
         finally:
             tracemalloc.stop()
         assert peak / (m * 8 * np.dtype(float).itemsize) <= 4.75
+
+
+def column_descent(h, L, p, seed, max_iter):
+    """The descent as it was with one restart per column of (m x 8)
+    buffers, solved through the allocating cyclic reduction: the oracle for
+    the row layout.  Also returns how many iterations accepted the trial of
+    every column, and how many of only some."""
+    from test_linalg import AllocatingFactor
+
+    def second_difference(phi, out):
+        np.multiply(phi, 2.0, out=out)
+        out[0] -= phi[1]
+        out[-1] -= phi[-2]
+        out[1:-1] -= phi[:-2]
+        out[1:-1] -= phi[2:]
+        out /= h * h
+        return out
+
+    def column_norms(phi, scratch):
+        return np.sqrt(np.add.reduce(np.multiply(phi, phi, out=scratch), axis=0, keepdims=True))
+
+    def moment_batch(phi, scratch):
+        action = second_difference(phi, scratch)
+        kin = h * np.sum(np.multiply(action, phi, out=action), axis=0)
+        np.square(phi, out=scratch)
+        scratch *= w[:, None]
+        return kin, h * np.sum(scratch, axis=0)
+
+    base = dirichlet_operator(h, L, 0.0)
+    m = base.n
+    rng = np.random.default_rng(seed)
+    w = (h * np.arange(1, m + 1)) ** p
+    prec = AllocatingFactor(SymTridiag(base.diag + w + 1.0, base.offdiag))
+    q = 2 // p
+    phi = rng.standard_normal((m, 8))
+    g = np.empty_like(phi)
+    scratch = np.empty_like(phi)
+    phi[...] = prec.solve(phi)
+    phi /= math.sqrt(h) * column_norms(phi, scratch)
+    kin, mom = moment_batch(phi, scratch)
+    best = kin * mom**q
+    step = np.full(8, 1.0)
+    active = np.ones(8, dtype=bool)
+    every = some = 0
+    for iters in range(1, max_iter + 1):
+        second_difference(phi, g)
+        g *= 2.0
+        g *= (mom**q)[None, :]
+        np.multiply(w[:, None], phi, out=scratch)
+        scratch *= ((2.0 * q * kin) * mom ** (q - 1))[None, :]
+        g += scratch
+        radial = h * np.sum(np.multiply(phi, g, out=scratch), axis=0, keepdims=True)
+        g -= np.multiply(phi, radial, out=scratch)
+        g[...] = prec.solve(g)
+        g *= step[None, :]
+        np.subtract(phi, g, out=g)
+        g /= math.sqrt(h) * column_norms(g, scratch)
+        kin_t, mom_t = moment_batch(g, scratch)
+        val = kin_t * mom_t**q
+        improved = val < best
+        every += bool(improved.all())
+        some += bool(improved.any() and not improved.all())
+        rel = np.where(improved, (best - val) / np.maximum(np.abs(best), 1e-300), 0.0)
+        np.copyto(phi, g, where=improved[None, :])
+        kin = np.where(improved, kin_t, kin)
+        mom = np.where(improved, mom_t, mom)
+        best = np.where(improved, val, best)
+        step = np.where(improved, np.minimum(step * 1.25, 1e6), step * 0.5)
+        active[improved & (rel <= 1e-12)] = False
+        active[step < 1e-18] = False
+        if not active.any():
+            break
+    j = int(np.argmin(best))
+    state = variational._virial_rescale(variational._as_state(phi[:, j], h), p)
+    return float(best[j]), state, iters, iters < max_iter, every, some
+
+
+@pytest.mark.parametrize(
+    "p, seed, max_iter",
+    [(1, 0, 100000), (1, 5, 100000), (2, 0, 100000), (2, 5, 100000), (1, 4, 6), (2, 4, 6)],
+)
+def test_row_layout_descent_matches_the_column_layout(p, seed, max_iter):
+    # same value, state bytes, iteration count and convergence flag; the
+    # runs take both ways of accepting a trial, all rows at once (the
+    # buffers swap) and only some (those rows are copied)
+    h, L = 5e-3, 14.0
+    value, state, iters, converged, every, some = column_descent(h, L, p, seed, max_iter)
+    got = variational._descent(h, L, p, seed, max_iter)
+    assert got[0] == value
+    assert got[1].h == state.h and got[1].values.tobytes() == state.values.tobytes()
+    assert got[2:] == (iters, converged)
+    assert every > 0 and some > 0
+    assert converged == (max_iter == 100000)
 
 
 def test_identity_chain_rejects_bad_input():
