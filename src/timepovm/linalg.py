@@ -23,6 +23,7 @@ well before the last row.  The counts are those of the full row loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -404,9 +405,20 @@ def _rayleigh_ball(t: SymTridiag, shift: float) -> tuple[float, float]:
     except RuntimeError:
         return np.nan, np.inf
     tv = t.matvec(v)
-    vv = float(v @ v)
-    theta = float(v @ tv) / vv
-    return theta, float(np.linalg.norm(tv - theta * v)) / np.sqrt(vv)
+    vv = _inner(v, v)
+    theta = _inner(v, tv) / vv
+    r = tv - theta * v
+    return theta, math.sqrt(_inner(r, r)) / math.sqrt(vv)
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Correctly rounded sum of the rounded products a_i * b_i.
+
+    A BLAS dot product splits a long vector over its threads, so its
+    rounding depends on the thread count; this sum depends on nothing but
+    the products.
+    """
+    return math.fsum((a * b).tolist())
 
 
 class TridiagFactor:
@@ -516,7 +528,7 @@ def tridiag_eigenvector(t: SymTridiag, eigenvalue: float) -> np.ndarray:
         if not 0.0 < peak < np.inf:
             raise RuntimeError("inverse iteration collapsed to the zero vector or overflowed")
         x /= peak
-    x /= np.linalg.norm(x)
+    x /= math.sqrt(_inner(x, x))
     if x[np.argmax(np.abs(x))] < 0:
         x = -x
     return x

@@ -410,6 +410,22 @@ def test_python_dash_m_runs_the_cli(module, argv, code, last):
     assert "Traceback" not in run.stderr
 
 
+def test_certify_stdout_does_not_depend_on_the_blas_thread_count():
+    # at the default 19 999 rows a BLAS dot product splits its vectors over
+    # its threads, so a sum taken through BLAS rounds by the thread count
+    src = str(Path(model.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", None):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        run = subprocess.run([sys.executable, "-m", "timepovm", "airy-certify"], capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
+
+
 def test_report_file_matches_stdout(tmp_path, capsys):
     target = tmp_path / "report.txt"
     assert main(["bounds", "--out", str(target)]) == 0
