@@ -468,7 +468,7 @@ def validate_povm(povm: CovariantPOVM, tol: float = 1e-10, seed: int = 0) -> Pov
         min_eig, kernel, herm = 0.0, povm.generator, None
     else:
         skew = 0.5 * float(np.max(np.abs(first - first.conj().T)))
-        if skew > tol:
+        if not skew <= tol:  # a NaN entry makes skew NaN
             min_eig, kernel, herm = -skew, None, None
         else:
             herm = 0.5 * (first + first.conj().T)

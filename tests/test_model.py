@@ -250,6 +250,18 @@ def test_validate_povm_flags_negative_effect(sharp16):
     assert "positivity" in v.failed_axioms
 
 
+def test_validate_povm_fails_an_effect_0_holding_a_nan():
+    # a NaN makes the anti-Hermitian measure NaN; the family gets a verdict
+    # with failed axioms, not the Hermitian refusal of the eigensolver
+    sharp = default_fullline_model(8)
+    dense = np.stack([sharp.effect(k) for k in range(8)])
+    dense[0, 1, 1] = np.nan
+    v = validate_povm(CovariantPOVM(sharp.grid, sharp.lattice, dense=dense))
+    assert not v.passed
+    assert "positivity" in v.failed_axioms
+    assert v.kernel is None
+
+
 def test_validation_carries_the_generating_kernel(sharp16, monkeypatch):
     # generator storage hands its generator on without an eigensolve; a
     # dense family gets sqrt(L) W^dagger from the one spectrum of effect 0
