@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -449,6 +450,21 @@ def test_row_layout_descent_matches_the_column_layout(p, seed, max_iter):
     assert got[2:] == (iters, converged)
     assert every > 0 and some > 0
     assert converged == (max_iter == 100000)
+
+
+def test_identity_scan_shape_factors_exactly():
+    # the scan's shape F(g) = (1 + 2g)^3 / (27 g^2) exceeds its minimum 1
+    # by (g - 1)^2 (8g + 1) / (27 g^2), so F >= 1 on g > 0 with equality at
+    # g = 1 alone; checked in exact rational arithmetic, at simple
+    # fractions and at every 100th scan point (each float is a rational)
+    simple = [Fraction(p, q) for p in (1, 2, 3, 7, 999, 1000) for q in (1, 2, 3, 8, 1000)]
+    scan = [Fraction(g) for g in np.logspace(-3.0, 3.0, 10000)[::100].tolist()]
+    for g in simple + scan:
+        shape = (1 + 2 * g) ** 3 / (27 * g**2)
+        excess = (g - 1) ** 2 * (8 * g + 1) / (27 * g**2)
+        assert shape - 1 == excess, g
+        assert (shape == 1) == (g == 1)
+        assert shape >= 1
 
 
 def test_identity_chain_rejects_bad_input():
