@@ -267,8 +267,8 @@ def _descent(h: float, L: float, p: int, seed: int, max_iter: int):
     accepted states' second-difference action is recomputed at the top of
     each iteration rather than kept; it is the same to the last bit.  When
     every trial improves, the state and trial buffers trade places instead
-    of copying.  Returns (value, virial-rescaled best state, iterations,
-    converged).
+    of copying.  Returns (value, a copy of the best row, iterations,
+    converged); the caller builds the state once the buffers are released.
     """
     base = dirichlet_operator(h, L, 0.0)
     m = base.n
@@ -327,8 +327,7 @@ def _descent(h: float, L: float, p: int, seed: int, max_iter: int):
         if not active.any():
             break
     j = int(np.argmin(best))
-    state = _virial_rescale(_as_state(phi[j], h), p)
-    return float(best[j]), state, iters, iters < max_iter
+    return float(best[j]), phi[j].copy(), iters, iters < max_iter
 
 
 def _minimize(p: int, h, L, method, seed, max_iter, spectral) -> MinimizationResult:
@@ -338,8 +337,8 @@ def _minimize(p: int, h, L, method, seed, max_iter, spectral) -> MinimizationRes
         return MinimizationResult(value, _virial_rescale(ground, p), True, 0)
     if method != "descent":
         raise ValueError(f"unknown method {method!r}; expected 'spectral' or 'descent'")
-    val, state, iters, conv = _descent(h, L, p, seed, max_iter)
-    return MinimizationResult(val, state, conv, iters)
+    val, row, iters, conv = _descent(h, L, p, seed, max_iter)
+    return MinimizationResult(val, _virial_rescale(_as_state(row, h), p), conv, iters)
 
 
 def minimize_product(

@@ -444,10 +444,11 @@ def test_row_layout_descent_matches_the_column_layout(p, seed, max_iter):
     # buffers swap) and only some (those rows are copied)
     h, L = 5e-3, 14.0
     value, state, iters, converged, every, some = column_descent(h, L, p, seed, max_iter)
-    got = variational._descent(h, L, p, seed, max_iter)
-    assert got[0] == value
-    assert got[1].h == state.h and got[1].values.tobytes() == state.values.tobytes()
-    assert got[2:] == (iters, converged)
+    minimize = minimize_product if p == 1 else minimize_combined
+    got = minimize(h, L, method="descent", seed=seed, max_iter=max_iter)
+    assert got.value == value
+    assert got.minimizer.h == state.h and got.minimizer.values.tobytes() == state.values.tobytes()
+    assert (got.iterations, got.converged) == (iters, converged)
     assert every > 0 and some > 0
     assert converged == (max_iter == 100000)
 
