@@ -270,16 +270,17 @@ def _sturm_pass(t: SymTridiag, xs: np.ndarray, retire_at: int = 0) -> np.ndarray
     for start in range(1, t.n, _SETTLE_STRIDE):
         stop = min(start + _SETTLE_STRIDE, t.n)
         rows, negative = pivots[: stop - start], block[: stop - start]
-        # d = (a_i - x) - b2_i / d, unclamped, in two calls a row; a zero
-        # pivot may divide by zero here, and its stride is then rerun
+        # d = (a_i - x) - b2_i / d, unclamped, in two calls a row (out
+        # passed by position, which numpy parses faster); a zero pivot may
+        # divide by zero here, and its stride is then rerun
         np.subtract.outer(t.diag[start:stop], x, out=rows)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             prev = d
             for b2_i, row in zip(b2[start - 1 : stop - 1].tolist(), rows):
-                np.divide(b2_i, prev, out=shifted)
-                np.subtract(row, shifted, out=row)
+                np.divide(b2_i, prev, shifted)
+                np.subtract(row, shifted, row)
                 prev = row
-        if np.any(np.abs(rows) < _PIVMIN):
+        if (np.abs(rows) < _PIVMIN).any():
             # a pivot the clamp would change: the stride again, row by row
             # with the clamp, from the pivots it started with
             for a_i, b2_i, neg in zip(t.diag[start:stop].tolist(), b2[start - 1 : stop - 1].tolist(), negative):
@@ -295,7 +296,8 @@ def _sturm_pass(t: SymTridiag, xs: np.ndarray, retire_at: int = 0) -> np.ndarray
             # none and "below _PIVMIN" is "below zero"
             np.less(rows, 0.0, out=negative)
             d[...] = prev
-        count += negative.sum(axis=0)
+        # a stride has at most 32 rows, so its counts fit in uint8
+        count += negative.sum(axis=0, dtype=np.uint8)
         if stop == t.n:
             break
         counts[live] = count
