@@ -229,9 +229,9 @@ def _second_difference(phi: np.ndarray, h: float, out: np.ndarray) -> np.ndarray
 def _row_sums(x: np.ndarray) -> np.ndarray:
     """Sum of each row of x, added in index order; x is overwritten.
 
-    numpy sums a contiguous row pairwise, which rounds differently from
-    the running sum of the column-layout batch this replaced; the last
-    entry of a running sum keeps those bits.
+    numpy sums a contiguous row pairwise; the last entry of a running sum
+    is the index-order sum, whose rounding the printed descent digits
+    depend on.
     """
     return np.cumsum(x, axis=1, out=x)[:, -1]
 
@@ -278,9 +278,9 @@ def _descent(h: float, L: float, p: int, seed: int, max_iter: int):
     q = 2 // p
 
     # smoothed noise: random but not adversarially rough, pulled toward the
-    # origin where both minimizers concentrate.  The draw fills an (m x
-    # restarts) view in the order it always has, and each restart's row is
-    # one of its columns
+    # origin where both minimizers concentrate.  Each restart takes one
+    # column of an (m x restarts) draw, the stream order the printed
+    # descent digits depend on; the draw fills g and phi gets its transpose
     phi = np.empty((_RESTARTS, m))
     g = np.empty_like(phi)
     scratch = np.empty_like(phi)
