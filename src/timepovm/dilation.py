@@ -98,31 +98,22 @@ def build_dilation(povm: CovariantPOVM, report: PovmValidation | None = None) ->
     return Dilation(povm, blocks, shift, povm.n_bins * (povm.dim - int(keep.sum())))
 
 
-def _random_bin_sets(n_bins: int, count: int, seed: int):
-    rng = np.random.default_rng(seed)
-    sets = []
-    for _ in range(count):
-        size = int(rng.integers(1, n_bins + 1))
-        sets.append(np.sort(rng.choice(n_bins, size=size, replace=False)))
-    return sets
-
-
-def check_compression(dilation: Dilation, bin_sets=None, count: int = 100, seed: int = 0) -> float:
+def check_compression(dilation: Dilation, seed: int = 0) -> float:
     """Largest entrywise gap between compressed sharp effects and bin sums.
 
-    For every tested bin set B the sharp measure projects onto the blocks
-    of B, so its compression is the sum of blocks[k]^dagger blocks[k] over
-    B; that is compared against the sum of the model's effects over B (the
-    dense effects added in place, or K_B^dagger K_B of the kernels
-    derived from the generator), which never touches the blocks.  With no
-    explicit ``bin_sets`` a seeded collection of random subsets is used.
+    For each of 100 random bin sets B, drawn from ``seed``, the sharp
+    measure projects onto the blocks of B, so its compression is the sum
+    of blocks[k]^dagger blocks[k] over B; that is compared against the sum
+    of the model's effects over B (the dense effects added in place, or
+    K_B^dagger K_B of the kernels derived from the generator), which never
+    touches the blocks.
     """
     povm = dilation.povm
-    if bin_sets is None:
-        bin_sets = _random_bin_sets(povm.n_bins, count, seed)
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    for bins in bin_sets:
-        bins = np.atleast_1d(np.asarray(bins, dtype=int)) % povm.n_bins
+    for _ in range(100):
+        size = int(rng.integers(1, povm.n_bins + 1))
+        bins = np.sort(rng.choice(povm.n_bins, size=size, replace=False))
         rows = dilation.blocks[bins].reshape(-1, povm.dim)
         compressed = rows.conj().T @ rows
         direct = povm.sum_effects(bins)

@@ -431,11 +431,11 @@ class TridiagFactor:
     of that elimination is a vectorized slice operation.  Repeated solves
     against many right-hand sides therefore stay in numpy even for very
     long diagonals, where the Thomas recurrence would crawl through a
-    Python loop.  A solve runs in the storage of its output, on strided
-    views (Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7, 1970): the
-    reduced systems live in the even entries, every 2^j-th entry at level
-    j, and back substitution overwrites the odd ones, so nothing is copied
-    or interleaved.  The level coefficients are 1-D vectors and a block
+    Python loop.  A solve runs in the storage of its right-hand side, on
+    strided views (Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7,
+    1970): the reduced systems live in the even entries, every 2^j-th entry
+    at level j, and back substitution overwrites the odd ones, so nothing
+    is copied or interleaved.  The level coefficients are 1-D vectors and a block
     holds one right-hand side per row, so each step is one ufunc call whose
     inner loop runs along a whole row.  There is no pivoting, so the
     matrix should be positive (semi)definite: a preconditioner, or the
@@ -467,29 +467,17 @@ class TridiagFactor:
         self._base_e = e
         self._base_pivot = _clamp_pivots(d[:1] if d.size == 1 else d[:1] * d[1:] - e * e)[0]
 
-    def solve(self, rhs: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None):
-        """Solve against one vector (n,) or a (cols, n) block of right-hand sides.
+    def solve(self, b: np.ndarray, scratch: np.ndarray) -> None:
+        """Solve in place against one vector (n,) or a (cols, n) block b.
 
-        The solution is written into out, which is returned; out may be rhs
-        itself.  With out=None, rhs is copied and the copy is returned, so
-        rhs is left untouched.  scratch, an array of at least n // 2 entries
-        along its last axis, shaped like out before it and not overlapping
-        it, holds the products of each level; without it one is allocated.
-        Each right-hand side is a row, so every level runs on strided views
-        of whole rows.  The elementwise operations are those of an
-        allocating solve, so the result is the same to the last bit
-        wherever it is written.
+        b is overwritten by the solution.  scratch, an array of at least
+        n // 2 entries along its last axis, shaped like b before it and not
+        overlapping it, holds the products of each level.  Each right-hand
+        side is a row, so every level runs on strided views of whole rows.
         """
-        if out is None:
-            out = np.array(rhs, dtype=float)
-        elif out is not rhs:
-            out[...] = rhs
-        if scratch is None:
-            scratch = np.empty(out.shape[:-1] + (out.shape[-1] // 2,))
         # the system of level j lives in every 2^j-th entry of each row of
-        # out; its odd entries keep their right-hand side until back
+        # b; its odd entries keep their right-hand side until back
         # substitution
-        b = out
         views = []
         for _, _, _, r_ratio, l_ratio in self._levels:
             views.append(b)
@@ -511,7 +499,6 @@ class TridiagFactor:
             odd -= np.multiply(e_r, x[..., :n_r], out=scratch[..., :n_r])
             odd[..., :n_l] -= np.multiply(e_l, x[..., 1 : 1 + n_l], out=scratch[..., :n_l])
             odd /= d_odd
-        return out
 
 
 def tridiag_eigenvector(t: SymTridiag, eigenvalue: float) -> np.ndarray:
@@ -525,7 +512,7 @@ def tridiag_eigenvector(t: SymTridiag, eigenvalue: float) -> np.ndarray:
     factor = TridiagFactor(t, shift=eigenvalue)
     scratch = np.empty(t.n // 2)
     for _ in range(3):
-        factor.solve(x, out=x, scratch=scratch)
+        factor.solve(x, scratch)
         peak = float(np.max(np.abs(x)))
         if not 0.0 < peak < np.inf:
             raise RuntimeError("inverse iteration collapsed to the zero vector or overflowed")

@@ -47,6 +47,8 @@ __all__ = [
 
 # random starts advanced together by the descent route of the minimizers
 _RESTARTS = 8
+# points of the identity scan, log-spaced over six decades
+_SCAN_POINTS = 10000
 
 
 class DomainTooSmallError(ValueError):
@@ -285,7 +287,7 @@ def _descent(h: float, L: float, p: int, seed: int, max_iter: int):
     g = np.empty_like(phi)
     scratch = np.empty_like(phi)
     np.copyto(phi, rng.standard_normal(out=g.reshape(m, _RESTARTS)).T)
-    prec.solve(phi, out=phi, scratch=scratch)
+    prec.solve(phi, scratch)
     phi /= math.sqrt(h) * _row_norms(phi, scratch)
     # kinetic and moment are kept from the batch that accepted each row
     kin, mom = _moment_batch(phi, h, w, scratch)
@@ -305,7 +307,7 @@ def _descent(h: float, L: float, p: int, seed: int, max_iter: int):
         radial = h * _row_sums(np.multiply(phi, g, out=scratch))
         g -= np.multiply(phi, radial[:, None], out=scratch)
         # g becomes the trial state
-        prec.solve(g, out=g, scratch=scratch)
+        prec.solve(g, scratch)
         g *= step[:, None]
         np.subtract(phi, g, out=g)
         g /= math.sqrt(h) * _row_norms(g, scratch)
@@ -398,16 +400,15 @@ class IdentityChainReport:
     passed: bool
 
 
-def verify_min_identity_chain(
-    a_grid, b_grid, scan_points: int = 10000
-) -> IdentityChainReport:
+def verify_min_identity_chain(a_grid, b_grid) -> IdentityChainReport:
     """Scan check of the scaling identity behind the spread-mean bound.
 
     For each positive pair (a, b) the function (4/(27 L^2)) (a + L b)^3 is
-    scanned over a log grid of scale parameters L = (2a/b) g bracketing 2a/b
-    by three decades each way; the scan floor must stay above a*b^2 - 1e-12
-    and the scan argmin must land on 2a/b within one grid step.  Values and
-    argmins are delegated to :func:`timepovm.special.min_product_identity`.
+    scanned over a log grid of 10 000 scale parameters L = (2a/b) g
+    bracketing 2a/b by three decades each way; the scan floor must stay
+    above a*b^2 - 1e-12 and the scan argmin must land on 2a/b within one
+    grid step.  Values and argmins are delegated to
+    :func:`timepovm.special.min_product_identity`.
 
     Every pair scans the same shape, a*b^2 * F(g) with F(g) = (1 + 2g)^3 /
     (27 g^2), so only the window from the first to the last grid index with
@@ -424,10 +425,8 @@ def verify_min_identity_chain(
         raise ValueError("a and b sample grids must be paired (same shape)")
     if np.any(a_arr <= 0.0) or np.any(b_arr <= 0.0):
         raise ValueError("identity holds for positive pairs only")
-    if scan_points < 2:
-        raise ValueError(f"need scan_points >= 2, got scan_points={scan_points!r}")
-    log_step = 6.0 / (scan_points - 1)
-    grid = np.logspace(-3.0, 3.0, scan_points)
+    log_step = 6.0 / (_SCAN_POINTS - 1)
+    grid = np.logspace(-3.0, 3.0, _SCAN_POINTS)
     a_all, b_all = a_arr.ravel(), b_arr.ravel()
 
     def refused(i: int) -> ValueError:
