@@ -514,6 +514,19 @@ def validate_povm(povm: CovariantPOVM, tol: float = 1e-10, seed: int = 0) -> Pov
     return PovmValidation(completeness, cov, min_eig, add, tol, kernel)
 
 
+def _host_independent_exp(x: np.ndarray) -> np.ndarray:
+    """exp of a real array, with the C library's bits in every entry.
+
+    numpy's real float64 exp has AVX-512 and AVX2 kernels that round
+    differently, so a state profile built with it would depend on the
+    host's SIMD level, and so would the rounding-floor digits printed from
+    it.  numpy does not vectorise complex exp: it calls the C library's
+    complex exp entry by entry, whose real part at a zero imaginary part is
+    the library's real exp.  That routing is what this helper relies on.
+    """
+    return np.exp(x + 0j).real
+
+
 def gaussian_state(grid: EnergyGrid, center: float, width: float) -> StateVector:
     """Gaussian probability profile with the given mean and standard deviation.
 
@@ -525,7 +538,7 @@ def gaussian_state(grid: EnergyGrid, center: float, width: float) -> StateVector
     if not (width > 0.0 and np.isfinite(width)):
         raise ValueError(f"width must be positive and finite, got {width}")
     e = grid.energies
-    raw = np.exp(-((e - center) ** 2) / (4.0 * width**2)).astype(complex)
+    raw = _host_independent_exp(-((e - center) ** 2) / (4.0 * width**2)).astype(complex)
     if grid.halfline:
         raw *= e - e[0]
     return _normalized_state(grid, raw, undersampled=width < 2.0 * grid.de)
@@ -550,13 +563,15 @@ def random_smooth_state(grid: EnergyGrid, seed: int) -> StateVector:
         sigma = rng.uniform(0.4, 0.55)
         x = (e - center) / sigma
         poly = np.polyval(0.2 * coeffs, x) + 1.0
-        raw = (e - e[0]) ** 4 * poly * np.exp(-0.25 * x**2)
+        # two products, not numpy's power, whose kernels round by SIMD level
+        square = (e - e[0]) * (e - e[0])
+        raw = square * square * poly * _host_independent_exp(-0.25 * x**2)
     else:
         center = rng.uniform(-4.0, 4.0)
         sigma = rng.uniform(0.8, 1.6)
         x = (e - center) / sigma
         poly = np.polyval(0.2 * coeffs, x) + 1.0
-        raw = poly * np.exp(-0.25 * x**2)
+        raw = poly * _host_independent_exp(-0.25 * x**2)
     return _normalized_state(grid, raw)
 
 

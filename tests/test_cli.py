@@ -410,20 +410,59 @@ def test_python_dash_m_runs_the_cli(module, argv, code, last):
     assert "Traceback" not in run.stderr
 
 
+def cli_env(name, value):
+    """The environment of a fresh CLI process that imports this package,
+    with the variable name set to value, or unset when value is None."""
+    src = str(Path(model.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop(name, None)
+    if value is not None:
+        env[name] = value
+    return env
+
+
+def stdout_with_and_without(name, value, argv, cwd=None):
+    """stdout of the CLI run in fresh processes with name=value and with
+    name unset; each run must exit 0."""
+    outs = []
+    for setting in (value, None):
+        run = subprocess.run(
+            [sys.executable, "-m", "timepovm", *argv],
+            capture_output=True,
+            text=True,
+            env=cli_env(name, setting),
+            cwd=cwd,
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    return outs
+
+
 def test_certify_stdout_does_not_depend_on_the_blas_thread_count():
     # at the default 19 999 rows a BLAS dot product splits its vectors over
     # its threads, so a sum taken through BLAS rounds by the thread count
-    src = str(Path(model.__file__).resolve().parents[1])
-    outs = []
-    for threads in ("1", None):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        env.pop("OPENBLAS_NUM_THREADS", None)
-        if threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = threads
-        run = subprocess.run([sys.executable, "-m", "timepovm", "airy-certify"], capture_output=True, text=True, env=env, timeout=120)
-        assert run.returncode == 0
-        outs.append(run.stdout)
-    assert outs[0] == outs[1]
+    one, default = stdout_with_and_without("OPENBLAS_NUM_THREADS", "1", ["airy-certify"])
+    assert one == default
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--model", "halfline", "--states", "random:0..20", "--check", "all"],
+        ["dilate", "halfline-povm.json", "--seed", "3"],
+    ],
+    ids=["bounds", "dilate"],
+)
+def test_stdout_does_not_depend_on_the_simd_level(argv, fixtures64):
+    # with these features off numpy runs its AVX2 kernels, as on a CPU
+    # without AVX-512, and its real exp and power round otherwise; the
+    # printed time tails and occurrence residual sit at the rounding floor
+    # of the states built from them.  On a CPU that lacks the features,
+    # disabling them only warns, so the runs compare the same kernels.
+    features = "X86_V4 AVX512_ICL AVX512_SPR"
+    avx2, default = stdout_with_and_without("NPY_DISABLE_CPU_FEATURES", features, argv, fixtures64)
+    assert avx2 == default
 
 
 def test_report_file_matches_stdout(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Grids, lattices, observables, state factories, and the axiom validator."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -392,6 +393,14 @@ def test_state_vector_normalization_contract():
     assert abs(s.probabilities.sum() - 1.0) <= 1e-14
     with pytest.raises(ValueError):
         StateVector(g, 2.0 * amp)
+
+
+def test_host_independent_exp_has_the_c_library_bits():
+    # numpy's real exp rounds by the host's SIMD level; the helper must give
+    # math.exp's bits, down to underflow, or the fuzz goldens move by host
+    x = np.concatenate([-np.logspace(-12.0, 3.0, 20000), np.linspace(-50.0, 50.0, 20001)])
+    want = np.array([math.exp(v) for v in x.tolist()])
+    assert model._host_independent_exp(x).tobytes() == want.tobytes()
 
 
 def test_gaussian_state_moments_and_flags():
