@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import SymTridiag, TridiagFactor, tridiag_eigenvector, tridiag_lowest_eigs
+from .linalg import SymTridiag, TridiagFactor, _inner, tridiag_eigenvector, tridiag_lowest_eigs
 from .special import airy_zero, min_product_identity
 
 __all__ = [
@@ -79,7 +79,7 @@ class GridState:
             raise ValueError("grid state needs a one-dimensional vector of at least two nodes")
         if not self.h > 0.0:
             raise ValueError("spacing must be positive")
-        nrm = math.sqrt(self.h) * float(np.linalg.norm(v))
+        nrm = math.sqrt(self.h) * math.sqrt(_squared_norm(v))
         if not abs(nrm - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"state is not unit norm: |norm - 1| = {abs(nrm - 1.0):.3e}")
         object.__setattr__(self, "values", v)
@@ -94,8 +94,22 @@ class GridState:
         return self.h * (self.values.size + 1)
 
 
+def _squared_norm(v: np.ndarray) -> float:
+    """Sum of |v_j|^2, correctly rounded from the squared real and imaginary parts.
+
+    A BLAS reduction splits a long vector over its threads, so its rounding
+    depends on the thread count; this sum does not.  A square that
+    overflows gives inf, which the callers refuse.
+    """
+    w = np.ascontiguousarray(v)
+    if np.iscomplexobj(w):
+        w = w.view(np.float64)
+    with np.errstate(over="ignore"):
+        return _inner(w, w)
+
+
 def _as_state(raw: np.ndarray, h: float) -> GridState:
-    nrm = math.sqrt(h) * float(np.linalg.norm(raw))
+    nrm = math.sqrt(h) * math.sqrt(_squared_norm(raw))
     if nrm == 0.0 or not np.isfinite(nrm):
         raise ValueError("state vanished or overflowed during normalization")
     return GridState(raw / nrm, h)
@@ -161,16 +175,14 @@ def minimal_state(h: float, L: float) -> GridState:
 
 
 def _kinetic(values: np.ndarray, h: float) -> float:
-    # edge sum includes both wall edges through the implicit zeros; vdot
-    # and abs take the squared moduli of complex values
-    core = np.diff(values)
-    return float(np.vdot(core, core).real + abs(values[0]) ** 2 + abs(values[-1]) ** 2) / h
+    # the edge sum includes both wall edges through the implicit zeros
+    return _squared_norm(np.diff(values, prepend=0.0, append=0.0)) / h
 
 
 def _moments(state: GridState, p: int) -> tuple[float, float]:
     """(kinetic, mean of x^p) of a grid state."""
     v = np.asarray(state.values)
-    return _kinetic(v, state.h), state.h * float((state.nodes**p) @ (np.abs(v) ** 2))
+    return _kinetic(v, state.h), state.h * _inner(state.nodes**p, np.abs(v) ** 2)
 
 
 def product_functional(state: GridState) -> tuple[float, float, float]:

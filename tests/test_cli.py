@@ -446,6 +446,20 @@ def test_certify_stdout_does_not_depend_on_the_blas_thread_count():
     assert one == default
 
 
+def test_fixture_files_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the minimal-state table's norms, kinetic terms and moments reduce
+    # 19 999-entry vectors, which a BLAS reduction rounds by the thread count
+    one, default = tmp_path / "one", tmp_path / "default"
+    for out, setting in ((one, "1"), (default, None)):
+        argv = [sys.executable, "-m", "timepovm", "emit-fixtures", "--n", "8", "--out", str(out)]
+        run = subprocess.run(argv, capture_output=True, env=cli_env("OPENBLAS_NUM_THREADS", setting), timeout=120)
+        assert run.returncode == 0, run.stderr
+    names = sorted(p.name for p in default.iterdir())
+    assert names == ["halfline-povm.json", "minimal-state.txt", "sharp-povm.json", "vector-povm.json"]
+    for name in names:
+        assert (one / name).read_bytes() == (default / name).read_bytes(), name
+
+
 @pytest.mark.parametrize(
     "argv",
     [
