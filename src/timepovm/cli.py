@@ -11,7 +11,9 @@ one ``error=config`` record and exit 2 before anything is built; a file
 that cannot be written gives one ``error=io`` record and exit 2.  The
 ``--out`` copy of a report is written only when the run ends with its
 summary; a refused or failed run prints its one error record and leaves an
-existing file as it was, so scripts should read the exit code.  All
+existing file as it was, so scripts should read the exit code.  A reader
+that closes stdout early (``| head``) ends the run with exit 141, the
+status a shell gives a command ended by SIGPIPE, and nothing on stderr.  All
 randomness is seeded, so every published number is reproducible from the
 command line that made it.
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 import numpy as np
@@ -73,6 +76,10 @@ _MAX_BOUNDS_BINS = 4096
 # emit-fixtures: 2 n^3 JSON numbers per file, 95 MB for the sharp family at
 # 128; files stream bin by bin, so the bound is disk and time, not memory
 _MAX_FIXTURE_BINS = 128
+
+# exit status once the reader of stdout has gone: 128 + SIGPIPE, as a shell
+# reports for a command that the signal ends
+_CLOSED_STDOUT = 141
 
 # --check name -> its check in `uncertainty`, looked up there per call so that
 # a wrapper bound to the module name sees every call
@@ -184,7 +191,9 @@ def _route_agreement(rep, name: str, spectral_value: float, descent_result, h: f
 
 def _refuse_oversized(what: str, size: float, limit: int) -> None:
     if size > limit:
-        raise ValueError(f"request of {size:.0f} {what} exceeds the limit of {limit}")
+        # past 1e15 in e-notation, not as an integer of hundreds of digits
+        shown = f"{size:.0f}" if size < 1e15 else f"{size:.3e}"
+        raise ValueError(f"request of {shown} {what} exceeds the limit of {limit}")
 
 
 def _refuse_oversized_grid(h: float, L: float) -> None:
@@ -445,8 +454,25 @@ def main(argv: list[str] | None = None) -> int:
     # the --out of emit-fixtures names its fixture directory, not a copy
     rep = _Report(args.command, None if args.command == "emit-fixtures" else args.out)
     try:
+        code = _run(args, rep)
+        # a reader that closed stdout early shows here at the latest
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # nothing more can be reported; stdout goes to the null device so
+        # that the flush at exit does not fail again (the "Note on SIGPIPE"
+        # in Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _CLOSED_STDOUT
+
+
+def _run(args: argparse.Namespace, rep: _Report) -> int:
+    """Run the command; every refusal ends in its one record and exit code."""
+    try:
         # a failed --out copy ends in error=io below, and an error is never copied
         return rep.close(args.run(args, rep))
+    except BrokenPipeError:
+        raise  # a closed stdout takes no error record
     except PovmFormatError as exc:
         return rep.close({"error": "input", "detail": str(exc)}, 2)
     except DomainTooSmallError as exc:

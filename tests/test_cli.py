@@ -479,6 +479,21 @@ def test_stdout_does_not_depend_on_the_simd_level(argv, fixtures64):
     assert avx2 == default
 
 
+def test_a_closed_stdout_ends_in_one_exit_and_nothing_on_stderr():
+    # the reader takes one line and closes the pipe, as `| head -1` does;
+    # 2001 records overflow the pipe's buffer, so the run meets the closed pipe
+    argv = [sys.executable, "-m", "timepovm", "bounds", "--states", "random:0..2000"]
+    env = cli_env("PYTHONUNBUFFERED", None)
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert first.startswith(b"model=fullline ")
+    assert err == b""
+    assert code == cli._CLOSED_STDOUT == 141
+
+
 def test_report_file_matches_stdout(tmp_path, capsys):
     target = tmp_path / "report.txt"
     assert main(["bounds", "--out", str(target)]) == 0
@@ -870,6 +885,16 @@ def test_oversized_requests_are_refused_before_building(argv, tmp_path, capsys, 
     assert recs[0]["error"] == "config"
     assert "exceeds the limit" in recs[0]["detail"]
     assert not out.exists()
+
+
+def test_a_huge_refused_request_prints_a_short_number(capsys):
+    # 2e301 rows is past 1e15, so it prints in e-notation; a size below
+    # that prints as the integer it always did
+    assert main(["airy-certify", "--h", "1e-300"]) == 2
+    want = "error=config detail=request of 2.000e+301 grid rows (--domain-l / --h) exceeds the limit of 200000\n"
+    assert capsys.readouterr().out == want
+    assert main(["bounds", "--n", "5000"]) == 2
+    assert capsys.readouterr().out == "error=config detail=request of 5000 energy bins (--n) exceeds the limit of 4096\n"
 
 
 def test_size_limits_admit_the_largest_allowed_requests(tmp_path, monkeypatch):
