@@ -243,6 +243,13 @@ def test_tridiag_lowest_eigs_matches_dense_oracle():
     assert np.max(np.abs(got - ref[:5])) <= 1e-10
 
 
+@pytest.mark.parametrize("k", [0, 7])
+def test_tridiag_lowest_eigs_refuses_a_count_outside_one_to_n(k):
+    t = random_tridiag(np.random.default_rng(13), 6)
+    with pytest.raises(ValueError, match=f"requested {k} eigenvalues from a matrix of size 6"):
+        tridiag_lowest_eigs(t, k)
+
+
 def test_airy_eigenvalues_carry_residual_balls_inside_isolated_brackets():
     op = dirichlet_operator(2e-3, 17.0)
     norm = 4.0 / 2e-3**2 + 17.0

@@ -132,6 +132,7 @@ _LATTICE4 = TimeLattice(4, np.pi)
         (lambda: vector_generated_povm(_GRID4, np.full(3, 0.5)), r"generator must have shape \(4,\), got \(3,\)"),
         (lambda: StateVector(_GRID4, [np.nan, 0.0, 0.0, 0.0]), r"not normalized: \|norm - 1\| = nan"),
         (lambda: vector_generated_povm(_GRID4, [0.5, np.nan, 0.5, 0.5]), "component 1 has modulus nan"),
+        (lambda: gaussian_state(_GRID4, 1e3, 1.0), "state profile vanished or overflowed on this grid"),
     ],
     ids=[
         "one-bin",
@@ -147,6 +148,7 @@ _LATTICE4 = TimeLattice(4, np.pi)
         "vector-generator-shape",
         "state-nan",
         "vector-generator-nan",
+        "gaussian-underflow",
     ],
 )
 def test_constructors_refuse_bad_input(build, message):

@@ -81,6 +81,12 @@ def test_airy_zero_bracketed_by_sign_changes():
         assert float(airy_ai(-(z - 1e-6))) * float(airy_ai(-(z + 1e-6))) < 0.0
 
 
+@pytest.mark.parametrize("index", [True, 2.0])
+def test_airy_zero_refuses_an_index_that_is_not_an_integer(index):
+    with pytest.raises(ValueError, match=f"zero index must be an integer, got {index!r}"):
+        airy_zero(index)
+
+
 def test_airy_zero_rejects_out_of_range():
     with pytest.raises(ValueError):
         airy_zero(0)
