@@ -435,9 +435,9 @@ class TridiagFactor:
     strided views (Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7,
     1970): the reduced systems live in the even entries, every 2^j-th entry
     at level j, and back substitution overwrites the odd ones, so nothing
-    is copied or interleaved.  The level coefficients are 1-D vectors and a block
-    holds one right-hand side per row, so each step is one ufunc call whose
-    inner loop runs along a whole row.  There is no pivoting, so the
+    is copied or interleaved.  The level coefficients are 1-D vectors and a
+    block holds one right-hand side per row, so each step is one ufunc call
+    whose inner loop runs along a whole row.  There is no pivoting, so the
     matrix should be positive (semi)definite: a preconditioner, or the
     matrix shifted by its lowest eigenvalue for inverse iteration.  Pivots
     (and the final 2x2 determinant) smaller than 1e-290 in magnitude are
