@@ -71,7 +71,7 @@ _MAX_GRID_ROWS = 200_000  # variational grids: about 1 kB of arrays per row
 # bounds: occurrence probabilities cost one FFT per state, O(n) memory; the
 # limit bounds the n x n complex arrays, 16 n^2 bytes, that a family of this
 # size needs for one effect (validation, one bin at a time) or for its
-# transported kernels (dilation, the commutator check)
+# transported kernels (dilation)
 _MAX_BOUNDS_BINS = 4096
 # emit-fixtures: 2 n^3 JSON numbers per file, 95 MB for the sharp family at
 # 128; files stream bin by bin, so the bound is disk and time, not memory

@@ -8,15 +8,13 @@ effect k is K_k^dagger K_k with K_k = K_0 conj(P^k), P = diag(exp(i*E*tau)),
 so positivity is a property of the storage rather than a numerical
 accident.  Because tau*de = 2*pi/n, the occurrence amplitudes (K_k psi)_k
 are one length-n discrete Fourier transform of K_0 * psi, up to a phase
-per bin; occurrence probabilities therefore cost one in-repo FFT
-(radix-2, or Bluestein's chirp-z for other lengths) instead of an n x dim
-matrix product.
+per bin; occurrence probabilities therefore cost one of numpy's FFTs
+instead of an n x dim matrix product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -157,62 +155,6 @@ def fourier_map(grid: EnergyGrid, rows=None) -> np.ndarray:
     return np.exp(-1j * np.outer(times, grid.energies)) / np.sqrt(grid.n)
 
 
-@lru_cache(maxsize=None)
-def _twiddles(h: int) -> np.ndarray:
-    """Column exp(-2*pi*i*k/(2h)), k = 0..h-1, of the stage that builds length-2h transforms."""
-    w = np.exp(-2j * np.pi * np.arange(h) / (2 * h))[:, None]
-    w.flags.writeable = False
-    return w
-
-
-def _fft_pow2(x: np.ndarray, m: int) -> np.ndarray:
-    """Radix-2 FFT along the last axis of x zero-padded to length m, a power of two.
-
-    Decimation in time by reshapes, so no bit-reversal permutation: in the
-    (h, m/h) view column c is the length-h transform of x[c::m/h], from
-    h = 1 on, and a stage merges columns c (E) and c + m/(2h) (O) into
-    X[k] = E[k] + w^k O[k], X[k + h] = E[k] - w^k O[k], w = exp(-2*pi*i/(2h)).
-    """
-    lead = x.shape[:-1]
-    a = np.zeros(lead + (1, m), dtype=complex)
-    a[..., 0, : x.shape[-1]] = x
-    for h in (1 << s for s in range(m.bit_length() - 1)):
-        half = m // (2 * h)
-        even, odd = a[..., :half], a[..., half:] * _twiddles(h)
-        a = np.concatenate((even + odd, even - odd), axis=-2)
-    return a.reshape(lead + (m,))
-
-
-@lru_cache(maxsize=None)
-def _bluestein_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Chirp b_j = exp(i*pi*j^2/n) and the length-m transform of its wrapped
-    copy b_0..b_{n-1}, zeros, b_{n-1}..b_1, m the smallest power of two >= 2n - 1."""
-    m = 1 << (2 * n - 2).bit_length()
-    j = np.arange(n)
-    chirp = np.exp(1j * np.pi * ((j * j) % (2 * n)) / n)
-    kernel = _fft_pow2(np.concatenate((chirp, np.zeros(m - 2 * n + 1), chirp[:0:-1])), m)
-    for a in (chirp, kernel):
-        a.flags.writeable = False
-    return chirp, kernel
-
-
-def _dft(x: np.ndarray, n: int) -> np.ndarray:
-    """X[..., k] = sum_j x[..., j] exp(-2*pi*i*j*k/n), k = 0..n-1, for x of length <= n.
-
-    Powers of two go straight to the radix-2 transform, which pads x to n;
-    other n through Bluestein's chirp-z, jk = (j^2 + k^2 - (k-j)^2)/2, which
-    turns the transform into a circular convolution of the chirped x,
-    padded by the same transform, with the wrapped chirp.
-    """
-    if n & (n - 1) == 0:
-        return _fft_pow2(x, n)
-    chirp, kernel = _bluestein_plan(n)
-    m = kernel.size
-    # circular convolution with the chirp; the inverse FFT as conj(F(conj))/m
-    conv = _fft_pow2(np.conj(_fft_pow2(x * chirp[: x.shape[-1]].conj(), m) * kernel), m).conj() / m
-    return conv[..., :n] * chirp.conj()
-
-
 @dataclass(frozen=True)
 class CovariantPOVM:
     """Normalized bin observable over a cyclic time lattice.
@@ -282,23 +224,35 @@ class CovariantPOVM:
             total += self.dense[k]
         return total
 
+    def _bin_amplitudes(self, state: StateVector) -> np.ndarray:
+        """DFT over n_bins of K_0 * psi, shape (r, n_bins), for generator storage.
+
+        With E_j = offset + j*de and tau*de = 2*pi/n, K_k psi is
+        exp(-i*offset*k*tau) times column k.  The product is taken by real
+        and imaginary parts: numpy's complex multiply has SIMD kernels that
+        round differently at each level, real multiplies and subtractions
+        do not, and numpy's FFT gives the same bits at every level.
+        """
+        g, psi = self.generator, state.amplitudes
+        prod = np.empty(g.shape, dtype=complex)
+        prod.real = g.real * psi.real - g.imag * psi.imag
+        prod.imag = g.real * psi.imag + g.imag * psi.real
+        return np.fft.fft(prod, self.n_bins)
+
     def occurrence_probabilities(self, state: StateVector) -> np.ndarray:
         """psi^dagger E_k psi for every bin k, unclipped.
 
-        Generator storage computes the amplitudes K_k psi as the DFT of
-        K_0 * psi: with E_j = offset + j*de and tau*de = 2*pi/n, K_k psi is
-        exp(-i*offset*k*tau) sum_j (K_0 psi)_j exp(-2*pi*i*j*k/n), and the
-        phase in front drops out of |.|^2.  It cannot go negative; a dense
-        family that is not positive can, and callers that need a
-        distribution decide how much negativity is roundoff (see
-        ``uncertainty.occurrence_distribution``).
+        Generator storage sums |.|^2 of :meth:`_bin_amplitudes`, where the
+        phase per bin drops out.  It cannot go negative; a dense family that
+        is not positive can, and callers that need a distribution decide how
+        much negativity is roundoff (see ``uncertainty.occurrence_distribution``).
         """
         if state.grid.n != self.dim:
             raise ValueError("state dimension does not match observable dimension")
-        psi = state.amplitudes
         if self.generator is not None:
-            amp = _dft(self.generator * psi, self.n_bins)
+            amp = self._bin_amplitudes(state)
             return np.sum(amp.real**2 + amp.imag**2, axis=0)
+        psi = state.amplitudes
         return np.real(np.einsum("i,kij,j->k", psi.conj(), self.dense, psi))
 
 

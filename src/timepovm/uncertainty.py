@@ -206,9 +206,11 @@ def ccr_residual(povm: CovariantPOVM, state: StateVector) -> float:
     """
     if povm.generator is None or povm.generator.shape[0] != 1:
         raise ValueError("commutator check needs a rank-one factored observable")
-    # the stencil needs the true phase of every bin amplitude, which the
-    # transported kernels carry and the DFT in occurrence_probabilities drops
-    a = povm.transport(povm.generator)[:, 0, :] @ state.amplitudes
+    # the stencil needs the true phase of every bin amplitude, which
+    # occurrence_probabilities drops: K_k psi is exp(-i*offset*k*tau) times
+    # entry k of the DFT of K_0 * psi
+    k = np.arange(povm.n_bins)
+    a = povm._bin_amplitudes(state)[0] * np.exp(-1j * ((k * povm.lattice.tau) * povm.grid.offset))
     edge_mass = float(np.sum(np.abs(a[:2]) ** 2) + np.sum(np.abs(a[-2:]) ** 2))
     if edge_mass > _CCR_EDGE_LIMIT:
         raise ValueError(

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timepovm import dilation, formats, model
+from timepovm import dilation, formats
 from timepovm.formats import load_povm, load_state_table, save_povm, save_state_table
 from timepovm.linalg import SymTridiag, hermitian_eigh, sturm_count, tridiag_lowest_eigs
 from timepovm.model import (
@@ -207,7 +207,7 @@ def covariant_family(kind: str, n: int, de: float, offset_steps: float, rng) -> 
     return mixture(grid, 1 if kind == "vector" else 2, rng)
 
 
-# powers of two, primes, 12 and 3 * 2^k: radix-2 and Bluestein lengths
+# powers of two, primes, 12 and 3 * 2^k: lengths with and without odd factors
 fft_sizes = st.sampled_from([2, 4, 8, 64, 256, 3, 5, 13, 61, 251, 12, 6, 24, 96, 384])
 offsets = st.tuples(st.integers(-16, 4), st.sampled_from([0.0, 0.25, 0.5, 0.37])).map(sum)
 kinds = st.sampled_from(["sharp", "halfline", "vector", "mixture"])
@@ -222,13 +222,16 @@ def test_occurrence_fft_matches_dense_kernels_and_numpy_fft(seed, n, de, offset_
     got = povm.occurrence_probabilities(state)
     # oracles: the transported kernel stack times the state, and numpy's FFT
     # of the zero-padded K_0 * psi
-    dense = np.sum(np.abs(povm.transport(povm.generator) @ state.amplitudes) ** 2, axis=1)
+    kernels = povm.transport(povm.generator) @ state.amplitudes
+    dense = np.sum(np.abs(kernels) ** 2, axis=1)
     padded = np.zeros((povm.generator.shape[0], n), dtype=complex)
     padded[:, : povm.dim] = povm.generator * state.amplitudes
     spectrum = np.fft.fft(padded, axis=-1)
     reference = np.sum(np.abs(spectrum) ** 2, axis=0)
-    # |.|^2 hides a phase per bin, so the transform is also checked directly
-    assert np.max(np.abs(model._dft(povm.generator * state.amplitudes, n) - spectrum)) <= 1e-13
+    # |.|^2 hides a phase per bin, so the amplitudes times that phase are
+    # also checked against the transported kernels
+    phase = np.exp(-1j * ((np.arange(n) * povm.lattice.tau) * povm.grid.offset))
+    assert np.max(np.abs(povm._bin_amplitudes(state) * phase - kernels.T)) <= 1e-13
     assert got.shape == (n,)
     assert np.max(np.abs(got - dense)) <= 1e-13
     assert np.max(np.abs(got - reference)) <= 1e-13
