@@ -132,7 +132,9 @@ class StateVector:
 
     @property
     def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        # not np.abs(a)**2: numpy's complex abs rounds differently at each SIMD level
+        a = self.amplitudes
+        return a.real * a.real + a.imag * a.imag
 
 
 def _normalized_state(grid: EnergyGrid, raw: np.ndarray, undersampled: bool = False) -> StateVector:

@@ -460,23 +460,32 @@ def test_fixture_files_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert (one / name).read_bytes() == (default / name).read_bytes(), name
 
 
+# with the AVX-512 features off numpy runs its AVX2 kernels, as on a CPU
+# without AVX-512; with these off too it runs its SSE kernels
+AVX2 = "X86_V4 AVX512_ICL AVX512_SPR"
+SSE = AVX2 + " X86_V3 AVX2 FMA3 AVX F16C"
+FUZZ = ["bounds", "--model", "halfline", "--states", "random:0..20", "--check", "all"]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, features",
     [
-        ["bounds", "--model", "halfline", "--states", "random:0..20", "--check", "all"],
-        ["dilate", "halfline-povm.json", "--seed", "3"],
+        (FUZZ, AVX2),
+        (["dilate", "halfline-povm.json", "--seed", "3"], AVX2),
+        (FUZZ, SSE),
+        (["bounds", "--model", "halfline", "--n", "1000", "--states", "random:0..30", "--check", "all"], SSE),
     ],
-    ids=["bounds", "dilate"],
+    ids=["bounds", "dilate", "bounds-sse", "bounds-n1000-sse"],
 )
-def test_stdout_does_not_depend_on_the_simd_level(argv, fixtures64):
-    # with these features off numpy runs its AVX2 kernels, as on a CPU
-    # without AVX-512, and its real exp and power round otherwise; the
-    # printed time tails and occurrence residual sit at the rounding floor
-    # of the states built from them.  On a CPU that lacks the features,
-    # disabling them only warns, so the runs compare the same kernels.
-    features = "X86_V4 AVX512_ICL AVX512_SPR"
-    avx2, default = stdout_with_and_without("NPY_DISABLE_CPU_FEATURES", features, argv, fixtures64)
-    assert avx2 == default
+def test_stdout_does_not_depend_on_the_simd_level(argv, features, fixtures64):
+    # numpy's real exp and power, complex multiply and complex abs round
+    # otherwise at each level; the printed time tails, energy moments and
+    # occurrence residual sit at the rounding floor of what is built from
+    # them.  dilate still moves at the SSE level, so it runs at AVX2 only.
+    # On a CPU that lacks the features, disabling them only warns, so the
+    # runs compare the same kernels.
+    other, default = stdout_with_and_without("NPY_DISABLE_CPU_FEATURES", features, argv, fixtures64)
+    assert other == default
 
 
 def test_a_closed_stdout_ends_in_one_exit_and_nothing_on_stderr():
