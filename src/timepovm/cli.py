@@ -421,8 +421,6 @@ def cmd_emit_fixtures(args: argparse.Namespace, rep: _Report) -> None:
 
     _refuse_oversized("fixture bins (--n)", args.n, _MAX_FIXTURE_BINS)
     _refuse_oversized_grid(args.h, args.domain_l)
-    out_dir = Path(args.out or "fixtures")
-    out_dir.mkdir(parents=True, exist_ok=True)
     n = args.n
 
     sharp = default_fullline_model(n)
@@ -431,6 +429,9 @@ def cmd_emit_fixtures(args: argparse.Namespace, rep: _Report) -> None:
     generator = np.exp(2j * np.pi * rng.random(n)) / np.sqrt(n)
     vector = vector_generated_povm(sharp.grid, generator)
     table_state = minimal_state(args.h, args.domain_l)
+    # made only now, so that a refused request leaves no directory behind
+    out_dir = Path(args.out or "fixtures")
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     for name, povm in (
         ("sharp-povm.json", sharp),

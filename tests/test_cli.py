@@ -896,6 +896,19 @@ def test_oversized_requests_are_refused_before_building(argv, tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [(["--n", "2"], "config"), (["--domain-l", "5"], "domain")],
+    ids=["one-energy-above-cutoff", "short-domain"],
+)
+def test_a_refused_fixture_request_leaves_no_directory(argv, error, tmp_path, capsys):
+    out = tmp_path / "a" / "b" / "c"
+    assert main(["emit-fixtures", *argv, "--out", str(out)]) == 2
+    _, recs = records(capsys)
+    assert [r["error"] for r in recs] == [error]
+    assert not (tmp_path / "a").exists()
+
+
 def test_a_huge_refused_request_prints_a_short_number(capsys):
     # 2e301 rows is past 1e15, so it prints in e-notation; a size below
     # that prints as the integer it always did
