@@ -5,6 +5,7 @@ import pytest
 
 from timepovm.model import (
     CovariantPOVM,
+    EnergyGrid,
     StateVector,
     build_sharp_time_povm,
     centered_grid,
@@ -12,6 +13,7 @@ from timepovm.model import (
     gaussian_state,
     random_smooth_state,
     transported_minimal_state,
+    vector_generated_povm,
 )
 from timepovm.special import universal_constant
 from timepovm.uncertainty import (
@@ -171,6 +173,29 @@ def test_ccr_residual_quadratic_in_bin_width():
         res.append(ccr_residual(p, s))
     ratio = res[0] / res[1]
     assert 3.5 <= ratio <= 4.5
+
+
+def transported_ccr_residual(povm, state):
+    # the commutator defect from the transported kernels K_k psi, whose
+    # phases need no identity to hold
+    a = povm.transport(povm.generator)[:, 0, :] @ state.amplitudes
+    comm = 0.5j * (a[2:] + a[:-2])
+    return float(np.linalg.norm(comm - 1j * a[1:-1]))
+
+
+@pytest.mark.parametrize("n", [64, 250, 256])
+def test_ccr_residual_matches_the_transported_kernels_off_centre(n):
+    # energy 0 sits 0.37 above a grid point, so the phase per bin
+    # exp(-i*offset*k*tau) turns by almost pi from bin to bin; dropping it
+    # makes the residual about 2 instead of O(tau^2)
+    de = float(np.sqrt(2.0 * np.pi / n))
+    g = EnergyGrid(n, de, offset=-(n // 2) * de + 0.37)
+    s = gaussian_state(g, 0.0, 1.0)
+    smooth_phase = np.exp(0.5j * np.sin(2.0 * np.pi * np.arange(n) / n)) / np.sqrt(n)
+    for povm in (build_sharp_time_povm(g), vector_generated_povm(g, smooth_phase)):
+        got, want = ccr_residual(povm, s), transported_ccr_residual(povm, s)
+        assert want <= 0.1
+        assert abs(got - want) <= 1e-13
 
 
 def test_ccr_residual_rejects_edge_mass_and_dense_storage(fullline_model):
