@@ -347,29 +347,14 @@ class PovmValidation:
     kernel: np.ndarray | None = field(repr=False, compare=False)
 
     @property
-    def complete(self) -> bool:
-        return self.completeness_residual <= self.tolerance
-
-    @property
-    def covariant(self) -> bool:
-        return self.covariance_residual <= self.tolerance
-
-    @property
-    def positive(self) -> bool:
-        return self.min_effect_eigenvalue >= -self.tolerance
-
-    @property
-    def additive(self) -> bool:
-        return self.additivity_residual <= self.tolerance
-
-    @property
     def failed_axioms(self) -> tuple[str, ...]:
-        """Names of the violated axioms, in the order they are checked."""
+        """Names of the violated axioms, in the order they are checked; a NaN residual fails its axiom."""
+        tol = self.tolerance
         verdicts = (
-            ("completeness", self.complete),
-            ("covariance", self.covariant),
-            ("positivity", self.positive),
-            ("additivity", self.additive),
+            ("completeness", self.completeness_residual <= tol),
+            ("covariance", self.covariance_residual <= tol),
+            ("positivity", self.min_effect_eigenvalue >= -tol),
+            ("additivity", self.additivity_residual <= tol),
         )
         return tuple(name for name, ok in verdicts if not ok)
 

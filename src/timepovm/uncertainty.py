@@ -28,11 +28,10 @@ from .model import CovariantPOVM, StateVector
 from .special import universal_constant
 
 __all__ = [
-    "OccurrenceDistribution",
+    "Distribution",
     "BoundReport",
     "occurrence_distribution",
-    "energy_moments",
-    "energy_tail_fraction",
+    "energy_distribution",
     "check_time_energy_bound",
     "check_positive_energy_bound",
     "check_combined_bound",
@@ -49,30 +48,40 @@ _CCR_EDGE_LIMIT = 1e-8
 
 
 @dataclass(frozen=True)
-class OccurrenceDistribution:
-    """Probabilities of the time bins for one state, with moment helpers."""
+class Distribution:
+    """Probabilities over points (bin times or grid energies), with moment helpers."""
 
-    times: np.ndarray
+    points: np.ndarray
     probabilities: np.ndarray
+    halfline: bool = False
 
     def mean(self) -> float:
-        return float(self.times @ self.probabilities)
+        return float(self.points @ self.probabilities)
 
     def variance(self) -> float:
         mu = self.mean()
-        return float(((self.times - mu) ** 2) @ self.probabilities)
+        return float(((self.points - mu) ** 2) @ self.probabilities)
 
     def std(self) -> float:
         return math.sqrt(max(self.variance(), 0.0))
 
     def tail_fraction(self) -> float:
-        """Mass in the outer ``TAIL_WINDOW`` fraction of bins (both lattice ends)."""
-        n = self.probabilities.size
-        edge = max(1, int(math.ceil(0.5 * TAIL_WINDOW * n)))
-        return float(self.probabilities[:edge].sum() + self.probabilities[-edge:].sum())
+        """Mass in the outer ``TAIL_WINDOW`` fraction of the points.
+
+        Half the window sits at each end.  On a half line the whole window
+        sits at the top end: the bottom is the physical edge of the
+        spectrum, not a truncation artifact, and states are allowed to live
+        right up against it.
+        """
+        p = self.probabilities
+        if self.halfline:
+            edge = max(1, int(math.ceil(TAIL_WINDOW * p.size)))
+            return float(p[-edge:].sum())
+        edge = max(1, int(math.ceil(0.5 * TAIL_WINDOW * p.size)))
+        return float(p[:edge].sum() + p[-edge:].sum())
 
 
-def occurrence_distribution(povm: CovariantPOVM, state: StateVector) -> OccurrenceDistribution:
+def occurrence_distribution(povm: CovariantPOVM, state: StateVector) -> Distribution:
     """Bin probabilities of ``state`` under ``povm`` as a checked distribution.
 
     The raw psi^dagger E_k psi are checked first: an entry below -1e-12
@@ -91,31 +100,12 @@ def occurrence_distribution(povm: CovariantPOVM, state: StateVector) -> Occurren
         raise ValueError(f"occurrence probabilities sum to {total!r}; observable is not normalized here")
     if abs(total - 1.0) > 1e-10:
         p = p / total
-    return OccurrenceDistribution(povm.lattice.centers, p)
+    return Distribution(povm.lattice.centers, p)
 
 
-def energy_moments(state: StateVector) -> tuple[float, float]:
-    """Mean and variance of the energy distribution of a state."""
-    e = state.grid.energies
-    p = state.probabilities
-    mu = float(e @ p)
-    return mu, float(((e - mu) ** 2) @ p)
-
-
-def energy_tail_fraction(state: StateVector) -> float:
-    """Mass in the outer ``TAIL_WINDOW`` fraction of the energy grid.
-
-    On half-line grids only the top end counts: the bottom of the grid is
-    the physical edge of the spectrum, not a truncation artifact, and
-    states are allowed to live right up against it.
-    """
-    p = state.probabilities
-    n = p.size
-    if state.grid.halfline:
-        edge = max(1, int(math.ceil(TAIL_WINDOW * n)))
-        return float(p[-edge:].sum())
-    edge = max(1, int(math.ceil(0.5 * TAIL_WINDOW * n)))
-    return float(p[:edge].sum() + p[-edge:].sum())
+def energy_distribution(state: StateVector) -> Distribution:
+    """Probabilities of the grid energies for a state; a half-line grid counts only its top tail."""
+    return Distribution(state.grid.energies, state.probabilities, halfline=state.grid.halfline)
 
 
 @dataclass(frozen=True)
@@ -138,11 +128,11 @@ class BoundReport:
         return self.lhs >= self.rhs - self.tolerance
 
 
-def _report(name: str, lhs: float, rhs: float, tolerance: float, dist, state, quantities: dict) -> BoundReport:
+def _report(name: str, lhs: float, rhs: float, tolerance: float, dist, energy, state, quantities: dict) -> BoundReport:
     """One bound's report: both tails, the reliability flag, and the bound's own quantities in the context."""
     if not math.isfinite(lhs):
         raise ValueError(f"{name} left-hand side is not finite; the moments overflow on this grid")
-    t_tail, e_tail = dist.tail_fraction(), energy_tail_fraction(state)
+    t_tail, e_tail = dist.tail_fraction(), energy.tail_fraction()
     reliable = t_tail <= TAIL_LIMIT and e_tail <= TAIL_LIMIT and not state.undersampled
     ctx = {"time_tail": t_tail, "energy_tail": e_tail, "undersampled": state.undersampled, **quantities}
     return BoundReport(name, lhs, rhs, tolerance, reliable, ctx)
@@ -156,14 +146,14 @@ def _require_nonnegative_spectrum(state: StateVector, bound: str) -> None:
         )
 
 
-def check_time_energy_bound(dist: OccurrenceDistribution, state: StateVector, scale: float = 1.0) -> BoundReport:
+def check_time_energy_bound(dist: Distribution, state: StateVector, scale: float = 1.0) -> BoundReport:
     """Certify std(T) * std(H) >= 1/2 for this state."""
-    e_std = math.sqrt(max(energy_moments(state)[1], 0.0))
-    ctx = {"time_std": dist.std(), "energy_std": e_std}
-    return _report("spread-spread", dist.std() * e_std, 0.5, 1e-3 * scale, dist, state, ctx)
+    energy = energy_distribution(state)
+    ctx = {"time_std": dist.std(), "energy_std": energy.std()}
+    return _report("spread-spread", dist.std() * energy.std(), 0.5, 1e-3 * scale, dist, energy, state, ctx)
 
 
-def check_positive_energy_bound(dist: OccurrenceDistribution, state: StateVector, scale: float = 1.0) -> BoundReport:
+def check_positive_energy_bound(dist: Distribution, state: StateVector, scale: float = 1.0) -> BoundReport:
     """Certify std(T) * mean(H) >= the universal positive-spectrum constant.
 
     Only meaningful when the whole spectrum is nonnegative; for a model
@@ -172,12 +162,13 @@ def check_positive_energy_bound(dist: OccurrenceDistribution, state: StateVector
     the reported mean is not).
     """
     _require_nonnegative_spectrum(state, "positive-energy")
-    e_mean, _ = energy_moments(state)
-    ctx = {"time_std": dist.std(), "energy_mean": e_mean}
-    return _report("spread-mean", dist.std() * e_mean, universal_constant(), 2e-3 * scale, dist, state, ctx)
+    energy = energy_distribution(state)
+    lhs = dist.std() * energy.mean()
+    ctx = {"time_std": dist.std(), "energy_mean": energy.mean()}
+    return _report("spread-mean", lhs, universal_constant(), 2e-3 * scale, dist, energy, state, ctx)
 
 
-def check_combined_bound(dist: OccurrenceDistribution, state: StateVector, scale: float = 1.0) -> BoundReport:
+def check_combined_bound(dist: Distribution, state: StateVector, scale: float = 1.0) -> BoundReport:
     """Certify var(T) * mean(H^2) against the combined positive-spectrum bound.
 
     The certified right-hand side is the sum of the squared universal
@@ -186,12 +177,12 @@ def check_combined_bound(dist: OccurrenceDistribution, state: StateVector, scale
     ``sharp_rhs`` for callers that want the tight comparison.
     """
     _require_nonnegative_spectrum(state, "combined")
-    e_mean, e_var = energy_moments(state)
-    second = e_var + e_mean**2
+    energy = energy_distribution(state)
+    second = energy.variance() + energy.mean() ** 2
     lhs = dist.variance() * second
     d = universal_constant()
     ctx = {"time_var": dist.variance(), "energy_second_moment": second, "sharp_rhs": 2.25, "sharp_margin": lhs - 2.25}
-    return _report("combined", lhs, d * d + 0.25, 5e-3 * scale, dist, state, ctx)
+    return _report("combined", lhs, d * d + 0.25, 5e-3 * scale, dist, energy, state, ctx)
 
 
 def ccr_residual(povm: CovariantPOVM, state: StateVector) -> float:

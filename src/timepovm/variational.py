@@ -279,10 +279,10 @@ def _descent(h: float, L: float, p: int, seed: int, max_iter: int):
     turns into the trial, and a scratch.  Every batch operation then runs
     along whole rows, and the sums over a row add in index order.  The
     accepted states' second-difference action is recomputed at the top of
-    each iteration rather than kept; it is the same to the last bit.  When
-    every trial improves, the state and trial buffers trade places instead
-    of copying.  Returns (value, a copy of the best row, iterations,
-    converged); the caller builds the state once the buffers are released.
+    each iteration rather than kept; it is the same to the last bit.  The
+    rows whose trial improves are copied into the state buffer in one masked
+    copy.  Returns (value, a copy of the best row, iterations, converged);
+    the caller builds the state once the buffers are released.
     """
     base = dirichlet_operator(h, L, 0.0)
     m = base.n
@@ -327,11 +327,7 @@ def _descent(h: float, L: float, p: int, seed: int, max_iter: int):
         val = kin_t * mom_t**q
         improved = val < best
         rel = np.where(improved, (best - val) / np.maximum(np.abs(best), 1e-300), 0.0)
-        if improved.all():
-            phi, g = g, phi
-        else:
-            for j in np.flatnonzero(improved).tolist():
-                phi[j] = g[j]
+        np.copyto(phi, g, where=improved[:, None])
         kin = np.where(improved, kin_t, kin)
         mom = np.where(improved, mom_t, mom)
         best = np.where(improved, val, best)

@@ -184,7 +184,7 @@ def test_validate_povm_flags_broken_completeness(sharp16):
     dense[3] *= 0.9
     broken = CovariantPOVM(sharp16.grid, sharp16.lattice, dense=dense)
     v = validate_povm(broken)
-    assert not v.complete
+    assert v.completeness_residual > v.tolerance
     assert not v.passed
     assert v.failed_axioms[0] == "completeness"
 
@@ -194,7 +194,7 @@ def test_validate_povm_flags_broken_covariance(sharp16):
     dense[[2, 9]] = dense[[9, 2]]
     broken = CovariantPOVM(sharp16.grid, sharp16.lattice, dense=dense)
     v = validate_povm(broken)
-    assert not v.covariant
+    assert "covariance" in v.failed_axioms
 
 
 def test_additivity_probe_catches_a_misordered_occurrence_path(sharp16, monkeypatch):
@@ -203,8 +203,8 @@ def test_additivity_probe_catches_a_misordered_occurrence_path(sharp16, monkeypa
     probs = CovariantPOVM.occurrence_probabilities
     monkeypatch.setattr(CovariantPOVM, "occurrence_probabilities", lambda self, s: np.roll(probs(self, s), 1))
     v = validate_povm(sharp16)
-    assert v.complete and v.covariant
-    assert not v.additive
+    assert v.completeness_residual <= v.tolerance and v.covariance_residual <= v.tolerance
+    assert v.additivity_residual > v.tolerance
     assert v.failed_axioms == ("additivity",)
 
 
@@ -248,7 +248,7 @@ def test_validate_povm_flags_negative_effect(sharp16):
     dense[0] -= 2e-9 * np.eye(16)
     broken = CovariantPOVM(sharp16.grid, sharp16.lattice, dense=dense)
     v = validate_povm(broken)
-    assert not v.positive
+    assert v.min_effect_eigenvalue < -v.tolerance
     assert v.min_effect_eigenvalue < -1e-10
     assert "positivity" in v.failed_axioms
 
@@ -278,7 +278,7 @@ def test_validation_carries_the_generating_kernel(sharp16, monkeypatch):
     # negative beyond rounding: no factor, even where the tolerance forgives it
     dense[0] -= 1e-7 * np.eye(16)
     v = validate_povm(CovariantPOVM(sharp16.grid, sharp16.lattice, dense=dense), tol=1e-6)
-    assert v.positive and v.kernel is None
+    assert "positivity" not in v.failed_axioms and v.kernel is None
 
 
 def stacked_validation(povm, tol=1e-10, seed=0):
@@ -365,7 +365,7 @@ def test_min_effect_eigenvalue_bounds_every_effect(sharp16):
     lowest = min(float(np.linalg.eigvalsh(e)[0]) for e in dense)
     assert lowest < -1e-3
     assert v.min_effect_eigenvalue <= lowest
-    assert not v.positive
+    assert "positivity" in v.failed_axioms
     assert not v.passed
 
 

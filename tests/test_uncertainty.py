@@ -21,8 +21,7 @@ from timepovm.uncertainty import (
     check_combined_bound,
     check_positive_energy_bound,
     check_time_energy_bound,
-    energy_moments,
-    energy_tail_fraction,
+    energy_distribution,
     occurrence_distribution,
 )
 
@@ -32,7 +31,7 @@ def test_occurrence_distribution_is_normalized(fullline_model):
     dist = occurrence_distribution(fullline_model, s)
     assert abs(dist.probabilities.sum() - 1.0) <= 1e-12
     assert dist.probabilities.min() >= 0.0
-    assert dist.times.shape == dist.probabilities.shape
+    assert dist.points.shape == dist.probabilities.shape
 
 
 def test_negative_occurrence_probability_is_rejected(sharp16):
@@ -78,7 +77,8 @@ def test_gaussian_time_spread_is_reciprocal(fullline_model):
 def test_energy_moments_match_direct_sums(fullline_model):
     g = fullline_model.grid
     s = random_smooth_state(g, 9)
-    mean, var = energy_moments(s)
+    energy = energy_distribution(s)
+    mean, var = energy.mean(), energy.variance()
     p = s.probabilities
     assert abs(mean - float(p @ g.energies)) <= 1e-12
     assert abs(var - float(p @ (g.energies - mean) ** 2)) <= 1e-12
@@ -88,9 +88,9 @@ def test_energy_tail_counts_only_top_on_halfline(halfline_model):
     g = halfline_model.grid
     # a state pressed against the zero-energy wall has no *top* tail
     s = gaussian_state(g, 0.4, 0.12)
-    assert energy_tail_fraction(s) <= 1e-12
+    assert energy_distribution(s).tail_fraction() <= 1e-12
     top = gaussian_state(g, float(g.energies[-1]) - 0.4, 0.12)
-    assert energy_tail_fraction(top) > 1e-6
+    assert energy_distribution(top).tail_fraction() > 1e-6
 
 
 def test_time_energy_bound_saturated_by_gaussian(fullline_model):
