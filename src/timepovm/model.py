@@ -206,7 +206,7 @@ class CovariantPOVM:
         return self.grid.n
 
     def transport(self, kernel: np.ndarray, bins=None) -> np.ndarray:
-        """Kernels K_k = K conj(P^k), (len(bins), r, dim), of a bin-0 kernel K of any dim; bins default to all."""
+        """Kernels K_k = K conj(P^k), (len(bins), r, dim), of a bin-0 kernel K (r, dim), any r; bins default to all."""
         bins = np.arange(self.n_bins) if bins is None else np.asarray(bins)
         steps = np.exp(-1j * np.outer(bins * self.lattice.tau, self.grid.energies))
         return kernel[np.newaxis] * steps[:, np.newaxis, :]

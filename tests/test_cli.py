@@ -472,10 +472,29 @@ FUZZ = ["bounds", "--model", "halfline", "--states", "random:0..20", "--check", 
     [
         (FUZZ, AVX2),
         (["dilate", "halfline-povm.json", "--seed", "3"], AVX2),
+        (["dilate", "halfline-povm.json"], AVX2),
+        (["dilate", "sharp-povm.json"], AVX2),
+        (["dilate", "sharp-povm.json", "--seed", "3"], AVX2),
+        (["dilate", "vector-povm.json"], AVX2),
+        (["dilate", "vector-povm.json", "--seed", "3"], AVX2),
         (FUZZ, SSE),
+        (["bounds"], SSE),
+        (["bounds", "--model", "halfline", "--states", "minimal"], SSE),
         (["bounds", "--model", "halfline", "--n", "1000", "--states", "random:0..30", "--check", "all"], SSE),
     ],
-    ids=["bounds", "dilate", "bounds-sse", "bounds-n1000-sse"],
+    ids=[
+        "bounds",
+        "dilate",
+        "dilate-halfline-seed0",
+        "dilate-sharp-seed0",
+        "dilate-sharp-seed3",
+        "dilate-vector-seed0",
+        "dilate-vector-seed3",
+        "bounds-sse",
+        "bounds-default-sse",
+        "bounds-minimal-sse",
+        "bounds-n1000-sse",
+    ],
 )
 def test_stdout_does_not_depend_on_the_simd_level(argv, features, fixtures64):
     # numpy's real exp and power, complex multiply and complex abs round
@@ -483,7 +502,8 @@ def test_stdout_does_not_depend_on_the_simd_level(argv, features, fixtures64):
     # occurrence residual sit at the rounding floor of what is built from
     # them.  dilate still moves at the SSE level, so it runs at AVX2 only.
     # On a CPU that lacks the features, disabling them only warns, so the
-    # runs compare the same kernels.
+    # runs compare the same kernels.  The golden tests diff each default-
+    # level run that has a golden, so these runs print it at the other level.
     other, default = stdout_with_and_without("NPY_DISABLE_CPU_FEATURES", features, argv, fixtures64)
     assert other == default
 
