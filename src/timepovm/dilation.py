@@ -93,8 +93,7 @@ def build_dilation(povm: CovariantPOVM, report: PovmValidation | None = None) ->
     blocks = povm.transport(sp.eigenvectors[:, keep].conj().T @ report.kernel)
     # rows of unit norm, so a small kept eigenvalue scales no rounding up
     units = blocks / np.sqrt(sp.eigenvalues[keep])[:, None]
-    phases = np.exp(1j * povm.grid.energies * povm.lattice.tau)
-    shift = np.roll(units, -1, axis=0) @ (phases[:, None] * units.conj().transpose(0, 2, 1))
+    shift = np.roll(units, -1, axis=0) @ (povm.phases([1]).T * units.conj().transpose(0, 2, 1))
     return Dilation(povm, blocks, shift, povm.n_bins * (povm.dim - int(keep.sum())))
 
 
@@ -137,10 +136,8 @@ def check_imprimitivity(dilation: Dilation) -> float:
 
 def check_restriction(dilation: Dilation) -> float:
     """Largest entry of S V - V U(tau): the shift must extend the evolution."""
-    povm = dilation.povm
-    phases = np.exp(1j * povm.grid.energies * povm.lattice.tau)
     lhs = dilation.shift @ dilation.blocks
-    rhs = np.roll(dilation.blocks, -1, axis=0) * phases
+    rhs = np.roll(dilation.blocks, -1, axis=0) * dilation.povm.phases([1])
     return float(np.max(np.abs(lhs - rhs)))
 
 

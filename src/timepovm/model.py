@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import hermitian_eigh
-from .special import airy_ai, airy_zero
+from .special import _POS_MAX, airy_ai, airy_zero
 
 __all__ = [
     "EnergyGrid",
@@ -205,11 +205,14 @@ class CovariantPOVM:
     def dim(self) -> int:
         return self.grid.n
 
+    def phases(self, steps) -> np.ndarray:
+        """Diagonals of P^s, P = diag(exp(i*E*tau)), for each s in steps: shape (len(steps), dim)."""
+        return np.exp(1j * np.outer(np.asarray(steps) * self.lattice.tau, self.grid.energies))
+
     def transport(self, kernel: np.ndarray, bins=None) -> np.ndarray:
         """Kernels K_k = K conj(P^k), (len(bins), r, dim), of a bin-0 kernel K (r, dim), any r; bins default to all."""
         bins = np.arange(self.n_bins) if bins is None else np.asarray(bins)
-        steps = np.exp(-1j * np.outer(bins * self.lattice.tau, self.grid.energies))
-        return kernel[np.newaxis] * steps[:, np.newaxis, :]
+        return kernel[np.newaxis] * self.phases(-bins)[:, np.newaxis, :]
 
     def effect(self, k: int) -> np.ndarray:
         """Effect of bin k (mod n_bins); a copy of the stored matrix for dense storage."""
@@ -403,7 +406,6 @@ def validate_povm(povm: CovariantPOVM, tol: float = 1e-10, seed: int = 0) -> Pov
     bin order, phase or normalization in either.
     """
     n, dim = povm.n_bins, povm.dim
-    energies, tau = povm.grid.energies, povm.lattice.tau
     first = effect = povm.effect(0)
     if povm.generator is not None:
         min_eig, kernel, herm = 0.0, povm.generator, None
@@ -421,13 +423,13 @@ def validate_povm(povm: CovariantPOVM, tol: float = 1e-10, seed: int = 0) -> Pov
             positive = keep.any() and w[0] >= -1e-8 * w[-1]
             kernel = np.sqrt(w[keep])[:, None] * sp.eigenvectors[:, keep].conj().T if positive else None
 
-    phases = np.exp(1j * energies * tau)
+    phases = povm.phases([1])[0]
     total = np.zeros((dim, dim), dtype=complex)
     cov = drift = 0.0
     for k in range(n):
         total += effect
         if herm is not None:
-            step = np.exp(-1j * ((k * tau) * energies))  # the diagonal of conj(P^k)
+            step = povm.phases([-k])[0]  # the diagonal of conj(P^k)
             gap = step.conj()[:, None] * herm * step - effect
             drift = max(drift, float(np.linalg.norm(gap, axis=(0, 1))))
         nxt = first if k == n - 1 else povm.effect(k + 1)
@@ -500,19 +502,14 @@ def random_smooth_state(grid: EnergyGrid, seed: int) -> StateVector:
     if grid.halfline:
         # the envelope must beat the polynomial at the top of the grid, so
         # the family is kept narrow enough that the edge sits beyond 10 sigma
-        center = rng.uniform(2.5, 3.0)
-        sigma = rng.uniform(0.4, 0.55)
-        x = (e - center) / sigma
-        poly = np.polyval(0.2 * coeffs, x) + 1.0
+        center, sigma = rng.uniform(2.5, 3.0), rng.uniform(0.4, 0.55)
         # two products, not numpy's power, whose kernels round by SIMD level
         square = (e - e[0]) * (e - e[0])
-        raw = square * square * poly * _host_independent_exp(-0.25 * x**2)
     else:
-        center = rng.uniform(-4.0, 4.0)
-        sigma = rng.uniform(0.8, 1.6)
-        x = (e - center) / sigma
-        poly = np.polyval(0.2 * coeffs, x) + 1.0
-        raw = poly * _host_independent_exp(-0.25 * x**2)
+        center, sigma = rng.uniform(-4.0, 4.0), rng.uniform(0.8, 1.6)
+        square = 1.0  # no zero to force; a product with 1.0 is exact
+    x = (e - center) / sigma
+    raw = square * square * (np.polyval(0.2 * coeffs, x) + 1.0) * _host_independent_exp(-0.25 * x**2)
     return _normalized_state(grid, raw)
 
 
@@ -548,5 +545,10 @@ def transported_minimal_state(grid: EnergyGrid) -> StateVector:
     """
     if not grid.halfline:
         raise ValueError("the minimal profile lives on a half-line grid")
-    raw = airy_ai(grid.energies - airy_zero(1)).astype(complex)
-    return _normalized_state(grid, raw)
+    shifted = grid.energies - airy_zero(1)
+    if shifted[-1] > _POS_MAX + 0.26:  # the largest argument airy_ai takes
+        raise ValueError(
+            f"the grid's top energy {grid.energies[-1]:.6g} is past {airy_zero(1) + _POS_MAX + 0.26:.6g}, "
+            "the largest energy the minimal profile admits"
+        )
+    return _normalized_state(grid, airy_ai(shifted).astype(complex))

@@ -42,22 +42,10 @@ def whole_document_text():
     return _whole_document_text
 
 
-def _whole_document_effects(path) -> np.ndarray:
-    # the observable loader's effects before it converted bin by bin: the
-    # whole document as Python floats, and each effect as re + 1j * im
-    doc = json.loads(Path(path).read_text())
-    return np.stack([np.array(e["re"], dtype=float) + 1j * np.array(e["im"], dtype=float) for e in doc["effects"]])
-
-
-@pytest.fixture(scope="session")
-def whole_document_effects():
-    """Oracle for the effects ``load_povm`` reads, from one whole-document parse."""
-    return _whole_document_effects
-
-
 def _whole_document_parts(path) -> tuple[np.ndarray, str]:
-    # the same parse, with each part copied into its own half of the
-    # effects, so an entry written "-0.0" keeps its sign; and the label
+    # the observable loader's effects before it converted bin by bin: the
+    # whole document as Python floats, each part copied into its own half
+    # of the effects, so an entry written "-0.0" keeps its sign; and the label
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     effects = np.empty((len(doc["effects"]), doc["dim"], doc["dim"]), dtype=complex)
     for k, entry in enumerate(doc["effects"]):
@@ -67,7 +55,7 @@ def _whole_document_parts(path) -> tuple[np.ndarray, str]:
 
 @pytest.fixture(scope="session")
 def whole_document_parts():
-    """``whole_document_effects`` with signed zeros kept, and the label."""
+    """Oracle for ``load_povm``: the effects and label of one whole-document parse."""
     return _whole_document_parts
 
 

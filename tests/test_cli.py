@@ -61,28 +61,6 @@ def test_certify_fast_grid(capsys):
     assert weaker["strictly_below_sharp"] == "true"
 
 
-def test_certify_stdout_is_unchanged_to_the_last_digit(capsys):
-    # the full-row-loop implementation's stdout: no printed digit may move
-    golden = (Path(__file__).parent / "golden" / "airy-certify-h2e-3-L17.txt").read_text()
-    assert main(["airy-certify", "--h", "2e-3", "--domain-l", "17"]) == 0
-    assert capsys.readouterr().out == golden
-
-
-@pytest.mark.parametrize(
-    "golden, argv",
-    [
-        ("airy-certify-h2e-3-L17-seed5.txt", ["--h", "2e-3", "--domain-l", "17", "--seed", "5"]),
-        ("airy-certify-h5e-3-L17-seed3.txt", ["--h", "5e-3", "--domain-l", "17", "--seed", "3"]),
-    ],
-)
-def test_certify_descents_away_from_seed_zero_are_unchanged(golden, argv, capsys):
-    # other seeds start the descents elsewhere: values and iteration counts
-    # of both functionals stay pinned to the last printed digit
-    want = (Path(__file__).parent / "golden" / golden).read_text()
-    assert main(["airy-certify", *argv]) == 0
-    assert capsys.readouterr().out == want
-
-
 def test_certify_coarse_grid_reports_regime(capsys):
     # descent finds lattice-scale minima here, so route agreement is
     # informational; the printed-precision checks still certify and exit 0
@@ -127,28 +105,6 @@ def fixtures64(tmp_path_factory):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["emit-fixtures", "--n", "64", "--h", "5e-3", "--out", str(out)]) == 0
     return out
-
-
-@pytest.mark.parametrize("family", ["sharp", "halfline", "vector"])
-def test_dilate_stdout_is_unchanged(family, fixtures64, capsys, monkeypatch):
-    # every field but the check residuals is pinned to the last digit; the
-    # residuals sit at the rounding floor, so a new factorization path moves
-    # them and these files must be regenerated.  A relative path keeps the
-    # povm= field independent of where the test runs.
-    want = (Path(__file__).parent / "golden" / f"dilate-{family}-n64.txt").read_text()
-    monkeypatch.chdir(fixtures64)
-    assert main(["dilate", f"{family}-povm.json"]) == 0
-    assert capsys.readouterr().out == want
-
-
-@pytest.mark.parametrize("family", ["sharp", "halfline", "vector"])
-def test_dilate_away_from_seed_zero_is_unchanged(family, fixtures64, capsys, monkeypatch):
-    # another seed draws other additivity bin sets, compression bin sets and
-    # occurrence states; every printed digit stays pinned
-    want = (Path(__file__).parent / "golden" / f"dilate-{family}-n64-seed3.txt").read_text()
-    monkeypatch.chdir(fixtures64)
-    assert main(["dilate", f"{family}-povm.json", "--seed", "3"]) == 0
-    assert capsys.readouterr().out == want
 
 
 def test_dilate_tampered_file_fails_cleanly(tmp_path, capsys):
@@ -298,23 +254,6 @@ def test_bounds_random_family(capsys):
     assert recs[-1]["failures"] == "0"
 
 
-@pytest.mark.parametrize(
-    "golden, argv",
-    [
-        ("bounds-default.txt", []),
-        ("bounds-halfline-minimal.txt", ["--model", "halfline", "--states", "minimal"]),
-        ("bounds-halfline-random-0-20-all.txt", ["--model", "halfline", "--states", "random:0..20", "--check", "all"]),
-    ],
-)
-def test_bounds_stdout_is_unchanged_to_the_last_digit(golden, argv, capsys):
-    # all three bounds, both saturations and the fuzz family; the fuzz
-    # states' time_tail digits sit at the FFT's rounding floor, so a new
-    # summation order in the FFT moves them and this file must be regenerated
-    want = (Path(__file__).parent / "golden" / golden).read_text()
-    assert main(["bounds", *argv]) == 0
-    assert capsys.readouterr().out == want
-
-
 def test_random_state_range_is_lazy():
     tracemalloc.start()
     try:
@@ -421,31 +360,6 @@ def cli_env(name, value):
     return env
 
 
-def stdout_with_and_without(name, value, argv, cwd=None):
-    """stdout of the CLI run in fresh processes with name=value and with
-    name unset; each run must exit 0."""
-    outs = []
-    for setting in (value, None):
-        run = subprocess.run(
-            [sys.executable, "-m", "timepovm", *argv],
-            capture_output=True,
-            text=True,
-            env=cli_env(name, setting),
-            cwd=cwd,
-            timeout=120,
-        )
-        assert run.returncode == 0, run.stderr
-        outs.append(run.stdout)
-    return outs
-
-
-def test_certify_stdout_does_not_depend_on_the_blas_thread_count():
-    # at the default 19 999 rows a BLAS dot product splits its vectors over
-    # its threads, so a sum taken through BLAS rounds by the thread count
-    one, default = stdout_with_and_without("OPENBLAS_NUM_THREADS", "1", ["airy-certify"])
-    assert one == default
-
-
 def test_fixture_files_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the minimal-state table's norms, kinetic terms and moments reduce
     # 19 999-entry vectors, which a BLAS reduction rounds by the thread count
@@ -461,51 +375,79 @@ def test_fixture_files_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 
 # with the AVX-512 features off numpy runs its AVX2 kernels, as on a CPU
-# without AVX-512; with these off too it runs its SSE kernels
+# without AVX-512; with these off too it runs its SSE kernels.  At the
+# default 19 999 rows a BLAS dot product splits its vectors over its
+# threads, so a sum taken through BLAS would round by the thread count
 AVX2 = "X86_V4 AVX512_ICL AVX512_SPR"
-SSE = AVX2 + " X86_V3 AVX2 FMA3 AVX F16C"
-FUZZ = ["bounds", "--model", "halfline", "--states", "random:0..20", "--check", "all"]
+HOST_SETTINGS = {
+    "avx2": ("NPY_DISABLE_CPU_FEATURES", AVX2),
+    "sse": ("NPY_DISABLE_CPU_FEATURES", AVX2 + " X86_V3 AVX2 FMA3 AVX F16C"),
+    "one-thread": ("OPENBLAS_NUM_THREADS", "1"),
+}
+
+# Every CLI byte contract, once: the golden file tests/golden/NAME.txt that
+# the command prints, run in the n = 64 fixture directory (a relative path
+# keeps dilate's povm= field independent of where the tests run), and the
+# host settings under which a fresh process must print the same bytes.
+# The printed time tails, energy moments and check residuals sit at the
+# rounding floor, so a new FFT summation order or factorization path moves
+# them and the golden must be regenerated.  numpy's real exp and power,
+# complex multiply and complex abs round by SIMD level; dilate still moves
+# at the SSE level, so it runs at AVX2 only.  On a CPU that lacks the
+# features, disabling them only warns, so the runs compare the same kernels.
+CONTRACTS = {
+    "airy-certify-default": (["airy-certify"], ["one-thread"]),
+    "airy-certify-h2e-3-L17": (["airy-certify", "--h", "2e-3", "--domain-l", "17"], []),
+    # other seeds start the descents elsewhere
+    "airy-certify-h2e-3-L17-seed5": (["airy-certify", "--h", "2e-3", "--domain-l", "17", "--seed", "5"], []),
+    "airy-certify-h5e-3-L17-seed3": (["airy-certify", "--h", "5e-3", "--domain-l", "17", "--seed", "3"], []),
+    "bounds-default": (["bounds"], ["sse"]),
+    "bounds-halfline-minimal": (["bounds", "--model", "halfline", "--states", "minimal"], ["sse"]),
+    "bounds-halfline-random-0-20-all": (
+        ["bounds", "--model", "halfline", "--states", "random:0..20", "--check", "all"],
+        ["avx2", "sse", "one-thread"],
+    ),
+    "bounds-halfline-n1000-random-0-30-all": (
+        ["bounds", "--model", "halfline", "--n", "1000", "--states", "random:0..30", "--check", "all"],
+        ["sse"],
+    ),
+    # another seed draws other additivity bin sets, compression bin sets and
+    # occurrence states
+    "dilate-halfline-n64": (["dilate", "halfline-povm.json"], ["avx2"]),
+    "dilate-halfline-n64-seed3": (["dilate", "halfline-povm.json", "--seed", "3"], ["avx2"]),
+    "dilate-sharp-n64": (["dilate", "sharp-povm.json"], ["avx2"]),
+    "dilate-sharp-n64-seed3": (["dilate", "sharp-povm.json", "--seed", "3"], ["avx2"]),
+    "dilate-vector-n64": (["dilate", "vector-povm.json"], ["avx2", "one-thread"]),
+    "dilate-vector-n64-seed3": (["dilate", "vector-povm.json", "--seed", "3"], ["avx2"]),
+}
+GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize(
-    "argv, features",
-    [
-        (FUZZ, AVX2),
-        (["dilate", "halfline-povm.json", "--seed", "3"], AVX2),
-        (["dilate", "halfline-povm.json"], AVX2),
-        (["dilate", "sharp-povm.json"], AVX2),
-        (["dilate", "sharp-povm.json", "--seed", "3"], AVX2),
-        (["dilate", "vector-povm.json"], AVX2),
-        (["dilate", "vector-povm.json", "--seed", "3"], AVX2),
-        (FUZZ, SSE),
-        (["bounds"], SSE),
-        (["bounds", "--model", "halfline", "--states", "minimal"], SSE),
-        (["bounds", "--model", "halfline", "--n", "1000", "--states", "random:0..30", "--check", "all"], SSE),
-    ],
-    ids=[
-        "bounds",
-        "dilate",
-        "dilate-halfline-seed0",
-        "dilate-sharp-seed0",
-        "dilate-sharp-seed3",
-        "dilate-vector-seed0",
-        "dilate-vector-seed3",
-        "bounds-sse",
-        "bounds-default-sse",
-        "bounds-minimal-sse",
-        "bounds-n1000-sse",
-    ],
-)
-def test_stdout_does_not_depend_on_the_simd_level(argv, features, fixtures64):
-    # numpy's real exp and power, complex multiply and complex abs round
-    # otherwise at each level; the printed time tails, energy moments and
-    # occurrence residual sit at the rounding floor of what is built from
-    # them.  dilate still moves at the SSE level, so it runs at AVX2 only.
-    # On a CPU that lacks the features, disabling them only warns, so the
-    # runs compare the same kernels.  The golden tests diff each default-
-    # level run that has a golden, so these runs print it at the other level.
-    other, default = stdout_with_and_without("NPY_DISABLE_CPU_FEATURES", features, argv, fixtures64)
-    assert other == default
+def test_every_golden_is_a_contract():
+    # airy-zeros.txt pins a table of the special module, not a CLI run
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt") if p.name != "airy-zeros.txt") == sorted(CONTRACTS)
+
+
+# test_acceptance's criterion 01 diffs airy-certify-default in process
+@pytest.mark.parametrize("name", [name for name in CONTRACTS if name != "airy-certify-default"])
+def test_stdout_matches_its_golden(name, fixtures64, capsys, monkeypatch):
+    monkeypatch.chdir(fixtures64)
+    assert main(CONTRACTS[name][0]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("name, setting", [(name, s) for name, (_, settings) in CONTRACTS.items() for s in settings])
+def test_stdout_does_not_depend_on_the_host(name, setting, fixtures64):
+    run = subprocess.run(
+        [sys.executable, "-m", "timepovm", *CONTRACTS[name][0]],
+        capture_output=True,
+        text=True,
+        env=cli_env(*HOST_SETTINGS[setting]),
+        cwd=fixtures64,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (GOLDEN / f"{name}.txt").read_text()
 
 
 def test_a_closed_stdout_ends_in_one_exit_and_nothing_on_stderr():
@@ -548,8 +490,9 @@ def tampered_fixture(tmp_path):
         (lambda tmp: ["dilate", tampered_fixture(tmp)], "axiom-violated", 1),
         (lambda tmp: ["bounds", "--de", "1e200", "--n", "4"], "bound-not-applicable", 1),
         (lambda tmp: ["airy-certify", "--domain-l", "3"], "domain", 2),
+        (lambda tmp: ["bounds", "--model", "halfline", "--de", "0.033", "--states", "minimal"], "config", 2),
     ],
-    ids=["axiom-violated", "bound-not-applicable", "domain"],
+    ids=["axiom-violated", "bound-not-applicable", "domain", "minimal-past-the-airy-window"],
 )
 def test_a_refused_run_leaves_an_existing_out_file_as_it_was(argv, error, code, tmp_path, capsys):
     # only a run that ends with its summary writes the copy; an error record

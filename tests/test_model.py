@@ -455,6 +455,11 @@ def test_default_models_shapes(fullline_model, halfline_model):
 def test_transported_minimal_state_requires_halfline(fullline_model, halfline_model):
     with pytest.raises(ValueError):
         transported_minimal_state(fullline_model.grid)
+    # the grid's top energy 1023 * de passes the window of airy_ai between
+    # de = 0.031 and 0.033; the refusal names both energies
+    transported_minimal_state(EnergyGrid(1024, 0.031, halfline=True))
+    with pytest.raises(ValueError, match=r"^the grid's top energy 33\.759 is past 32\.5981, the largest energy"):
+        transported_minimal_state(EnergyGrid(1024, 0.033, halfline=True))
     s = transported_minimal_state(halfline_model.grid)
     assert abs(np.linalg.norm(s.amplitudes) - 1.0) <= 1e-12
     # profile decays super-exponentially before the top of the grid
