@@ -88,8 +88,13 @@ _BOUNDS = {
     "positive-energy": "check_positive_energy_bound",
     "combined": "check_combined_bound",
 }
-# (model, state, bound) that the canonical state sits on -> tolerance of |lhs - rhs|
-_SATURATES = {("fullline", "gaussian", "time-energy"): 1e-4, ("halfline", "minimal", "positive-energy"): 2e-3}
+# --model name -> (its builder, the (centre, width) of its Gaussian state,
+# {(state, bound) that the canonical state sits on: tolerance of |lhs - rhs|});
+# which bounds --check auto runs comes from the built grid, not from this row
+_MODELS = {
+    "fullline": (default_fullline_model, (0.0, 1.0), {("gaussian", "time-energy"): 1e-4}),
+    "halfline": (default_halfline_model, (3.0, 0.6), {("minimal", "positive-energy"): 2e-3}),
+}
 
 
 def _positive_float(text: str) -> float:
@@ -147,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, cmd_dilate)
 
     p = sub.add_parser("bounds", help="certify uncertainty bounds on a model")
-    p.add_argument("--model", choices=("fullline", "halfline"), default="fullline")
+    p.add_argument("--model", choices=tuple(_MODELS), default="fullline")
     p.add_argument(
         "--states",
         default="gaussian",
@@ -356,7 +361,7 @@ def _parse_states(spec: str, model: str):
     long one costs no memory before the first state is checked.
     """
     if spec == "gaussian":
-        center, width = (0.0, 1.0) if model == "fullline" else (3.0, 0.6)
+        center, width = _MODELS[model][1]
         return [({"state": "gaussian"}, lambda grid: gaussian_state(grid, center, width))]
     if spec == "minimal":
         if model != "halfline":
@@ -381,11 +386,11 @@ def cmd_bounds(args: argparse.Namespace, rep: _Report) -> dict | None:
     if args.n is not None:
         _refuse_oversized("energy bins (--n)", args.n, _MAX_BOUNDS_BINS)
     items = _parse_states(args.states, args.model)
-    build = default_fullline_model if args.model == "fullline" else default_halfline_model
+    build, _, saturates = _MODELS[args.model]
     povm = build(args.n, args.de)
     check = args.check
-    if check == "auto":  # the bounds defined for the model's spectrum
-        check = "all" if args.model == "halfline" else "time-energy"
+    if check == "auto":  # the bounds whose spectrum condition the grid meets
+        check = "all" if povm.grid.halfline else "time-energy"
     checks = tuple(_BOUNDS) if check == "all" else (check,)
 
     rep.emit(
@@ -407,7 +412,7 @@ def cmd_bounds(args: argparse.Namespace, rep: _Report) -> dict | None:
                 for name in checks:
                     report = getattr(unc, _BOUNDS[name])(dist, state, args.tolerance_scale)
                     rep.emit({**tag, **bound_record(report, n=povm.dim)})
-                    stol = _SATURATES.get((args.model, tag["state"], name))
+                    stol = saturates.get((tag["state"], name))
                     if stol is not None:
                         err, tol = abs(report.lhs - report.rhs), stol * args.tolerance_scale
                         rec = {"saturation": report.name, "error": err, "tolerance": tol, "pass": err <= tol}

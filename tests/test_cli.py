@@ -304,6 +304,25 @@ def test_bounds_minimal_needs_halfline(capsys):
     assert recs[-1]["error"] == "config"
 
 
+BOUNDS_REFUSALS = [
+    (["--states", "minimal"], "--states minimal needs --model halfline"),
+    (["--states", "nope"], "unknown --states value 'nope'"),
+    *(
+        (["--states", spec], f"bad --states value {spec!r}; use random:SEED or random:FIRST..LAST")
+        for spec in ("random:5..3", "random:3..", "random:", "random:1..x")
+    ),
+    # the states are parsed before the model is built, so this grid's own
+    # refusal (fewer than two energies above the cutoff) is never reached
+    (["--model", "halfline", "--n", "2", "--states", "nope"], "unknown --states value 'nope'"),
+]
+
+
+@pytest.mark.parametrize("argv, detail", BOUNDS_REFUSALS, ids=["-".join(argv) for argv, _ in BOUNDS_REFUSALS])
+def test_bounds_refusals_print_one_config_record(argv, detail, capsys):
+    assert main(["bounds", *argv]) == 2
+    assert capsys.readouterr().out == f"error=config detail={detail}\n"
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["bounds", "--n", "-4"]) == 2
     assert main(["bounds", "--states", "gaussian,bogus"]) == 2
@@ -402,6 +421,7 @@ CONTRACTS = {
     "airy-certify-h2e-3-L17-seed5": (["airy-certify", "--h", "2e-3", "--domain-l", "17", "--seed", "5"], []),
     "airy-certify-h5e-3-L17-seed3": (["airy-certify", "--h", "5e-3", "--domain-l", "17", "--seed", "3"], []),
     "bounds-default": (["bounds"], ["sse"]),
+    "bounds-halfline-gaussian": (["bounds", "--model", "halfline"], ["sse"]),
     "bounds-halfline-minimal": (["bounds", "--model", "halfline", "--states", "minimal"], ["sse"]),
     "bounds-halfline-random-0-20-all": (
         ["bounds", "--model", "halfline", "--states", "random:0..20", "--check", "all"],
@@ -845,6 +865,8 @@ def stop_builders(monkeypatch):
         "airy_operator_spectrum",
     ):
         monkeypatch.setattr(cli, name, reached)
+    for name, row in cli._MODELS.items():
+        monkeypatch.setitem(cli._MODELS, name, (reached, *row[1:]))
 
 
 @pytest.mark.parametrize("argv", OVERSIZED, ids=lambda a: "-".join(a))

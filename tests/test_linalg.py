@@ -91,6 +91,10 @@ def test_hermitian_eigh_rejects_non_square_and_non_hermitian():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         hermitian_eigh(bad)
+    # an O(1) matrix with one entry off by 1e-9, far past the rounding allowance
+    near = np.array([[2.0, 1.0], [1.0 + 1e-9, 3.0]])
+    with pytest.raises(ValueError, match="max asymmetry 1.000e-09"):
+        hermitian_eigh(near)
 
 
 @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])

@@ -126,12 +126,17 @@ _LATTICE4 = TimeLattice(4, np.pi)
         (lambda: CovariantPOVM(_GRID4, _LATTICE4, generator=np.full(4, 0.5)), r"generator must be \(r, dim\)"),
         (lambda: CovariantPOVM(_GRID4, _LATTICE4, generator=np.ones((1, 3))), r"dim=4, got \(1, 3\)"),
         (lambda: CovariantPOVM(_GRID4, _LATTICE4, dense=np.zeros((4, 3, 3))), r"= \(4, 4, 4\), got \(4, 3, 3\)"),
+        (
+            lambda: CovariantPOVM(_GRID4, TimeLattice(4, np.pi * (1 + 1e-9)), generator=np.full((1, 4), 0.5)),
+            r"n\*tau\*de = 2\*pi",
+        ),
         (lambda: build_halfline_povm(EnergyGrid(8, 0.5, halfline=True), 4), "already compressed"),
         (lambda: build_halfline_povm(EnergyGrid(8, 0.5, offset=-2.0), -1), r"cutoff index -1 outside 0\.\.7"),
         (lambda: build_halfline_povm(EnergyGrid(8, 0.5, offset=-2.0), 8), r"cutoff index 8 outside 0\.\.7"),
         (lambda: vector_generated_povm(_GRID4, np.full(3, 0.5)), r"generator must have shape \(4,\), got \(3,\)"),
         (lambda: StateVector(_GRID4, [np.nan, 0.0, 0.0, 0.0]), r"not normalized: \|norm - 1\| = nan"),
         (lambda: vector_generated_povm(_GRID4, [0.5, np.nan, 0.5, 0.5]), "component 1 has modulus nan"),
+        (lambda: vector_generated_povm(_GRID4, [0.5, 0.5 * (1 + 1e-9), 0.5, 0.5]), "component 1 has modulus"),
         (lambda: gaussian_state(_GRID4, 1e3, 1.0), "state profile vanished or overflowed on this grid"),
     ],
     ids=[
@@ -142,12 +147,14 @@ _LATTICE4 = TimeLattice(4, np.pi)
         "flat-generator",
         "narrow-generator",
         "dense-shape",
+        "lattice-off-by-1e-9",
         "halfline-grid",
         "cutoff-below",
         "cutoff-past",
         "vector-generator-shape",
         "state-nan",
         "vector-generator-nan",
+        "vector-modulus-off-by-1e-9",
         "gaussian-underflow",
     ],
 )

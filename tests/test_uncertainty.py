@@ -17,6 +17,7 @@ from timepovm.model import (
 )
 from timepovm.special import universal_constant
 from timepovm.uncertainty import (
+    TAIL_LIMIT,
     ccr_residual,
     check_combined_bound,
     check_positive_energy_bound,
@@ -161,6 +162,17 @@ def test_wide_state_is_flagged_unreliable():
     rep = check_time_energy_bound(occurrence_distribution(p, wide), wide)
     assert not rep.reliable
     assert rep.context["energy_tail"] > 1e-12
+
+
+def test_undersampled_state_with_clean_tails_is_flagged_unreliable(fullline_model):
+    # a width of 1.9 grid spacings leaves both tails far inside the limit, so
+    # the undersampled flag alone makes the moments unreliable
+    g = fullline_model.grid
+    narrow = gaussian_state(g, 0.0, 1.9 * float(g.de))
+    rep = check_time_energy_bound(occurrence_distribution(fullline_model, narrow), narrow)
+    assert narrow.undersampled
+    assert rep.context["time_tail"] <= TAIL_LIMIT and rep.context["energy_tail"] <= TAIL_LIMIT
+    assert not rep.reliable
 
 
 def test_ccr_residual_quadratic_in_bin_width():
