@@ -21,6 +21,7 @@ command line that made it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -250,44 +251,104 @@ def _compare(rep, name: str, value: float, ref: float, tol: float, key: str = "p
     rep.emit({"check": name, "value": value, key: ref, "error": err, **also, "tolerance": tol, "pass": ok})
 
 
+def _send_result(conn, fn, args) -> None:
+    """Body of a worker: send (True, fn(*args)), or (False, the exception)."""
+    try:
+        result = (True, fn(*args))
+    except Exception as exc:  # raised again in the process that reads it
+        result = (False, exc)
+    conn.send(result)
+
+
+def _receive(proc, conn):
+    """The result of a worker started by _forked, or what its call raised."""
+    try:
+        ok, value = conn.recv()
+    except EOFError:  # the worker ended, or was ended, before it sent
+        proc.join()
+        raise RuntimeError(f"a worker process ended with exit code {proc.exitcode} before its result") from None
+    if not ok:
+        raise value
+    return value
+
+
+@contextlib.contextmanager
+def _forked(calls):
+    """Run each (fn, args) of calls in a forked worker process of its own.
+
+    Yields one function per call that waits for its result and returns it,
+    or raises what the call raised.  Leaving the block ends every worker
+    without waiting, so a refusal or an error in this process does not wait
+    for them.  A fork starts the workers without importing numpy and the
+    package again, which would take as long as a descent; no other thread
+    runs here to be lost by the fork.  A worker flushes the streams it
+    inherits when it ends, so stdout is flushed first: a record in its
+    buffer would print twice.
+    """
+    import multiprocessing  # here, so that the other commands and --help do not import it
+
+    context = multiprocessing.get_context("fork")
+    sys.stdout.flush()
+    started = []
+    try:
+        for fn, args in calls:
+            conn, send = context.Pipe(duplex=False)
+            proc = context.Process(target=_send_result, args=(send, fn, args))
+            proc.start()
+            # only the worker then holds the sending end, so its end shows as EOF
+            send.close()
+            started.append((proc, conn))
+        yield [functools.partial(_receive, proc, conn) for proc, conn in started]
+    finally:
+        for proc, conn in started:
+            proc.terminate()
+            proc.join()
+            conn.close()
+
+
 def cmd_airy_certify(args: argparse.Namespace, rep: _Report) -> None:
     h, L, scale = args.h, args.domain_l, args.tolerance_scale
     _refuse_oversized_grid(h, L)
-    # tolerances widen with h^2 so coarse grids still certify at their own
-    # attainable precision; at the reference spacing 1e-3 the extra term is
-    # far below the printed-precision targets
-    eigs = airy_operator_spectrum(h, L, 3)
-    zeros = [airy_zero(i) for i in (1, 2, 3)]
-    for i, (ev, ref) in enumerate(zip(eigs, zeros), start=1):
-        rep.emit({"airy_level": i, "eigenvalue": float(ev), "airy_zero": ref, "error": float(ev - ref)})
-
-    lam1 = float(eigs[0])
-    _compare(rep, "ground-eigenvalue", lam1, _PRINTED_LAMBDA1, 1e-3 * scale + 2.0 * h * h)
-    _compare(rep, "eigenvalue-vs-zero", lam1, zeros[0], 1e-6 * scale + 0.2 * h * h, key="reference")
-    d = universal_constant()
-    _compare(rep, "universal-constant", d, _PRINTED_D, 1e-3 * scale + h * h)
-
     # beyond the agreement regime the descent value is reported but not
     # certified, so a short iteration budget is enough there
     budget = 100000 if h <= _ROUTE_AGREEMENT_H_MAX else 4000
-    for name, minimize, printed, tol in (
+    routes = (
         ("product", minimize_product, _PRINTED_PRODUCT, 5e-4 * scale + h * h),
         ("combined", minimize_combined, _PRINTED_COMBINED, 1e-2 * scale + h * h),
-    ):
-        spectral = minimize(h, L, method="spectral")
-        descent = minimize(h, L, method="descent", seed=args.seed, max_iter=budget)
-        rep.emit({"minimize": name, "route": "spectral", "value": spectral.value})
-        rep.emit(
-            {
-                "minimize": name,
-                "route": "descent",
-                "value": descent.value,
-                "iterations": descent.iterations,
-                "converged": descent.converged,
-            }
-        )
-        _compare(rep, f"{name}-infimum", spectral.value, printed, tol)
-        _route_agreement(rep, name, spectral.value, descent, h, scale)
+    )
+    # the descents share nothing with the rest, so both run in workers while
+    # this process computes and emits in the serial order: every record, and
+    # the one error record of a failed run, comes where it would without them
+    with _forked([(minimize, (h, L, "descent", args.seed, budget)) for _, minimize, _, _ in routes]) as descents:
+        # tolerances widen with h^2 so coarse grids still certify at their own
+        # attainable precision; at the reference spacing 1e-3 the extra term is
+        # far below the printed-precision targets
+        eigs = airy_operator_spectrum(h, L, 3)
+        zeros = [airy_zero(i) for i in (1, 2, 3)]
+        for i, (ev, ref) in enumerate(zip(eigs, zeros), start=1):
+            rep.emit({"airy_level": i, "eigenvalue": float(ev), "airy_zero": ref, "error": float(ev - ref)})
+
+        lam1 = float(eigs[0])
+        _compare(rep, "ground-eigenvalue", lam1, _PRINTED_LAMBDA1, 1e-3 * scale + 2.0 * h * h)
+        _compare(rep, "eigenvalue-vs-zero", lam1, zeros[0], 1e-6 * scale + 0.2 * h * h, key="reference")
+        d = universal_constant()
+        _compare(rep, "universal-constant", d, _PRINTED_D, 1e-3 * scale + h * h)
+
+        for (name, minimize, printed, tol), descent_result in zip(routes, descents):
+            spectral = minimize(h, L, method="spectral")
+            descent = descent_result()
+            rep.emit({"minimize": name, "route": "spectral", "value": spectral.value})
+            rep.emit(
+                {
+                    "minimize": name,
+                    "route": "descent",
+                    "value": descent.value,
+                    "iterations": descent.iterations,
+                    "converged": descent.converged,
+                }
+            )
+            _compare(rep, f"{name}-infimum", spectral.value, printed, tol)
+            _route_agreement(rep, name, spectral.value, descent, h, scale)
     # spectral now holds the combined infimum, the sharp right-hand side
     weaker = d * d + 0.25
     tol = 3e-3 * scale + h * h

@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import multiprocessing
 import os
+import signal
 import stat
 import subprocess
 import sys
@@ -13,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from timepovm import cli, dilation, linalg, model
+from timepovm import cli, dilation, linalg, model, variational
 from timepovm.cli import main
 from timepovm.formats import save_povm
 from timepovm.model import CovariantPOVM, build_sharp_time_povm, centered_grid, vector_generated_povm
@@ -59,6 +61,8 @@ def test_certify_fast_grid(capsys):
     assert chain["pairs"] == "10000"
     weaker = find(recs, check="weaker-combined-rhs")
     assert weaker["strictly_below_sharp"] == "true"
+    # the two descent workers end with the run
+    assert multiprocessing.active_children() == []
 
 
 def test_certify_coarse_grid_reports_regime(capsys):
@@ -74,10 +78,41 @@ def test_certify_coarse_grid_reports_regime(capsys):
 
 
 def test_certify_short_domain_is_usage_error(capsys):
+    # the refusal comes from the spectrum in this process while both
+    # descents still run; it ends them without waiting
     assert main(["airy-certify", "--domain-l", "3"]) == 2
-    _, recs = records(capsys)
-    assert recs[-1]["error"] == "domain"
-    assert float(recs[-1]["required_length"]) > 3.0
+    detail = "domain length 3.0 cannot hold 3 eigenfunctions; need L >= 16.04"
+    assert capsys.readouterr().out == f"error=domain detail={detail} required_length=16.0411196562\n"
+    assert multiprocessing.active_children() == []
+
+
+def breakdown(*args, **kwargs):
+    raise RuntimeError("iteration did not converge within its budget")
+
+
+def killed(*args, **kwargs):
+    # as the kernel's out-of-memory killer ends a process: no exception, no result
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize(
+    "name, failure, detail",
+    [
+        ("minimal_state", breakdown, "iteration did not converge within its budget"),
+        ("_descent", breakdown, "iteration did not converge within its budget"),
+        ("_descent", killed, "a worker process ended with exit code -9 before its result"),
+    ],
+    ids=["spectral-in-process", "descent-in-worker", "worker-killed"],
+)
+def test_a_breakdown_in_either_route_is_one_record_exit_one(name, failure, detail, capsys, monkeypatch):
+    # the product minimization's spectral route runs in this process and its
+    # descent in a forked worker, which inherits the patch; either breakdown
+    # ends the run after the same six records, with one error record
+    monkeypatch.setattr(variational, name, failure)
+    assert main(["airy-certify", "--h", "2e-3", "--domain-l", "17"]) == 1
+    before = (GOLDEN / "airy-certify-h2e-3-L17.txt").read_text().splitlines(keepends=True)[:6]
+    assert capsys.readouterr().out == "".join(before) + f"error=numerical detail={detail}\n"
+    assert multiprocessing.active_children() == []
 
 
 def test_fixtures_deterministic_and_dilatable(tmp_path, capsys):
@@ -298,12 +333,6 @@ def test_bounds_wrong_model_for_check_exits_one(capsys):
     assert "shift the spectrum" in failure["detail"] + capsys.readouterr().out
 
 
-def test_bounds_minimal_needs_halfline(capsys):
-    assert main(["bounds", "--states", "minimal"]) == 2
-    _, recs = records(capsys)
-    assert recs[-1]["error"] == "config"
-
-
 BOUNDS_REFUSALS = [
     (["--states", "minimal"], "--states minimal needs --model halfline"),
     (["--states", "nope"], "unknown --states value 'nope'"),
@@ -379,6 +408,20 @@ def cli_env(name, value):
     return env
 
 
+@pytest.mark.parametrize(
+    "argv, imported",
+    [(["--help"], "False"), (["bounds", "--n", "16"], "False"), (["airy-certify", "--h", "0.1"], "True")],
+)
+def test_only_airy_certify_imports_multiprocessing(argv, imported):
+    # the benchmark times --help starts as set-up; they and the other
+    # commands must not pay for the descent workers' import
+    code = "import sys; from timepovm.cli import main; main(sys.argv[1:]); print('multiprocessing' in sys.modules)"
+    argv = [sys.executable, "-c", code, *argv]
+    run = subprocess.run(argv, capture_output=True, text=True, env=cli_env(None, None), timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == imported
+
+
 def test_fixture_files_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the minimal-state table's norms, kinetic terms and moments reduce
     # 19 999-entry vectors, which a BLAS reduction rounds by the thread count
@@ -398,10 +441,21 @@ def test_fixture_files_do_not_depend_on_the_blas_thread_count(tmp_path):
 # default 19 999 rows a BLAS dot product splits its vectors over its
 # threads, so a sum taken through BLAS would round by the thread count
 AVX2 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def one_cpu():
+    # run in the child before the CLI starts: it and every worker it forks
+    # share the lowest CPU the tests may use
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+# setting -> (environment variable, its value, what the child runs before
+# the CLI starts); None leaves the variable as it is or runs nothing
 HOST_SETTINGS = {
-    "avx2": ("NPY_DISABLE_CPU_FEATURES", AVX2),
-    "sse": ("NPY_DISABLE_CPU_FEATURES", AVX2 + " X86_V3 AVX2 FMA3 AVX F16C"),
-    "one-thread": ("OPENBLAS_NUM_THREADS", "1"),
+    "avx2": ("NPY_DISABLE_CPU_FEATURES", AVX2, None),
+    "sse": ("NPY_DISABLE_CPU_FEATURES", AVX2 + " X86_V3 AVX2 FMA3 AVX F16C", None),
+    "one-thread": ("OPENBLAS_NUM_THREADS", "1", None),
+    "one-cpu": (None, None, one_cpu),
 }
 
 # Every CLI byte contract, once: the golden file tests/golden/NAME.txt that
@@ -414,12 +468,20 @@ HOST_SETTINGS = {
 # complex multiply and complex abs round by SIMD level; dilate still moves
 # at the SSE level, so it runs at AVX2 only.  On a CPU that lacks the
 # features, disabling them only warns, so the runs compare the same kernels.
+# airy-certify's descents run in two forked workers beside the spectral
+# work; on one CPU all three processes take turns on one core.
 CONTRACTS = {
-    "airy-certify-default": (["airy-certify"], ["one-thread"]),
-    "airy-certify-h2e-3-L17": (["airy-certify", "--h", "2e-3", "--domain-l", "17"], []),
+    "airy-certify-default": (["airy-certify"], ["one-thread", "one-cpu"]),
+    "airy-certify-h2e-3-L17": (["airy-certify", "--h", "2e-3", "--domain-l", "17"], ["one-cpu"]),
     # other seeds start the descents elsewhere
-    "airy-certify-h2e-3-L17-seed5": (["airy-certify", "--h", "2e-3", "--domain-l", "17", "--seed", "5"], []),
-    "airy-certify-h5e-3-L17-seed3": (["airy-certify", "--h", "5e-3", "--domain-l", "17", "--seed", "3"], []),
+    "airy-certify-h2e-3-L17-seed5": (
+        ["airy-certify", "--h", "2e-3", "--domain-l", "17", "--seed", "5"],
+        ["one-cpu"],
+    ),
+    "airy-certify-h5e-3-L17-seed3": (
+        ["airy-certify", "--h", "5e-3", "--domain-l", "17", "--seed", "3"],
+        ["one-cpu"],
+    ),
     "bounds-default": (["bounds"], ["sse"]),
     "bounds-halfline-gaussian": (["bounds", "--model", "halfline"], ["sse"]),
     "bounds-halfline-minimal": (["bounds", "--model", "halfline", "--states", "minimal"], ["sse"]),
@@ -458,11 +520,13 @@ def test_stdout_matches_its_golden(name, fixtures64, capsys, monkeypatch):
 
 @pytest.mark.parametrize("name, setting", [(name, s) for name, (_, settings) in CONTRACTS.items() for s in settings])
 def test_stdout_does_not_depend_on_the_host(name, setting, fixtures64):
+    variable, value, before = HOST_SETTINGS[setting]
     run = subprocess.run(
         [sys.executable, "-m", "timepovm", *CONTRACTS[name][0]],
         capture_output=True,
         text=True,
-        env=cli_env(*HOST_SETTINGS[setting]),
+        env=cli_env(variable, value),
+        preexec_fn=before,
         cwd=fixtures64,
         timeout=120,
     )
@@ -483,6 +547,25 @@ def test_a_closed_stdout_ends_in_one_exit_and_nothing_on_stderr():
     assert first.startswith(b"model=fullline ")
     assert err == b""
     assert code == cli._CLOSED_STDOUT == 141
+
+
+def test_a_closed_stdout_leaves_no_descent_worker_behind(tmp_path):
+    # unbuffered, the first record meets the pipe closed while both descent
+    # workers run.  The run's own session holds every process it forks, and
+    # stderr goes to a file, so that reading it cannot wait for a worker
+    # left behind that holds it open
+    argv = [sys.executable, "-m", "timepovm", "airy-certify", "--h", "2e-3", "--domain-l", "17"]
+    err = tmp_path / "stderr"
+    with open(err, "wb") as sink:
+        proc = subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=sink, env=cli_env("PYTHONUNBUFFERED", "1"), start_new_session=True
+        )
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+    assert code == cli._CLOSED_STDOUT
+    assert err.read_bytes() == b""
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
 
 
 def test_report_file_matches_stdout(tmp_path, capsys):

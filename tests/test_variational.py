@@ -1,6 +1,7 @@
 """Dirichlet grid states, the two functionals, spectra, and the minimizers."""
 
 import math
+import multiprocessing
 import re
 import tracemalloc
 from fractions import Fraction
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from timepovm import variational
+from timepovm.cli import _forked
 from timepovm.linalg import SymTridiag, tridiag_lowest_eigs
 from timepovm.special import airy_ai, airy_zero, min_product_identity
 from timepovm.variational import (
@@ -273,6 +275,23 @@ def test_descent_is_deterministic():
     b = minimize_product(5e-3, 14.0, method="descent", seed=4)
     assert a.value == b.value
     assert np.array_equal(a.minimizer.values, b.minimizer.values)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("minimize", [minimize_product, minimize_combined], ids=["p1", "p2"])
+def test_a_descent_in_a_forked_worker_matches_the_in_process_call(minimize, seed):
+    # airy-certify runs each descent in a forked worker and reads the result
+    # back pickled: the same value, state bytes, iterations and flag
+    h, L = 2e-3, 17.0
+    with _forked([(minimize, (h, L, "descent", seed))]) as (result,):
+        remote = result()
+    local = minimize(h, L, "descent", seed)
+    assert remote.value == local.value
+    assert remote.minimizer.h == local.minimizer.h
+    assert remote.minimizer.values.tobytes() == local.minimizer.values.tobytes()
+    assert (remote.iterations, remote.converged) == (local.iterations, local.converged)
+    assert local.converged
+    assert multiprocessing.active_children() == []
 
 
 def test_identity_chain_trivial_and_random():
