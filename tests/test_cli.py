@@ -333,6 +333,12 @@ def test_bounds_wrong_model_for_check_exits_one(capsys):
     assert "shift the spectrum" in failure["detail"] + capsys.readouterr().out
 
 
+def test_bounds_minimal_needs_halfline(capsys):
+    assert main(["bounds", "--states", "minimal"]) == 2
+    _, recs = records(capsys)
+    assert recs[-1]["error"] == "config"
+
+
 BOUNDS_REFUSALS = [
     (["--states", "minimal"], "--states minimal needs --model halfline"),
     (["--states", "nope"], "unknown --states value 'nope'"),
