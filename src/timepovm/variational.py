@@ -58,6 +58,11 @@ class DomainTooSmallError(ValueError):
         super().__init__(message)
         self.required_length = required
 
+    def __reduce__(self):
+        # pickling keeps only args = (message,) by default, which __init__
+        # cannot take back; a worker process sends the error pickled
+        return type(self), (str(self), self.required_length)
+
 
 @dataclass(frozen=True)
 class GridState:

@@ -499,8 +499,7 @@ CONTRACTS = {
         ["bounds", "--model", "halfline", "--n", "1000", "--states", "random:0..30", "--check", "all"],
         ["sse"],
     ),
-    # another seed draws other additivity bin sets, compression bin sets and
-    # occurrence states
+    # another seed draws another additivity state and other occurrence states
     "dilate-halfline-n64": (["dilate", "halfline-povm.json"], ["avx2"]),
     "dilate-halfline-n64-seed3": (["dilate", "halfline-povm.json", "--seed", "3"], ["avx2"]),
     "dilate-sharp-n64": (["dilate", "sharp-povm.json"], ["avx2"]),

@@ -62,7 +62,7 @@ def test_fourier_map_is_unitary():
 
 
 def test_sharp_effects_are_rank_one_projections_summing_to_identity(sharp16):
-    total = sharp16.sum_effects(range(16))
+    total = sum(map(sharp16.effect, range(16)))
     assert np.max(np.abs(total - np.eye(16))) <= 1e-13
     e0 = sharp16.effect(0)
     assert np.max(np.abs(e0 @ e0 - e0)) <= 1e-13
@@ -100,7 +100,7 @@ def test_halfline_povm_structure(halfline64):
     assert halfline64.dim == 32
     assert halfline64.grid.halfline
     assert halfline64.grid.offset == 0.0
-    total = halfline64.sum_effects(range(64))
+    total = sum(map(halfline64.effect, range(64)))
     assert np.max(np.abs(total - np.eye(32))) <= 1e-13
     v = validate_povm(halfline64)
     assert v.passed
@@ -205,8 +205,8 @@ def test_validate_povm_flags_broken_covariance(sharp16):
 
 
 def test_additivity_probe_catches_a_misordered_occurrence_path(sharp16, monkeypatch):
-    # a proper union of bins must get the mass of its own effects; with the
-    # union always the whole lattice, any permutation of the bins passed
+    # each bin must get the mass of its own effect; a sum over the whole
+    # lattice would pass any permutation of the bins
     probs = CovariantPOVM.occurrence_probabilities
     monkeypatch.setattr(CovariantPOVM, "occurrence_probabilities", lambda self, s: np.roll(probs(self, s), 1))
     v = validate_povm(sharp16)
@@ -215,10 +215,37 @@ def test_additivity_probe_catches_a_misordered_occurrence_path(sharp16, monkeypa
     assert v.failed_axioms == ("additivity",)
 
 
+def test_additivity_catches_a_misordered_occurrence_path_on_two_bins(monkeypatch):
+    # on two bins every union of disjoint nonempty bin sets is the whole
+    # lattice, whose mass a swap of the bins keeps; bin by bin it shows
+    two = build_sharp_time_povm(centered_grid(2))
+    probs = CovariantPOVM.occurrence_probabilities
+    monkeypatch.setattr(CovariantPOVM, "occurrence_probabilities", lambda self, s: np.roll(probs(self, s), 1))
+    v = validate_povm(two)
+    assert v.additivity_residual > v.tolerance
+    assert v.failed_axioms == ("additivity",)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_additivity_sees_an_error_in_any_one_bin(sharp16, where, monkeypatch):
+    k = {"first": 0, "middle": 8, "last": 15}[where]
+    probs = CovariantPOVM.occurrence_probabilities
+
+    def off_in_one_bin(self, state):
+        p = probs(self, state)
+        p[k] += 1e-9
+        return p
+
+    monkeypatch.setattr(CovariantPOVM, "occurrence_probabilities", off_in_one_bin)
+    v = validate_povm(sharp16)
+    assert v.additivity_residual > 1e-10
+    assert v.failed_axioms == ("additivity",)
+
+
 @pytest.mark.parametrize("storage", ["generator", "dense"])
 def test_validate_povm_builds_each_effect_once(sharp64, storage, monkeypatch):
-    # one pass walks the n effects once; additivity comes from stacked
-    # sums, not per-bin copies (8 rounds of n copies before)
+    # one pass walks the n effects once, and additivity compares each bin
+    # as it is read
     povm = sharp64
     if storage == "dense":
         dense = np.stack([sharp64.effect(k) for k in range(64)])
@@ -314,12 +341,7 @@ def stacked_validation(povm, tol=1e-10, seed=0):
     psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     psi /= np.linalg.norm(psi)
     probs = np.real(np.einsum("i,kij,j->k", psi.conj(), dense, psi))
-    additivity = 0.0
-    for _ in range(8):
-        picks = rng.permutation(n)
-        i, j = np.sort(rng.choice(np.arange(1, max(n, 3)), size=2, replace=False))
-        p_union = float(np.real(np.vdot(psi, dense[picks[:j]].sum(axis=0) @ psi)))
-        additivity = max(additivity, abs(p_union - float(probs[picks[:i]].sum()) - float(probs[picks[i:j]].sum())))
+    additivity = float(np.max(np.abs(np.real(np.vecdot(psi, np.einsum("kij,j->ki", dense, psi))) - probs)))
     return (completeness, covariance, min_eig, additivity, tol), kernel
 
 

@@ -317,7 +317,7 @@ def test_dilation_identities_on_vector_generated_families(seed, n, de, start, fr
         d = dilation.build_dilation(povm)
         assert d.blocks.shape == (n, rank, n) and d.shift.shape == (n, rank, rank)
         states = [random_smooth_state(povm.grid, seed % 1000 + i) for i in range(3)]
-        assert dilation.check_compression(d, seed=seed % 1000) <= 1e-11
+        assert dilation.check_compression(d) <= 1e-11
         assert dilation.check_imprimitivity(d) <= 1e-11
         assert dilation.check_restriction(d) <= 1e-11
         assert dilation.check_occurrence_consistency(d, states) <= 1e-11

@@ -2,6 +2,7 @@
 
 import math
 import multiprocessing
+import pickle
 import re
 import tracemalloc
 from fractions import Fraction
@@ -291,6 +292,29 @@ def test_a_descent_in_a_forked_worker_matches_the_in_process_call(minimize, seed
     assert remote.minimizer.values.tobytes() == local.minimizer.values.tobytes()
     assert (remote.iterations, remote.converged) == (local.iterations, local.converged)
     assert local.converged
+    assert multiprocessing.active_children() == []
+
+
+def test_domain_error_survives_a_pickle_round_trip():
+    err = DomainTooSmallError("domain too short", 16.04)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is DomainTooSmallError
+    assert str(back) == str(err) == "domain too short"
+    assert back.required_length == 16.04
+
+
+def raise_domain_error(required):
+    raise DomainTooSmallError(f"domain too short; need L >= {required}", required)
+
+
+def test_a_domain_error_in_a_forked_worker_is_raised_again_here():
+    # error=domain prints the message and reads required_length, so both
+    # must come back from the worker
+    with pytest.raises(DomainTooSmallError) as err:
+        with _forked([(raise_domain_error, (16.04,))]) as (result,):
+            result()
+    assert str(err.value) == "domain too short; need L >= 16.04"
+    assert err.value.required_length == 16.04
     assert multiprocessing.active_children() == []
 
 
