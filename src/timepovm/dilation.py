@@ -12,6 +12,8 @@ Validation already factors E_0 = K_0^dagger K_0, so the dilation only makes
 the rows of K_0 orthogonal, through the r x r Gram matrix K_0 K_0^dagger, and
 transports them.  The checks below compare the result against the model's
 per-bin effects, so they stay an independent oracle for that transport.
+Each check is one ``np.max`` over its gaps, with numpy's overflow and invalid
+warnings off: a NaN anywhere gives NaN, an overflow inf, and either fails.
 """
 
 from __future__ import annotations
@@ -97,6 +99,7 @@ def build_dilation(povm: CovariantPOVM, report: PovmValidation | None = None) ->
     return Dilation(povm, blocks, shift, povm.n_bins * (povm.dim - int(keep.sum())))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_compression(dilation: Dilation) -> float:
     """Largest entrywise gap between compressed sharp effects and the model's.
 
@@ -105,47 +108,42 @@ def check_compression(dilation: Dilation) -> float:
     ``povm.effect(k)`` (the stored matrix, or K_k^dagger K_k of the kernel
     derived from the generator), which never touches the blocks.  The
     compression of a bin set is the sum of its bins', so agreement on every
-    bin is the whole check.
+    bin is the whole check.  A NaN in any bin makes the residual NaN.
     """
-    povm = dilation.povm
-    worst = 0.0
-    for k, block in enumerate(dilation.blocks):
-        worst = max(worst, float(np.max(np.abs(block.conj().T @ block - povm.effect(k)))))
-    return worst
+    gaps = [np.max(np.abs(b.conj().T @ b - dilation.povm.effect(k))) for k, b in enumerate(dilation.blocks)]
+    return float(np.max(gaps))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_imprimitivity(dilation: Dilation) -> float:
     """How far the shift fails to advance the sharp measure by one bin.
 
     The shift carries block k onto block k+1, so S E({k}) S^dagger =
     E({k+1}) and unitarity of S both reduce to unitarity of every map
     shift[k]; returns the largest entry of S_k S_k^dagger - I and
-    S_k^dagger S_k - I over all bins.
+    S_k^dagger S_k - I over all bins, NaN if any entry is NaN.
     """
     s = dilation.shift
     s_dag = s.conj().transpose(0, 2, 1)
-    eye = np.eye(s.shape[1])
-    return float(max(np.max(np.abs(s @ s_dag - eye)), np.max(np.abs(s_dag @ s - eye))))
+    return float(np.max(np.abs(np.stack([s @ s_dag, s_dag @ s]) - np.eye(s.shape[1]))))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_restriction(dilation: Dilation) -> float:
-    """Largest entry of S V - V U(tau): the shift must extend the evolution."""
-    lhs = dilation.shift @ dilation.blocks
+    """Largest entry of S V - V U(tau), NaN if any is: the shift must extend the evolution."""
     rhs = np.roll(dilation.blocks, -1, axis=0) * dilation.povm.phases([1])
-    return float(np.max(np.abs(lhs - rhs)))
+    return float(np.max(np.abs(dilation.shift @ dilation.blocks - rhs)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_occurrence_consistency(dilation: Dilation, states) -> float:
-    """Gap between model occurrence probabilities and the sharp block masses."""
-    povm = dilation.povm
-    worst = 0.0
-    for state in states:
-        probs = povm.occurrence_probabilities(state)
-        masses = np.sum(np.abs(dilation.embed(state)) ** 2, axis=1)
-        worst = max(worst, float(np.max(np.abs(masses - probs))))
-    return worst
+    """Largest gap, over the states and bins, between model occurrence
+    probabilities and the sharp block masses; NaN if any gap is NaN."""
+    gaps = [np.sum(np.abs(dilation.embed(s)) ** 2, axis=1) - dilation.povm.occurrence_probabilities(s) for s in states]
+    return float(np.max(np.abs(gaps)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def shift_power_deviation(dilation: Dilation) -> float:
     """Largest entry of S^n - phase * I after one full period.
 
@@ -154,10 +152,9 @@ def shift_power_deviation(dilation: Dilation) -> float:
     whose offset is an integer multiple of the spacing the phase is exactly
     one and S^n is the identity; otherwise the full period contributes a
     global phase exp(2*pi*i*offset/de), which is quotiented out before
-    measuring the deviation.
+    measuring the deviation.  A NaN entry makes the deviation NaN.
     """
-    povm = dilation.povm
-    shift = dilation.shift
+    povm, shift = dilation.povm, dilation.shift
     eye = np.eye(shift.shape[1])
     power = np.broadcast_to(eye, shift.shape)
     for m in range(povm.n_bins):

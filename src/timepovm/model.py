@@ -336,7 +336,7 @@ class PovmValidation:
     eigenvalue or one below -1e-8 times the largest, whatever the tolerance.
     ``additivity_residual`` is the largest gap, over the bins k, between p_k
     of ``occurrence_probabilities`` and psi^dagger E_k psi, on one seeded
-    random state psi.
+    random state psi.  A NaN in any bin makes its field NaN, which fails.
     """
 
     completeness_residual: float
@@ -373,6 +373,7 @@ def retained_eigenvalues(w: np.ndarray, floor: float = 0.0) -> np.ndarray:
     return w > max(1e-12 * w[-1], floor)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def validate_povm(povm: CovariantPOVM, tol: float = 1e-10, seed: int = 0) -> PovmValidation:
     """Measure how far a family is from completeness, covariance, positivity
     and additivity.
@@ -399,6 +400,8 @@ def validate_povm(povm: CovariantPOVM, tol: float = 1e-10, seed: int = 0) -> Pov
     bins is additive by definition, and the probability of a bin set is the
     sum of its p_k, so agreement on every bin is the whole check; a wrong
     bin order, phase or normalization in either path shows at some bin.
+    Each residual is one ``np.max`` over per-bin gaps: a NaN in any bin makes
+    it NaN, an overflow inf (without a warning), and either fails its axiom.
     """
     n, dim = povm.n_bins, povm.dim
     first = effect = povm.effect(0)
@@ -421,10 +424,9 @@ def validate_povm(povm: CovariantPOVM, tol: float = 1e-10, seed: int = 0) -> Pov
     rng = np.random.default_rng(seed)
     state = _normalized_state(povm.grid, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
     probs, psi = povm.occurrence_probabilities(state), state.amplitudes
-    direct = np.empty(n)
+    direct, cov, drift = np.empty(n), np.empty(n), np.zeros(n)
     phases = povm.phases([1])[0]
     total = np.zeros((dim, dim), dtype=complex)
-    cov = drift = 0.0
     for k in range(n):
         total += effect
         # einsum, not @: OpenBLAS hands a 64 x 64 complex matrix-vector
@@ -433,16 +435,14 @@ def validate_povm(povm: CovariantPOVM, tol: float = 1e-10, seed: int = 0) -> Pov
         direct[k] = np.real(np.vdot(psi, np.einsum("ij,j->i", effect, psi)))
         if herm is not None:
             step = povm.phases([-k])[0]  # the diagonal of conj(P^k)
-            gap = step.conj()[:, None] * herm * step - effect
-            drift = max(drift, float(np.linalg.norm(gap, axis=(0, 1))))
+            drift[k] = np.linalg.norm(step.conj()[:, None] * herm * step - effect, axis=(0, 1))
         nxt = first if k == n - 1 else povm.effect(k + 1)
-        shifted = (phases[:, None] * effect) * phases.conj()[None, :]
-        cov = max(cov, float(np.max(np.abs(shifted - nxt))))
+        cov[k] = np.max(np.abs((phases[:, None] * effect) * phases.conj()[None, :] - nxt))
         effect = nxt
     completeness = float(np.max(np.abs(total - np.eye(dim))))
-    min_eig -= drift  # 0 unless H_0 was factored
+    min_eig -= float(np.max(drift))  # 0 unless H_0 was factored
     add = float(np.max(np.abs(direct - probs)))
-    return PovmValidation(completeness, cov, min_eig, add, tol, kernel)
+    return PovmValidation(completeness, float(np.max(cov)), min_eig, add, tol, kernel)
 
 
 def _host_independent_exp(x: np.ndarray) -> np.ndarray:

@@ -84,14 +84,17 @@ class Distribution:
 def occurrence_distribution(povm: CovariantPOVM, state: StateVector) -> Distribution:
     """Bin probabilities of ``state`` under ``povm`` as a checked distribution.
 
-    The raw psi^dagger E_k psi are checked first: an entry below -1e-12
-    means an effect is not positive on this state and is rejected, while
-    smaller negative entries (roundoff from the dense storage path) are
-    clipped to zero.  Drift of the total mass away from one is then
-    renormalized as long as it stays below 1e-10; anything above 1e-8 means
-    the observable or the state is broken and is rejected outright.
+    The raw psi^dagger E_k psi are checked first: a NaN or infinite entry
+    is rejected, with its bins named, and so is an entry below -1e-12,
+    which means an effect is not positive on this state, while smaller
+    negative entries (roundoff from the dense storage path) are clipped to
+    zero.  Drift of the total mass away from one is then renormalized as
+    long as it stays below 1e-10; anything above 1e-8 means the observable
+    or the state is broken and is rejected outright.
     """
     p = povm.occurrence_probabilities(state)
+    if not np.isfinite(p).all():
+        raise ValueError(f"occurrence probabilities of bins {np.flatnonzero(~np.isfinite(p)).tolist()} are not finite")
     if float(np.min(p)) < -1e-12:
         raise ValueError(f"occurrence probability {np.min(p):.3e} is negative beyond roundoff")
     p = np.clip(p, 0.0, None)

@@ -156,6 +156,23 @@ def test_dilate_tampered_file_fails_cleanly(tmp_path, capsys):
     assert failure["axiom"] == "completeness"
 
 
+def test_dilate_a_file_whose_transport_drift_overflows_is_one_record_and_a_quiet_stderr(fixtures64, tmp_path):
+    # one finite entry of 1.7e308 in effect 5 overflows the drift's norm:
+    # the residual is inf and fails, with no numpy warning on stderr
+    doc = json.loads((fixtures64 / "halfline-povm.json").read_text())
+    doc["effects"][5]["re"][1][2] = 1.7e308
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc) + "\n")
+    argv = [sys.executable, "-m", "timepovm", "dilate", str(path)]
+    run = subprocess.run(argv, capture_output=True, text=True, env=cli_env(None, None), timeout=120)
+    assert (run.returncode, run.stderr) == (1, "")
+    lines = run.stdout.splitlines()
+    assert len(lines) == 3 and lines[0].startswith(f"povm={path} label=halfline n_bins=64 dim=32 ")
+    assert lines[1].startswith("validation=axioms completeness=1.7e+308 covariance=1.7e+308 min_effect_eigenvalue=-inf ")
+    assert lines[1].endswith(" pass=false")
+    assert lines[2] == "error=axiom-violated axiom=completeness"
+
+
 def test_dilate_malformed_input_exits_two(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text("")

@@ -50,6 +50,17 @@ def test_negative_occurrence_probability_is_rejected(sharp16):
         occurrence_distribution(indefinite, state)
 
 
+def test_non_finite_occurrence_probabilities_are_refused_by_bin(sharp16):
+    # a NaN passes both the negativity and the mass comparison, so it is
+    # named before either
+    dense = np.stack([sharp16.effect(k) for k in range(16)])
+    dense[5, 1, 2] = np.nan
+    dense[9, 0, 0] = np.inf
+    broken = CovariantPOVM(sharp16.grid, sharp16.lattice, dense=dense)
+    with pytest.raises(ValueError, match=r"occurrence probabilities of bins \[5, 9\] are not finite"):
+        occurrence_distribution(broken, random_smooth_state(sharp16.grid, 3))
+
+
 def test_total_mass_drift_is_renormalized_or_refused(sharp16):
     # a dense table scaled by 1 + eps moves every probability's total by eps:
     # between 1e-10 and 1e-8 it is rounding to renormalize, above 1e-8 a
